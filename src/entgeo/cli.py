@@ -289,11 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="entgeo", description="geometric entanglement toolkit"
     )
-    ap.add_argument("--seed", type=int, default=0, help="default RNG seed")
     ap.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
-    ap.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
     ap.add_argument(
         "--f-kind",
         choices=("identity", "abs", "square"),
@@ -344,6 +340,9 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except (ValueError, KeyError) as exc:
         print(f"entgeo: validation error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except RuntimeError as exc:
+        print(f"entgeo: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -200,29 +200,39 @@ def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
     return h, c, float(h @ x - c)
 
 
+def _coords(rows: np.ndarray) -> np.ndarray:
+    """Float or complex rows as real vectors; a complex entry is a re/im pair."""
+    return np.ascontiguousarray(rows.reshape(len(rows), -1)).view(float)
+
+
 def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop rows that coincide with an earlier row within tol (inf-norm)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    kept: list[np.ndarray] = []
-    for row in points:
-        if not any(np.max(np.abs(row - k)) <= tol for k in kept):
-            kept.append(row)
-    return np.array(kept)
+    """Drop rows (real or complex, any shape) that coincide with an earlier row."""
+    points = np.atleast_2d(np.asarray(points))
+    points = points.astype(complex if np.iscomplexobj(points) else float)
+    coords = _coords(points)
+    kept: list[int] = []
+    for i, row in enumerate(coords):
+        if not (np.abs(coords[kept] - row).max(axis=1) <= tol).any():
+            kept.append(i)
+    return points[kept]
+
+
+def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
+    """Drop every row in the hull of the rest; a complex entry counts as a re/im
+    pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given."""
+    rows = dedup_rows(rows)
+    pts = _coords(rows)
+    keep = list(range(len(pts)))
+    for k in range(len(pts)):
+        others = [j for j in keep if j != k]
+        if others and hull_distance(pts[k], pts[others])[0] <= tol:
+            keep.remove(k)
+    return rows[keep]
 
 
 def reduce_vertices(p: VPolytope, tol: float = REDUCE_TOL) -> VPolytope:
     """Irredundant vertex list: drop every point inside the hull of the rest."""
-    verts = dedup_rows(p.vertices)
-    keep = list(range(len(verts)))
-    i = 0
-    while i < len(keep) and len(keep) > 1:
-        others = verts[[j for j in keep if j != keep[i]]]
-        dist, _ = hull_distance(verts[keep[i]], others)
-        if dist <= tol:
-            keep.pop(i)
-        else:
-            i += 1
-    return VPolytope(verts[keep])
+    return VPolytope(reduce_rows(p.vertices, tol))
 
 
 def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
@@ -240,19 +250,31 @@ def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
 # Tensor products
 
 
+def marginal_sets(x, unit_a, unit_b) -> tuple[np.ndarray, np.ndarray]:
+    """Irredundant marginal sets x @ unit_b and unit_a @ x of composites x[n, a, b]."""
+    return reduce_rows(x @ unit_b), reduce_rows(unit_a @ x)
+
+
+def product_composites(xa, xb) -> np.ndarray:
+    """Row-major rows of every product xa[i] (x) xb[j], i slowest.  Nothing is
+    reduced: products of irredundant lists are exactly the vertices of their
+    hull (Namioka & Phelps, Pacific J. Math. 1969)."""
+    return np.kron(np.reshape(xa, (len(xa), -1)), np.reshape(xb, (len(xb), -1)))
+
+
 def min_tensor(a: ComModel, b: ComModel) -> VPolytope:
     """Minimal tensor product: hull of all product states, as a V-polytope."""
-    prods = [np.outer(va, vb).ravel() for va in a.vertices for vb in b.vertices]
-    return reduce_vertices(VPolytope(np.array(prods)))
+    prods = product_composites(reduce_rows(a.vertices), reduce_rows(b.vertices))
+    return VPolytope(prods)
 
 
 def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
     """Maximal tensor product in H-form over the flattened bilinear space:
     phi(e_i, f_j) >= 0 on all extreme effect pairs, phi(u_A, u_B) = 1."""
-    normals = [np.outer(e, f).ravel() for e in a.effects for f in b.effects]
+    normals = product_composites(a.effects, b.effects)
     return HPolytope(
         ambient_dim=a.ambient_dim * b.ambient_dim,
-        ineq_normals=np.array(normals),
+        ineq_normals=normals,
         ineq_offsets=np.zeros(len(normals)),
         eq_normals=np.outer(a.unit, b.unit).ravel()[None, :],
         eq_values=np.array([1.0]),
@@ -316,7 +338,7 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 10) -> VPolytope:
             points.append(x)
     if not points:
         raise ValueError("H-polytope appears empty")
-    return reduce_vertices(VPolytope(dedup_rows(np.array(points))))
+    return reduce_vertices(VPolytope(np.array(points)))
 
 
 # ---------------------------------------------------------------------------

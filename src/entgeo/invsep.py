@@ -6,9 +6,11 @@ their composition, whose fixed points ("convex separable subsets") are
 exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
-Both backends share one LP engine: density-matrix polytopes are flattened
-to real coordinate vectors (re/im interleaved) so GPT and quantum flavors
-run through identical convex-geometry code.
+Both flavors run through one core in ``comgeo`` (``marginal_sets``,
+``product_composites``, ``reduce_rows``) on composites x[a, b] with units.
+A density matrix rho[(i k), (j l)] is regrouped as x[(i j), (k l)] with unit
+vec(I), so partial traces are unit contractions and ``kron`` is an outer
+product; that only permutes the ``flatten_matrix`` coordinates.
 """
 
 from __future__ import annotations
@@ -28,16 +30,7 @@ PPT_TOL = 1e-10
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:
     """Complex matrix -> real coordinate vector (re/im interleaved)."""
-    v = np.asarray(m, dtype=complex).ravel()
-    out = np.empty(2 * v.size)
-    out[0::2] = v.real
-    out[1::2] = v.imag
-    return out
-
-
-def unflatten_matrix(x: np.ndarray, side: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return (x[0::2] + 1j * x[1::2]).reshape(side, side)
+    return np.array(m, dtype=complex).ravel().view(float)
 
 
 @dataclass(frozen=True)
@@ -88,54 +81,48 @@ class MeasureConfig:
 
     f_kind: str = "identity"   # identity | abs | square
     norm_kind: str = "frobenius"  # frobenius | trace | max_abs
-    psi_kind: str = "lambda_tilde"
-    phi_kind: str = "partial_trace"
 
     def __post_init__(self):
         if self.f_kind not in ("identity", "abs", "square"):
             raise ValueError(f"unknown f_kind {self.f_kind!r}")
         if self.norm_kind not in ("frobenius", "trace", "max_abs"):
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
-        if self.psi_kind != "lambda_tilde" or self.phi_kind != "partial_trace":
-            raise ValueError("only the lambda_tilde / partial_trace maps are built in")
 
 
 # ---------------------------------------------------------------------------
 # Convex-set maps (quantum flavor)
 
 
-def _reduce_mats(mats: list, split: DimSplit) -> StatePolytope:
-    flat = comgeo.dedup_rows(np.array([flatten_matrix(m) for m in mats]))
-    reduced = comgeo.reduce_vertices(VPolytope(flat))
-    side = split.dim
-    return StatePolytope(
-        tuple(unflatten_matrix(x, side) for x in reduced.vertices), split
-    )
+def _rebuild(mats_a, mats_b, split: DimSplit) -> StatePolytope:
+    """Hull of all products of two irredundant lists of matrices."""
+    (ra, ca), (rb, cb) = np.shape(mats_a)[1:], np.shape(mats_b)[1:]
+    x = comgeo.product_composites(mats_a, mats_b).reshape(-1, ra, ca, rb, cb)
+    return StatePolytope(tuple(x.swapaxes(2, 3).reshape(-1, ra * rb, ca * cb)), split)
 
 
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
     """Lift of the partial traces to convex sets: vertexwise marginals, reduced."""
     da, db = c.split.dim_a, c.split.dim_b
-    marg_a = [matcore.partial_trace(v, c.split, over="b") for v in c.vertices]
-    marg_b = [matcore.partial_trace(v, c.split, over="a") for v in c.vertices]
+    x = np.reshape(c.vertices, (-1, da, db, da, db)).swapaxes(2, 3)
+    ma, mb = comgeo.marginal_sets(
+        x.reshape(-1, da * da, db * db), np.eye(da).ravel(), np.eye(db).ravel()
+    )
     return (
-        _reduce_mats(marg_a, DimSplit(da, 1)),
-        _reduce_mats(marg_b, DimSplit(1, db)),
+        StatePolytope(tuple(ma.reshape(-1, da, da)), DimSplit(da, 1)),
+        StatePolytope(tuple(mb.reshape(-1, db, db)), DimSplit(1, db)),
     )
 
 
 def lambda_map(c1: StatePolytope, c2: StatePolytope) -> StatePolytope:
     """Hull of all pairwise products of the two vertex sets."""
-    da = c1.split.dim
-    db = c2.split.dim
-    prods = [matcore.kron(a, b) for a in c1.vertices for b in c2.vertices]
-    return _reduce_mats(prods, DimSplit(da, db))
+    mats_a, mats_b = comgeo.reduce_rows(c1.vertices), comgeo.reduce_rows(c2.vertices)
+    return _rebuild(mats_a, mats_b, DimSplit(c1.split.dim, c2.split.dim))
 
 
 def lambda_tau(c: StatePolytope) -> StatePolytope:
     """Marginalize, then product-and-mix; idempotent on all inputs."""
     c1, c2 = tau(c)
-    return lambda_map(c1, c2)
+    return _rebuild(c1.vertices, c2.vertices, c.split)
 
 
 def polytopes_equal(p: StatePolytope, q: StatePolytope, tol: float) -> bool:
@@ -153,12 +140,9 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
     The hull of all cross products a_i (x) b_j is invariant and contains
     the decomposed state.
     """
-    prods = [
-        matcore.kron(a, b)
-        for _, a, _ in d.terms
-        for _, _, b in d.terms
-    ]
-    return _reduce_mats(prods, d.split)
+    mats_a = np.array([a for _, a, _ in d.terms], dtype=complex)
+    mats_b = np.array([b for _, _, b in d.terms], dtype=complex)
+    return _rebuild(comgeo.reduce_rows(mats_a), comgeo.reduce_rows(mats_b), d.split)
 
 
 def is_product(rho: DensityMatrix, tol: float = 1e-10) -> bool:
@@ -229,16 +213,11 @@ def gpt_separable(
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     """GPT flavor of marginalize-and-rebuild on a composite-state polytope."""
-    marg_a, marg_b = [], []
-    for x in c.vertices:
-        m = BilinearState(x.reshape(a.ambient_dim, b.ambient_dim))
-        oa, ob = comgeo.gpt_marginals(m, a, b)
-        marg_a.append(oa)
-        marg_b.append(ob)
-    pa = comgeo.reduce_vertices(VPolytope(comgeo.dedup_rows(np.array(marg_a))))
-    pb = comgeo.reduce_vertices(VPolytope(comgeo.dedup_rows(np.array(marg_b))))
-    prods = [np.outer(va, vb).ravel() for va in pa.vertices for vb in pb.vertices]
-    return comgeo.reduce_vertices(VPolytope(np.array(prods)))
+    x = c.vertices.reshape(-1, a.ambient_dim, b.ambient_dim)
+    for m in x:
+        comgeo.gpt_marginals(BilinearState(m), a, b)  # raises off the state space
+    pa, pb = comgeo.marginal_sets(x, a.unit, b.unit)
+    return VPolytope(comgeo.product_composites(pa, pb))
 
 
 def classical_invariance_check(n_a: int, n_b: int, tol: float = CSS_TOL) -> bool:

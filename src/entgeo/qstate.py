@@ -60,6 +60,9 @@ class DensityMatrix:
         if self.mat.shape != (n, n):
             out.append(f"shape {self.mat.shape} != ({n}, {n})")
             return out
+        if not np.all(np.isfinite(self.mat)):
+            out.append("non-finite entries")
+            return out
         herm_dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
         if herm_dev > matcore.HERMITIAN_TOL:
             out.append(f"hermiticity deviation {herm_dev:.3e}")

@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from entgeo import cli, invsep, qstate
-from entgeo.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE
+from entgeo import cli, comgeo, invsep, qstate
+from entgeo.cli import EXIT_CAP, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE
 from entgeo.invsep import StatePolytope, css_from_decomposition
 from entgeo.matcore import kron
 
@@ -73,6 +74,24 @@ class TestAnalyze:
         via_file = json.loads(out)
         assert via_file["measures"] == direct["measures"]
         assert via_file["ppt_min_eig"] == direct["ppt_min_eig"]
+
+    def test_file_with_nan_entry(self, capsys, tmp_path):
+        obj = qstate.state_to_json(qstate.werner_state(0.3))
+        obj["matrix"]["re"][5] = float("nan")
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "analyze", f"file:{path}")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "non-finite entries" in err
+
+    def test_lp_failure_is_numeric_error(self, capsys, monkeypatch):
+        failed = SimpleNamespace(status=4, message="numerical difficulties")
+        monkeypatch.setattr(comgeo, "linprog", lambda *args, **kwargs: failed)
+        code, out, err = run(capsys, "analyze", "bell:phi+")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "LP failed" in err
 
 
 class TestSweep:

@@ -16,8 +16,10 @@ from entgeo.comgeo import (
     min_tensor,
     polytope_equal,
     pr_box,
+    reduce_rows,
     reduce_vertices,
 )
+from entgeo.invsep import flatten_matrix
 
 
 def is_irredundant(vertices, tol=1e-9):
@@ -139,6 +141,20 @@ class TestReduceAndEqual:
         sq = VPolytope([[0, 0], [1, 0], [0, 1], [1, 1]])
         tri = VPolytope([[0, 0], [1, 0], [0, 1]])
         assert not polytope_equal(sq, tri, 1e-9)
+
+    def test_complex_rows_match_flattened_rows(self, rng):
+        # a complex entry counts as a re/im pair: the same rows survive as
+        # when the flatten_matrix rows go through reduce_vertices
+        base = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        w = rng.dirichlet(np.ones(5), size=4)
+        mats = np.concatenate([base, np.tensordot(w, base, axes=1), base[:2]])
+        mats = mats[rng.permutation(len(mats))]
+        kept = reduce_rows(mats)
+        flat = reduce_vertices(VPolytope([flatten_matrix(m) for m in mats]))
+        assert kept.dtype == complex and kept.shape == (5, 2, 2)
+        np.testing.assert_array_equal(
+            [flatten_matrix(m) for m in kept], flat.vertices
+        )
 
     def test_equal_with_interior_points(self, rng):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entgeo import comgeo, invsep, matcore, qstate
 from entgeo.comgeo import BilinearState, VPolytope, gbit_model, pr_box
@@ -90,6 +92,24 @@ class TestLambdaMap:
             StatePolytope(basis, QUBIT), StatePolytope(basis, DimSplit(1, 2))
         )
         assert len(out.vertices) == 4
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    )
+    def test_matches_reduced_kron_products(self, seeds_a, seeds_b):
+        # reducing the factors and keeping every product gives the same hull
+        # as reducing all k1 * k2 kron products; for generic factors every
+        # product is a vertex
+        fa = [random_product(s)[0] for s in seeds_a]
+        fb = [random_product(s)[1] for s in seeds_b]
+        out = lambda_map(StatePolytope(fa, QUBIT), StatePolytope(fb, QUBIT))
+        kron_rows = [invsep.flatten_matrix(matcore.kron(a, b)) for a in fa for b in fb]
+        old = comgeo.reduce_vertices(VPolytope(kron_rows))
+        assert comgeo.polytope_equal(VPolytope(out.flat()), old, 1e-8)
+        if len(set(seeds_a)) == len(seeds_a) and len(set(seeds_b)) == len(seeds_b):
+            assert len(out.vertices) == len(old.vertices) == len(fa) * len(fb)
 
     def test_inverts_tau_on_witnesses(self):
         d = werner_product_decomposition(0.25)
@@ -337,6 +357,18 @@ class TestBackendAgreement:
             assert ppt_verdict(rho) == "separable"
             phi = BilinearState(w.reshape(2, 2))
             assert gpt_separable(phi, a, b)
+
+    def test_diagonal_polytopes_rebuild_alike(self):
+        # on diagonal states the quantum map acts on the diagonals exactly as
+        # the GPT map acts on the classical 2x2 composite
+        rng = np.random.default_rng(59)
+        a, b = comgeo.classical_model(2), comgeo.classical_model(2)
+        for k in (1, 2, 3, 4):
+            w = rng.dirichlet(np.ones(4), size=k)
+            quantum = lambda_tau(StatePolytope(tuple(map(np.diag, w)), TWO_QUBITS))
+            gpt = gpt_lambda_tau(VPolytope(w), a, b)
+            diagonals = np.array([np.diag(v) for v in quantum.vertices])
+            np.testing.assert_allclose(diagonals, gpt.vertices, atol=1e-12)
 
 
 class TestEntanglementModelWitnesses:

@@ -213,6 +213,15 @@ class TestValidation:
         rho = qstate.werner_state(0.5)
         assert rho.validate() == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        mat = np.eye(4, dtype=complex) / 4
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.full((4, 4), bad), TWO_QUBITS)
+        mat[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(mat, TWO_QUBITS)
+
 
 class TestJson:
     def test_density_round_trip(self):
