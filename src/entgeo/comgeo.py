@@ -172,9 +172,20 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
 
 
 def hull_membership(x, p: VPolytope, tol: float) -> bool:
-    """True iff x is a convex combination of the vertices within tol."""
-    dist, _ = hull_distance(x, p.vertices)
-    return dist <= tol
+    """True iff x is a convex combination of the vertices within tol.
+
+    The nearest vertex bounds the hull distance from above (and equals it
+    for a single vertex), so the LP runs only when that bound leaves the
+    answer open.
+    """
+    v = p.vertices
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != v.shape[1]:
+        raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
+    nearest = float(np.abs(v - x).max(axis=1).min())
+    if nearest <= tol or len(v) == 1:
+        return nearest <= tol
+    return hull_distance(x, v)[0] <= tol
 
 
 def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
@@ -217,13 +228,38 @@ def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return points[kept]
 
 
+def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of rows certified to lie more than tol (infinity norm) from the
+    hull of all other rows.
+
+    A row that beats every other row on a direction h by more than
+    tol * |h|_1 is certified, since |h.(x - y)| <= |h|_1 |x - y|_inf.  The
+    directions tried are +-e_i and each row minus the centroid (frame
+    finding as in Dula & Helgason 1996).
+    """
+    certified = np.zeros(len(pts), dtype=bool)
+    if len(pts) < 2:
+        return certified
+    eye = np.eye(pts.shape[1])
+    dirs = np.vstack([eye, -eye, pts - pts.mean(axis=0)])
+    scores = pts @ dirs.T
+    ranked = np.sort(scores, axis=0)
+    gap = ranked[-1] - ranked[-2]
+    certified[scores.argmax(axis=0)[gap > tol * np.abs(dirs).sum(axis=1)]] = True
+    return certified
+
+
 def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
     """Drop every row in the hull of the rest; a complex entry counts as a re/im
-    pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given."""
+    pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given.
+
+    A row certified extreme by a strict maximizer is kept without an LP; the
+    LP would keep it against any subset of the other rows, so the result is
+    that of the plain sequential LP pass."""
     rows = dedup_rows(rows)
     pts = _coords(rows)
     keep = list(range(len(pts)))
-    for k in range(len(pts)):
+    for k in np.flatnonzero(~_strict_maximizers(pts, tol)):
         others = [j for j in keep if j != k]
         if others and hull_distance(pts[k], pts[others])[0] <= tol:
             keep.remove(k)
@@ -282,13 +318,15 @@ def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
 
 
 def max_tensor_membership(phi, h: HPolytope, tol: float) -> bool:
-    """True iff the bilinear state satisfies every constraint within tol."""
+    """True iff the bilinear state (or every row of a 2-D array of flattened
+    states) satisfies every constraint within tol."""
     x = phi.vector() if isinstance(phi, BilinearState) else np.asarray(phi, float)
-    if x.size != h.ambient_dim:
-        raise ValueError(f"state dim {x.size} != constraint dim {h.ambient_dim}")
-    if len(h.ineq_normals) and np.min(h.ineq_normals @ x - h.ineq_offsets) < -tol:
+    if x.shape[-1] != h.ambient_dim:
+        raise ValueError(f"state dim {x.shape[-1]} != constraint dim {h.ambient_dim}")
+    x = np.atleast_2d(x)
+    if len(h.ineq_normals) and np.min(x @ h.ineq_normals.T - h.ineq_offsets) < -tol:
         return False
-    if len(h.eq_normals) and np.max(np.abs(h.eq_normals @ x - h.eq_values)) > tol:
+    if len(h.eq_normals) and np.max(np.abs(x @ h.eq_normals.T - h.eq_values)) > tol:
         return False
     return True
 

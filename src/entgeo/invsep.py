@@ -213,10 +213,18 @@ def gpt_separable(
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     """GPT flavor of marginalize-and-rebuild on a composite-state polytope."""
+    tol = 1e-9  # the state-space tolerance of comgeo.gpt_marginals
+    if not comgeo.max_tensor_membership(
+        c.vertices, comgeo.max_tensor_constraints(a, b), tol
+    ):
+        raise ValueError("state is outside the maximal tensor product")
     x = c.vertices.reshape(-1, a.ambient_dim, b.ambient_dim)
-    for m in x:
-        comgeo.gpt_marginals(BilinearState(m), a, b)  # raises off the state space
     pa, pb = comgeo.marginal_sets(x, a.unit, b.unit)
+    # every marginal lies in the hull of the reduced sets, so checking those suffices
+    for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
+        space = VPolytope(m.vertices)
+        if not all(comgeo.hull_membership(w, space, tol) for w in marg):
+            raise ValueError(f"{side}-marginal left the model state space")
     return VPolytope(comgeo.product_composites(pa, pb))
 
 

@@ -34,6 +34,8 @@ class PureState:
             raise ValueError(
                 f"amplitude vector length {amps.size} != dim {self.split.dim}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state vector has non-finite entries")
         nrm = float(np.vdot(amps, amps).real)
         if abs(nrm - 1.0) > NORM_TOL:
             raise ValueError(f"state vector not normalized: |psi|^2 = {nrm!r}")

@@ -88,10 +88,23 @@ class TestAnalyze:
     def test_lp_failure_is_numeric_error(self, capsys, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
         monkeypatch.setattr(comgeo, "linprog", lambda *args, **kwargs: failed)
-        code, out, err = run(capsys, "analyze", "bell:phi+")
+        code, out, err = run(capsys, "analyze", "prbox")
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "LP failed" in err
+
+    @pytest.mark.parametrize("expr", ["bell:phi+", "werner:0.5"])
+    def test_singleton_report_needs_no_lp(self, capsys, monkeypatch, expr):
+        # both hulls of the singleton test have one vertex, where the nearest
+        # vertex is the exact distance, so no LP is solved
+        def no_lp(*args, **kwargs):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(comgeo, "linprog", no_lp)
+        code, out, _ = run(capsys, "analyze", expr)
+        assert code == EXIT_OK
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["css_singleton"] is verdicts["product"] is False
 
 
 class TestSweep:

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from entgeo import comgeo
 from entgeo.comgeo import (
@@ -30,6 +35,34 @@ def is_irredundant(vertices, tol=1e-9):
         if hull_distance(v[i], others)[0] <= tol:
             return False
     return True
+
+
+def lp_reduce(rows, tol=1e-9):
+    """LP-only reduction: one hull-distance LP per deduplicated row, in
+    order, against the rows still kept."""
+    rows = comgeo.dedup_rows(rows)
+    pts = np.array([flatten_matrix(r) for r in rows])
+    keep = list(range(len(rows)))
+    for k in range(len(rows)):
+        others = [j for j in keep if j != k]
+        if others and hull_distance(pts[k], pts[others])[0] <= tol:
+            keep.remove(k)
+    return rows[keep]
+
+
+def near_facet(rng, verts, offsets):
+    """A random point on a random facet of the hull of verts for each
+    offset, moved by that offset along the facet's outward unit normal."""
+    hull = ConvexHull(verts)
+    out = []
+    for off in offsets:
+        f = rng.integers(len(hull.simplices))
+        w = rng.dirichlet(np.ones(verts.shape[1]))
+        out.append(w @ verts[hull.simplices[f]] + off * hull.equations[f, :-1])
+    return np.reshape(out, (-1, verts.shape[1]))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 class TestClassicalModel:
@@ -111,6 +144,30 @@ class TestHullMembership:
         with pytest.raises(ValueError, match="dim"):
             hull_membership([0.0, 0.0, 0.0], VPolytope([[0.0, 0.0]]), 1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(2, 4), extra=st.integers(0, 4))
+    def test_agrees_with_hull_distance(self, seed, dim, extra):
+        # vertices, interior points, points 1e-10 either side of a facet and
+        # points clearly outside; a one-vertex hull gets offsets either side
+        # of tol
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        verts = rng.standard_normal((dim + 1 + extra, dim))
+        outside = 10 * tol * np.sqrt(dim)
+        probes = np.vstack([
+            verts,
+            rng.dirichlet(np.ones(len(verts)), size=3) @ verts,
+            near_facet(rng, verts, [-1e-10, 1e-10, outside, 1e-3]),
+        ])
+        for x in probes:
+            expected = hull_distance(x, verts)[0] <= tol
+            assert hull_membership(x, VPolytope(verts), tol) == expected
+        one = VPolytope(verts[:1])
+        for off in (0.0, 0.5 * tol, 2 * tol):
+            x = verts[0] + off * rng.choice([-1.0, 1.0], size=dim)
+            expected = hull_distance(x, one.vertices)[0] <= tol
+            assert hull_membership(x, one, tol) == expected == (off <= tol)
+
 
 class TestReduceAndEqual:
     def test_midpoint_removal(self):
@@ -155,6 +212,41 @@ class TestReduceAndEqual:
         np.testing.assert_array_equal(
             [flatten_matrix(m) for m in kept], flat.vertices
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        shape=st.sampled_from([(2, 0), (3, 0), (4, 0), (2, 1), (4, 1)]),
+        extra=st.integers(0, 3),
+        interior=st.integers(0, 3),
+        dups=st.integers(0, 2),
+        facet=st.integers(0, 3),
+        box=st.booleans(),
+    )
+    def test_matches_lp_only_reduction(
+        self, seed, shape, extra, interior, dups, facet, box
+    ):
+        # random or axis-aligned box vertex sets with interior convex
+        # combinations, exact duplicates and points within 1e-10 of a facet
+        # (on a box facet such a point can top a coordinate by 1e-10);
+        # complex rows pair up the real coordinates
+        dim, as_complex = shape
+        rng = np.random.default_rng(seed)
+        if box:
+            corners = np.array(list(itertools.product([0.0, 1.0], repeat=dim)))
+            verts = corners * rng.uniform(0.5, 2.0, size=dim) + rng.standard_normal(dim)
+        else:
+            verts = rng.standard_normal((dim + 1 + extra, dim))
+        rows = np.vstack([
+            verts,
+            rng.dirichlet(np.ones(len(verts)), size=interior) @ verts,
+            verts[rng.integers(len(verts), size=dups)],
+            near_facet(rng, verts, rng.uniform(-1e-10, 1e-10, size=facet)),
+        ])
+        rows = rows[rng.permutation(len(rows))]
+        if as_complex:
+            rows = rows.view(complex)
+        np.testing.assert_array_equal(reduce_rows(rows), lp_reduce(rows))
 
     def test_equal_with_interior_points(self, rng):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])

@@ -344,6 +344,13 @@ class TestClassicalInvariance:
         with pytest.raises(ValueError, match="cap"):
             classical_invariance_check(6, 6)
 
+    def test_vertex_outside_max_tensor_rejected(self):
+        gb = gbit_model()
+        verts = comgeo.min_tensor(gb, gb).vertices
+        c = VPolytope(np.vstack([verts, 2.0 * pr_box().vector()]))
+        with pytest.raises(ValueError, match="maximal tensor"):
+            gpt_lambda_tau(c, gb, gb)
+
 
 class TestBackendAgreement:
     def test_diagonal_states_agree_with_classical_model(self):

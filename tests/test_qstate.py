@@ -221,6 +221,8 @@ class TestValidation:
         mat[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(mat, TWO_QUBITS)
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(np.array([bad, 0, 0, 0]), TWO_QUBITS)
 
 
 class TestJson:
