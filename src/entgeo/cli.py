@@ -252,12 +252,14 @@ def cmd_tensor(args) -> int:
         omax = comgeo.enumerate_max_vertices(h, args.dim_cap)
         summary["max_vertices"] = len(omax.vertices)
         if omin is not None:
-            summary["equal"] = comgeo.polytope_equal(omin, omax, args.tol)
             outside = [
                 list(v)
                 for v in omax.vertices
                 if not comgeo.hull_membership(v, omin, args.tol)
             ]
+            summary["equal"] = not outside and all(
+                comgeo.hull_membership(v, omax, args.tol) for v in omin.vertices
+            )
             summary["max_vertices_outside_min"] = outside
     print(json.dumps(summary, indent=2))
     return EXIT_OK
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_a", help="model expression, e.g. classical:2 or gbit")
     p.add_argument("model_b")
     p.add_argument("--which", choices=("min", "max", "both"), default="both")
-    p.add_argument("--dim-cap", type=int, default=10)
+    p.add_argument("--dim-cap", type=int, default=12)
     p.set_defaults(fn=cmd_tensor)
 
     p = sub.add_parser("css-check", help="fixed-point check of a state polytope file")

@@ -9,11 +9,12 @@ workhorse behind every separability question in this package.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection
 
 EFFECT_TOL = 1e-10
 DEDUP_TOL = 1e-8
@@ -55,6 +56,8 @@ class HPolytope:
     eq_values: np.ndarray
 
     def __post_init__(self):
+        for name in ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if len(self.ineq_normals) == 0 and len(self.eq_normals) == 0:
             raise ValueError("H-polytope needs at least one constraint")
 
@@ -350,33 +353,120 @@ def gpt_marginals(
     return omega_a, omega_b
 
 
-def enumerate_max_vertices(h: HPolytope, dim_cap: int = 10) -> VPolytope:
-    """All extreme points of the H-polytope by basic-solution enumeration.
+def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
+    """All extreme points of a bounded H-polytope with an interior point in
+    its equality hull.
 
-    Every subset of constraints of size ambient_dim (equalities always
-    active) is solved; feasible solutions are kept, deduplicated, and
-    reduced.  Exponential in the constraint count, hence the dimension cap.
+    On the equality rows' affine hull x = x0 + N y (N their null space), one
+    Chebyshev-centre LP gives an interior point, and Qhull's halfspace
+    intersection (Barber, Dobkin & Huhdanpaa 1996) gives the extreme points.
+    Each point is snapped to a certified vertex: among the inequality rows
+    tight at it (within 1e-9), scanned in index order, keep every row
+    independent of the equality rows and of the rows kept so far.  That is
+    the lexicographically first basis; full rank proves a vertex, which is
+    then solved on exactly that square system, and the vertices come in
+    order of their bases.  Basic-solution enumeration over the row subsets
+    in lexicographic order, keeping the first hit of each vertex, meets that
+    same basis first, so it yields the same values in the same order.
+
+    Raises ``ValueError`` for an H-polytope that is empty, flat (no interior
+    point within its equality hull) or unbounded.
     """
     d = h.ambient_dim
     if d > dim_cap:
         raise ValueError(f"ambient dim {d} exceeds enumeration cap {dim_cap}")
-    n_eq = len(h.eq_normals)
-    pick = d - n_eq
-    base = np.vstack([h.eq_normals]) if n_eq else np.empty((0, d))
-    base_rhs = np.asarray(h.eq_values) if n_eq else np.empty(0)
-    points = []
-    for idx in itertools.combinations(range(len(h.ineq_normals)), pick):
-        a_sys = np.vstack([base, h.ineq_normals[list(idx)]])
-        b_sys = np.concatenate([base_rhs, h.ineq_offsets[list(idx)]])
-        try:
-            x = np.linalg.solve(a_sys, b_sys)
-        except np.linalg.LinAlgError:
-            continue
-        if max_tensor_membership(x, h, 1e-9):
-            points.append(x)
-    if not points:
-        raise ValueError("H-polytope appears empty")
-    return reduce_vertices(VPolytope(np.array(points)))
+    tol = 1e-9
+    eq = np.reshape(h.eq_normals, (-1, d))
+    ineq = np.reshape(h.ineq_normals, (-1, d))
+    offsets = np.reshape(h.ineq_offsets, -1)
+    null = null_space(eq)
+    k = null.shape[1]
+    if k != d - len(eq):
+        raise ValueError("equality rows are linearly dependent")
+    x0 = np.linalg.lstsq(eq, np.reshape(h.eq_values, -1), rcond=None)[0]
+    # on the hull: ineq @ (x0 + null @ y) >= offsets reads a @ y >= rhs
+    a, rhs = ineq @ null, offsets - ineq @ x0
+    scale = np.linalg.norm(ineq, axis=1)
+    norms = np.linalg.norm(a, axis=1)
+    live = norms > tol * scale
+    if (rhs[~live] > tol).any():
+        raise ValueError("H-polytope is empty")
+    unit, unit_rhs = a[live] / norms[live, None], rhs[live] / norms[live]
+    if k == 0:
+        ys = np.zeros((1, 0))
+    else:
+        ys = _extreme_points(unit, unit_rhs, _chebyshev_centre(unit, unit_rhs, tol))
+    points = dedup_rows(x0 + ys @ null.T)
+    tight = np.abs(points @ ineq.T - offsets) <= tol
+    bases = {_first_basis(a, scale, t, tol) for t in tight}
+    verts = np.array([
+        np.linalg.solve(
+            np.vstack([eq, ineq[list(basis)]]),
+            np.concatenate([h.eq_values, offsets[list(basis)]]),
+        )
+        for basis in sorted(bases)
+    ])
+    if not max_tensor_membership(verts, h, tol):
+        raise RuntimeError("an enumerated vertex violates a constraint")
+    return VPolytope(verts)
+
+
+def _chebyshev_centre(a: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Centre of a largest ball (radius capped at 1) in {y : a y >= rhs}, for
+    unit rows a; raises ValueError if the set is empty or has no interior."""
+    n, k = a.shape
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c, A_ub=np.hstack([-a, np.ones((n, 1))]), b_ub=-rhs,
+        bounds=[(None, None)] * k + [(0.0, 1.0)], method="highs",
+        options=_LP_OPTIONS,
+    )
+    if res.status == 2:
+        raise ValueError("H-polytope is empty")
+    if res.status != 0:
+        raise RuntimeError(f"Chebyshev-centre LP failed: {res.message}")
+    if res.x[-1] <= tol:
+        raise ValueError("H-polytope is flat: no interior point in its equality hull")
+    return res.x[:k]
+
+
+def _extreme_points(a: np.ndarray, rhs: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Extreme points of {y : a y >= rhs} around an interior point; raises
+    ValueError if the set is unbounded."""
+    if a.shape[1] == 1:
+        up, down = a[:, 0] > 0, a[:, 0] < 0
+        if not (up.any() and down.any()):
+            raise ValueError("H-polytope is unbounded")
+        return np.array([[np.max(rhs[up] / a[up, 0])], [np.min(rhs[down] / a[down, 0])]])
+    # bounded iff the origin lies inside the hull of the dual points, which
+    # needs them to span the space affinely
+    dual = a / (rhs - a @ centre)[:, None]
+    if np.linalg.matrix_rank(np.hstack([dual, np.ones((len(a), 1))])) <= a.shape[1]:
+        raise ValueError("H-polytope is unbounded")
+    hs = HalfspaceIntersection(np.hstack([-a, rhs[:, None]]), centre)
+    if (hs.dual_equations[:, -1] >= 0).any():
+        raise ValueError("H-polytope is unbounded")
+    return hs.intersections
+
+
+def _first_basis(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float) -> tuple:
+    """The tight rows, scanned in index order, whose null-space coordinates
+    ``a`` are independent of those kept before them (rank relative to the
+    row norms ``scale``); RuntimeError unless they reach full rank."""
+    q = np.empty((0, a.shape[1]))
+    basis = []
+    for i in np.flatnonzero(tight):
+        if len(basis) == a.shape[1]:
+            break
+        r = a[i] - (q @ a[i]) @ q
+        nr = np.linalg.norm(r)
+        if nr > tol * scale[i]:
+            basis.append(int(i))
+            q = np.vstack([q, r / nr])
+    if len(basis) < a.shape[1]:
+        raise RuntimeError("a halfspace intersection point is not a vertex")
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------

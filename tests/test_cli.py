@@ -13,6 +13,7 @@ from entgeo.matcore import kron
 from conftest import TWO_QUBITS
 
 GOLDEN = Path(__file__).parent / "golden" / "werner_sweep.csv"
+GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
 
 
 def run(capsys, *argv):
@@ -180,6 +181,32 @@ class TestTensor:
         code, _, err = run(capsys, "tensor", "classical:4", "classical:4")
         assert code == EXIT_CAP
         assert "cap" in err
+
+    def test_gbit_pair_golden_output(self, capsys):
+        # pins the vertex values and the order of max_vertices_outside_min
+        code, out, _ = run(capsys, "tensor", "gbit", "gbit")
+        assert code == EXIT_OK
+        assert out == GOLDEN_TENSOR.read_text()
+
+    @pytest.mark.parametrize(
+        "model_a, model_b, n_vertices",
+        [("classical:4", "gbit", 16), ("classical:3", "classical:3", 9)],
+    )
+    def test_classical_factor_under_default_cap(self, capsys, model_a, model_b, n_vertices):
+        # ambient dims 12 and 9; a classical factor makes max = min
+        code, out, _ = run(capsys, "tensor", model_a, model_b)
+        assert code == EXIT_OK
+        summary = json.loads(out)
+        assert summary["min_vertices"] == summary["max_vertices"] == n_vertices
+        assert summary["equal"]
+        assert summary["max_vertices_outside_min"] == []
+
+    def test_unbounded_constraints_are_numeric_error(self, capsys, monkeypatch):
+        unbounded = comgeo.HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1])
+        monkeypatch.setattr(comgeo, "max_tensor_constraints", lambda a, b: unbounded)
+        code, _, err = run(capsys, "tensor", "gbit", "gbit", "--which", "max")
+        assert code == EXIT_NUMERIC
+        assert "unbounded" in err
 
 
 class TestCssCheck:

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull
 from entgeo import comgeo
 from entgeo.comgeo import (
     BilinearState,
+    HPolytope,
     VPolytope,
     classical_model,
     enumerate_max_vertices,
@@ -62,7 +63,83 @@ def near_facet(rng, verts, offsets):
     return np.reshape(out, (-1, verts.shape[1]))
 
 
+def basic_solution_vertices(h):
+    """Reference enumerator (the one enumerate_max_vertices replaced): every
+    subset of constraints of size ambient_dim (equalities always active) is
+    solved; feasible solutions are kept, deduplicated, and reduced."""
+    d = h.ambient_dim
+    n_eq = len(h.eq_normals)
+    pick = d - n_eq
+    base = np.vstack([h.eq_normals]) if n_eq else np.empty((0, d))
+    base_rhs = np.asarray(h.eq_values) if n_eq else np.empty(0)
+    points = []
+    for idx in itertools.combinations(range(len(h.ineq_normals)), pick):
+        a_sys = np.vstack([base, h.ineq_normals[list(idx)]])
+        b_sys = np.concatenate([base_rhs, h.ineq_offsets[list(idx)]])
+        try:
+            x = np.linalg.solve(a_sys, b_sys)
+        except np.linalg.LinAlgError:
+            continue
+        if max_tensor_membership(x, h, 1e-9):
+            points.append(x)
+    if not points:
+        raise ValueError("H-polytope appears empty")
+    return reduce_vertices(VPolytope(np.array(points)))
+
+
+def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
+    """Bounded H-polytope in dimension k + 1 with one equality row.
+
+    Facets w.p + c <= 0 of the hull of random points in R^k (or of the
+    cross-polytope, whose vertices are degenerate for k >= 3) become the
+    homogeneous rows (-w, -c).x >= 0 on x = (p, 1); a random affine map
+    x = M z + t moves them off the axes.  Then ``dups`` rows are repeated and
+    ``flat_rows`` rows that are a power of two times the equality row are
+    added, tight or slack, and the inequality rows are shuffled.
+    """
+    if cross:
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k)))
+        facets = np.hstack([signs, -np.ones((len(signs), 1))])
+    elif k == 1:
+        pts = rng.standard_normal(2 + extra)
+        facets = np.array([[-1.0, pts.min()], [1.0, -pts.max()]])
+    else:
+        facets = ConvexHull(rng.standard_normal((k + 1 + extra, k))).equations
+    d = k + 1
+    m = rng.standard_normal((d, d)) + 3 * np.eye(d)
+    t = rng.standard_normal(d)
+    normals = -facets @ m
+    offsets = facets @ t
+    eq_normal = m[-1]
+    eq_value = 1.0 - t[-1]
+    repeat = rng.integers(len(normals), size=dups)
+    normals = np.vstack([normals, normals[repeat]])
+    offsets = np.concatenate([offsets, offsets[repeat]])
+    scales = rng.choice([0.5, 2.0], size=flat_rows)
+    slack = rng.choice([0.0, 1.0], size=flat_rows)
+    normals = np.vstack([normals, scales[:, None] * eq_normal])
+    offsets = np.concatenate([offsets, scales * eq_value - slack])
+    order = rng.permutation(len(normals))
+    return HPolytope(d, normals[order], offsets[order], eq_normal[None, :], [eq_value])
+
+
+def same_vertex_set(p, q, tol):
+    dist = np.abs(p[:, None, :] - q[None, :, :]).max(axis=2)
+    return dist.min(axis=1).max() <= tol and dist.min(axis=0).max() <= tol
+
+
 SEEDS = st.integers(0, 2**32 - 1)
+ORACLE_CASES = {
+    "classical2-classical2": max_tensor_constraints(classical_model(2), classical_model(2)),
+    "classical2-gbit": max_tensor_constraints(classical_model(2), gbit_model()),
+    "gbit-gbit": max_tensor_constraints(gbit_model(), gbit_model()),
+    "classical2-classical3": max_tensor_constraints(classical_model(2), classical_model(3)),
+    # the equality rows fix a single point
+    "point": HPolytope(2, [[1, 0]], [0], [[0, 1], [1, 0]], [1, 0.5]),
+    # a segment of the line x_2 = 1
+    "segment": HPolytope(2, [[1, 0], [-1, 0]], [0, -1], [[0, 1]], [1]),
+    "no-equality": HPolytope(2, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1], np.empty((0, 2)), []),
+}
 
 
 class TestClassicalModel:
@@ -320,6 +397,56 @@ class TestMaxTensor:
         h = max_tensor_constraints(classical_model(4), classical_model(4))
         with pytest.raises(ValueError, match="cap"):
             enumerate_max_vertices(h, dim_cap=10)
+
+    @pytest.mark.parametrize(
+        "a, b, n_vertices",
+        [
+            pytest.param(classical_model(4), gbit_model(), 16, id="classical4-gbit"),
+            pytest.param(classical_model(3), classical_model(3), 9, id="classical3-classical3"),
+        ],
+    )
+    def test_default_cap_reaches_dim_12(self, a, b, n_vertices):
+        # a simplex factor makes the maximal and minimal products equal
+        omax = enumerate_max_vertices(max_tensor_constraints(a, b))
+        assert len(omax.vertices) == n_vertices
+        assert polytope_equal(omax, min_tensor(a, b), 1e-9)
+
+    @pytest.mark.parametrize("h", ORACLE_CASES.values(), ids=list(ORACLE_CASES))
+    def test_matches_basic_solution_oracle(self, h):
+        # same values in the same order as the basic-solution enumerator
+        got = enumerate_max_vertices(h).vertices
+        assert np.array_equal(got, basic_solution_vertices(h).vertices)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        k=st.integers(1, 3),
+        cross=st.booleans(),
+        extra=st.integers(0, 3),
+        dups=st.integers(0, 2),
+        flat_rows=st.integers(0, 2),
+    )
+    def test_random_polytopes_match_oracle(self, seed, k, cross, extra, dups, flat_rows):
+        h = random_hpolytope(np.random.default_rng(seed), k, cross, extra, dups, flat_rows)
+        got = enumerate_max_vertices(h).vertices
+        want = basic_solution_vertices(h).vertices
+        assert len(got) == len(want)
+        assert same_vertex_set(got, want, 1e-9)
+
+    @pytest.mark.parametrize(
+        "h, kind",
+        [
+            (HPolytope(2, [[1, 0]], [0], [[0, 1], [0, 2]], [1, 2]), "dependent"),
+            # one constraint leaves a half-plane of the plane x_3 = 1
+            (HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1]), "unbounded"),
+            # x_1 >= 0 and -x_1 >= 0 on the line x_2 = 1: a single point
+            (HPolytope(2, [[1, 0], [-1, 0]], [0, 0], [[0, 1]], [1]), "flat"),
+            (HPolytope(2, [[1, 0], [-1, 0]], [1, 0], [[0, 1]], [1]), "empty"),
+        ],
+    )
+    def test_rejects_with_named_reason(self, h, kind):
+        with pytest.raises(ValueError, match=kind):
+            enumerate_max_vertices(h)
 
 
 class TestGptMarginals:
