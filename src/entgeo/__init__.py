@@ -57,8 +57,11 @@ from .invsep import (
     is_product,
     lambda_map,
     lambda_tau,
+    measure_of_delta,
+    pi_delta,
     ppt_min_eigenvalue,
     ppt_verdict,
+    ppt_verdict_from_eigenvalue,
     psi_preimage_member,
     tau,
     werner_product_decomposition,

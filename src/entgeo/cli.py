@@ -1,27 +1,41 @@
 """Command-line front-end: analyze states, sweep families, compare tensor
 products, check fixed-point witnesses.
 
-Exit codes: 0 success, 2 expression/file parse error, 3 numerical
-validation failure, 4 size cap exceeded.  All output is deterministic for
-a fixed invocation; floats are serialized with their shortest round-trip
-representation.
+Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
+is negative or not finite), 3 numerical validation failure, 4 size cap
+exceeded.  The size caps are checked before anything is allocated:
+
+- ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
+- ``analyze random:AxB`` with A*B at most ``RANDOM_DIM_CAP`` and
+  ``rank`` at most ``RANDOM_DIM_CAP``;
+- ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices.
+
+All output is deterministic for a fixed invocation; floats are serialized
+with their shortest round-trip representation.  A quantum report computes
+pi(rho) - rho and the partial-transpose spectrum once per state and derives
+every measure and verdict from them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import comgeo, invsep, matcore, qstate
+from . import comgeo, invsep, qstate
 from .matcore import DimSplit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_CAP = 4
+
+SWEEP_STEPS_CAP = 100_000
+RANDOM_DIM_CAP = 64  # side of the density matrix, and the Ginibre rank
+CSS_VERTEX_CAP = 64  # lambda_tau of k vertices has up to k * k
 
 
 class ExprError(ValueError):
@@ -97,6 +111,11 @@ def _parse_random(text: str, parts: list[str]):
         raise ExprError(
             f"bad dimension spec {parts[1]!r} at position {len(parts[0]) + 1}"
         ) from None
+    if split.dim > RANDOM_DIM_CAP:
+        raise CapError(
+            f"random state dimension {split.dim_a}x{split.dim_b} = {split.dim} "
+            f"exceeds the cap of {RANDOM_DIM_CAP}"
+        )
     opts = {}
     for chunk in parts[2:]:
         if "=" not in chunk:
@@ -110,8 +129,15 @@ def _parse_random(text: str, parts: list[str]):
     if unknown:
         raise ExprError(f"unknown options {sorted(unknown)} in {text!r}")
     seed = opts.get("seed", 0)
+    if seed < 0:
+        raise ExprError(f"option 'seed' must be a non-negative integer, got {seed}")
     if "rank" in opts:
-        return qstate.random_mixed(split, opts["rank"], seed)
+        rank = opts["rank"]
+        if rank < 1:
+            raise ExprError(f"option 'rank' must be >= 1, got {rank}")
+        if rank > RANDOM_DIM_CAP:
+            raise CapError(f"option 'rank' = {rank} exceeds the cap of {RANDOM_DIM_CAP}")
+        return qstate.random_mixed(split, rank, seed)
     return qstate.density_from_pure(qstate.random_pure(split, seed))
 
 
@@ -138,22 +164,27 @@ def parse_model_expr(text: str) -> comgeo.ComModel:
 # Commands
 
 
-def _measure_values(rho: qstate.DensityMatrix, f_kind: str, norm_kind: str) -> dict:
-    out = {
-        "sm_frobenius": invsep.g_measure(
-            rho, invsep.MeasureConfig("identity", "frobenius")
-        ),
-        "sm_trace": invsep.g_measure(rho, invsep.MeasureConfig("identity", "trace")),
-    }
+_SM_CONFIGS = {
+    "sm_frobenius": invsep.MeasureConfig("identity", "frobenius"),
+    "sm_trace": invsep.MeasureConfig("identity", "trace"),
+}
+
+
+def _measure_values(delta, f_kind: str = "identity", norm_kind: str = "frobenius") -> dict:
+    """The standard measures of delta = pi(rho) - rho, plus the chosen one."""
+    out = {key: invsep.measure_of_delta(delta, cfg) for key, cfg in _SM_CONFIGS.items()}
     key = f"{f_kind}_{norm_kind}"
     if key not in ("identity_frobenius", "identity_trace"):
-        out[key] = invsep.g_measure(rho, invsep.MeasureConfig(f_kind, norm_kind))
+        out[key] = invsep.measure_of_delta(delta, invsep.MeasureConfig(f_kind, norm_kind))
     return out
 
 
 def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> dict:
     ma, mb = qstate.marginals(rho)
-    pi_dist = matcore.norm(qstate.pi_map(rho).mat - rho.mat, "frobenius")
+    measures = _measure_values(invsep.pi_delta(rho), f_kind, norm_kind)
+    # the Frobenius norm of the delta is pi_distance, and is_product compares it
+    pi_dist = measures["sm_frobenius"]
+    ppt_min = invsep.ppt_min_eigenvalue(rho)
     singleton = invsep.StatePolytope((rho,), rho.split)
     return {
         "input": expr,
@@ -162,12 +193,12 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
         "marginal_purity_a": qstate.purity(ma),
         "marginal_purity_b": qstate.purity(mb),
         "pi_distance": pi_dist,
-        "measures": _measure_values(rho, f_kind, norm_kind),
-        "ppt_min_eig": invsep.ppt_min_eigenvalue(rho),
+        "measures": measures,
+        "ppt_min_eig": ppt_min,
         "verdicts": {
-            "product": invsep.is_product(rho, tol),
+            "product": pi_dist <= tol,
             "css_singleton": invsep.is_css(singleton, max(tol, invsep.CSS_TOL)),
-            "ppt": invsep.ppt_verdict(rho),
+            "ppt": invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split),
         },
     }
 
@@ -216,6 +247,8 @@ def cmd_analyze(args) -> int:
 def cmd_sweep(args) -> int:
     if args.family != "werner":
         raise ExprError(f"unknown sweep family {args.family!r}")
+    if args.steps > SWEEP_STEPS_CAP:
+        raise CapError(f"--steps {args.steps} exceeds the cap of {SWEEP_STEPS_CAP}")
     if not (0.0 <= args.start <= args.stop <= 1.0) or args.steps < 2:
         raise ExprError(
             f"bad grid start={args.start} stop={args.stop} steps={args.steps}: "
@@ -225,11 +258,11 @@ def cmd_sweep(args) -> int:
     lines = ["p,sm_frobenius,sm_trace,ppt_min_eig,verdict"]
     for p in grid:
         rho = qstate.werner_state(float(p))
-        sm_f = invsep.g_measure(rho, invsep.MeasureConfig("identity", "frobenius"))
-        sm_t = invsep.g_measure(rho, invsep.MeasureConfig("identity", "trace"))
+        sm = _measure_values(invsep.pi_delta(rho))
+        ppt_min = invsep.ppt_min_eigenvalue(rho)
         lines.append(
-            f"{float(p)!r},{sm_f!r},{sm_t!r},"
-            f"{invsep.ppt_min_eigenvalue(rho)!r},{invsep.ppt_verdict(rho)}"
+            f"{float(p)!r},{sm['sm_frobenius']!r},{sm['sm_trace']!r},"
+            f"{ppt_min!r},{invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split)}"
         )
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -273,6 +306,11 @@ def cmd_css_check(args) -> int:
         raise ExprError(f"cannot read {args.polytope_file!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ExprError(f"invalid JSON in {args.polytope_file!r}: {exc}") from None
+    verts = obj.get("vertices") if isinstance(obj, dict) else None
+    if isinstance(verts, list) and len(verts) > CSS_VERTEX_CAP:
+        raise CapError(
+            f"state polytope has {len(verts)} vertices, over the cap of {CSS_VERTEX_CAP}"
+        )
     c = invsep.state_polytope_from_json(obj)
     image = invsep.lambda_tau(c)
     cf, imf = c.flat(), image.flat()
@@ -287,11 +325,23 @@ def cmd_css_check(args) -> int:
 # Entry point
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="entgeo", description="geometric entanglement toolkit"
     )
-    ap.add_argument("--tol", type=float, default=1e-9, help="decision tolerance")
+    ap.add_argument(
+        "--tol", type=_tolerance, default=1e-9, help="decision tolerance (finite, >= 0)"
+    )
     ap.add_argument(
         "--f-kind",
         choices=("identity", "abs", "square"),
@@ -314,7 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", help="family name (werner)")
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--stop", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument(
+        "--steps", type=int, default=101, help=f"grid points, 2..{SWEEP_STEPS_CAP}"
+    )
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("tensor", help="compare minimal/maximal tensor products")

@@ -147,7 +147,7 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
 
 def is_product(rho: DensityMatrix, tol: float = 1e-10) -> bool:
     """True iff rho equals the product of its own marginals."""
-    return matcore.norm(qstate.pi_map(rho).mat - rho.mat, "frobenius") <= tol
+    return measure_of_delta(pi_delta(rho)) <= tol
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
@@ -159,9 +159,14 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
 
 def ppt_verdict(rho: DensityMatrix) -> str:
     """Partial-transpose criterion; conclusive only on 2x2 and 2x3 splits."""
-    if ppt_min_eigenvalue(rho) < -PPT_TOL:
+    return ppt_verdict_from_eigenvalue(ppt_min_eigenvalue(rho), rho.split)
+
+
+def ppt_verdict_from_eigenvalue(min_eig: float, split: DimSplit) -> str:
+    """The PPT verdict given ``ppt_min_eigenvalue`` of a state on ``split``."""
+    if min_eig < -PPT_TOL:
         return "entangled"
-    dims = tuple(sorted((rho.split.dim_a, rho.split.dim_b)))
+    dims = tuple(sorted((split.dim_a, split.dim_b)))
     if dims in ((2, 2), (2, 3), (1, 2), (1, 3), (1, 1)):
         return "separable"
     return "inconclusive"
@@ -187,7 +192,16 @@ def g_measure(rho: DensityMatrix, cfg: MeasureConfig = MeasureConfig()) -> float
 
     Vanishes exactly on product states (for the identity F and any norm).
     """
-    delta = qstate.pi_map(rho).mat - rho.mat
+    return measure_of_delta(pi_delta(rho), cfg)
+
+
+def pi_delta(rho: DensityMatrix) -> np.ndarray:
+    """pi(rho) - rho, the matrix every correlation measure is a norm of."""
+    return qstate.pi_map(rho).mat - rho.mat
+
+
+def measure_of_delta(delta: np.ndarray, cfg: MeasureConfig = MeasureConfig()) -> float:
+    """||F(delta)|| for delta = ``pi_delta(rho)``; one delta serves every cfg."""
     if cfg.f_kind == "abs":
         delta = np.abs(delta)
     elif cfg.f_kind == "square":

@@ -1,8 +1,10 @@
 """Dense complex linear algebra for small bipartite systems.
 
 Everything here operates on plain ``numpy`` arrays of complex doubles.
-Matrices are kept small (side <= 64), so no attempt is made at sparsity
-or blocking; robustness and clarity win over speed.
+Matrices are kept small (side <= 64), so there is no sparsity or blocking.
+Per-call overhead is what costs here, and it is trimmed where it is
+measured: ``kron`` is one broadcast multiply, bit-identical to ``np.kron``
+without its ``expand_dims`` plumbing.
 """
 
 from __future__ import annotations
@@ -47,8 +49,14 @@ def _check_split(m: np.ndarray, split: DimSplit) -> None:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product with row-major composite indexing ((i,k),(j,l))."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
+    """Kronecker product with row-major composite indexing ((i,k),(j,l)).
+
+    One broadcast multiply a[i, j] * b[k, l] at [i, k, j, l]: the same
+    elementwise products as ``np.kron``, so the result is bit-identical.
+    """
+    a, b = _as_matrix(a), _as_matrix(b)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(m, split: DimSplit, over: str) -> np.ndarray:

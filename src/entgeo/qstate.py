@@ -65,14 +65,16 @@ class DensityMatrix:
         if not np.all(np.isfinite(self.mat)):
             out.append("non-finite entries")
             return out
-        herm_dev = float(np.max(np.abs(self.mat - self.mat.conj().T)))
+        adj = self.mat.conj().T
+        herm_dev = float(np.max(np.abs(self.mat - adj)))
         if herm_dev > matcore.HERMITIAN_TOL:
             out.append(f"hermiticity deviation {herm_dev:.3e}")
         tr = complex(np.trace(self.mat))
         if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > 1e-12:
             out.append(f"trace {tr!r} != 1")
         if herm_dev <= matcore.HERMITIAN_TOL:
-            wmin = float(np.linalg.eigvalsh(matcore.hermitize(self.mat))[0])
+            # the Hermitian part, as matcore.hermitize computes it
+            wmin = float(np.linalg.eigvalsh((self.mat + adj) / 2)[0])
             if wmin < -PSD_TOL:
                 out.append(f"negative eigenvalue {wmin:.3e}")
         return out
@@ -121,12 +123,16 @@ def bell_state(kind: str) -> DensityMatrix:
     return density_from_pure(PureState(np.array(table[kind]), DimSplit(2, 2)))
 
 
+# |phi+><phi+|, validated once here rather than on every werner_state call
+_PHI_PLUS = bell_state("phi+").mat
+_PHI_PLUS.setflags(write=False)
+
+
 def werner_state(p: float) -> DensityMatrix:
     """p |phi+><phi+| + (1-p) I/4 for p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    phi = bell_state("phi+").mat
-    return DensityMatrix(p * phi + (1.0 - p) * np.eye(4) / 4.0, DimSplit(2, 2))
+    return DensityMatrix(p * _PHI_PLUS + (1.0 - p) * np.eye(4) / 4.0, DimSplit(2, 2))
 
 
 def random_pure(split: DimSplit, seed: int) -> PureState:

@@ -4,22 +4,52 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entgeo import cli, comgeo, invsep, qstate
+from entgeo import cli, comgeo, invsep, matcore, qstate
 from entgeo.cli import EXIT_CAP, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE
 from entgeo.invsep import StatePolytope, css_from_decomposition
-from entgeo.matcore import kron
+from entgeo.matcore import DimSplit, kron
 
 from conftest import TWO_QUBITS
 
 GOLDEN = Path(__file__).parent / "golden" / "werner_sweep.csv"
 GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
+# stdout of `entgeo ARGV` for Bell, Werner and random states on several
+# splits under several --f-kind/--norm/--tol choices, recorded when every
+# measure and verdict recomputed pi(rho) and the PPT spectrum on its own
+GOLDEN_ANALYZE = json.loads(
+    (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
+)
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def forbid(monkeypatch, module, name):
+    """Make module.name fail the test if it is reached."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    monkeypatch.setattr(module, name, boom)
 
 
 class TestAnalyze:
@@ -107,6 +137,101 @@ class TestAnalyze:
         verdicts = json.loads(out)["verdicts"]
         assert verdicts["css_singleton"] is verdicts["product"] is False
 
+    @pytest.mark.parametrize(
+        "case", GOLDEN_ANALYZE, ids=[" ".join(c["argv"]) for c in GOLDEN_ANALYZE]
+    )
+    def test_golden_reports(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == EXIT_OK
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize(
+        "expr", ["bell:psi-", "werner:0.3", "random:3x3:rank=2:seed=4"]
+    )
+    def test_one_pi_map_and_one_ppt_spectrum_per_state(self, capsys, monkeypatch, expr):
+        pi_calls = counting(monkeypatch, qstate, "pi_map")
+        pt_calls = counting(monkeypatch, matcore, "partial_transpose")
+        code, _, _ = run(capsys, "--f-kind", "square", "--norm", "max_abs", "analyze", expr)
+        assert code == EXIT_OK
+        assert len(pi_calls) == len(pt_calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        f_kind=st.sampled_from(("identity", "abs", "square")),
+        norm_kind=st.sampled_from(("frobenius", "trace", "max_abs")),
+        tol=st.sampled_from((0.0, 1e-9, 1e-3, 0.5)),
+    )
+    def test_report_fields_equal_the_public_functions(
+        self, dims, rank, seed, f_kind, norm_kind, tol
+    ):
+        split = DimSplit(*dims)
+        rho = qstate.random_mixed(split, min(rank, split.dim), seed)
+        report = cli._quantum_report(rho, "x", tol, f_kind, norm_kind)
+        cfg = invsep.MeasureConfig(f_kind, norm_kind)
+        measures = report["measures"]
+        assert report["pi_distance"] == invsep.g_measure(rho)
+        assert measures["sm_frobenius"] == invsep.g_measure(rho)
+        assert measures["sm_trace"] == invsep.g_measure(
+            rho, invsep.MeasureConfig("identity", "trace")
+        )
+        key = f"{f_kind}_{norm_kind}"
+        key = {"identity_frobenius": "sm_frobenius", "identity_trace": "sm_trace"}.get(key, key)
+        assert measures[key] == invsep.g_measure(rho, cfg)
+        assert report["ppt_min_eig"] == invsep.ppt_min_eigenvalue(rho)
+        verdicts = report["verdicts"]
+        assert verdicts["product"] is invsep.is_product(rho, tol)
+        assert verdicts["ppt"] == invsep.ppt_verdict(rho)
+
+    def test_random_dimension_cap(self, capsys, monkeypatch):
+        forbid(monkeypatch, qstate, "random_pure")
+        forbid(monkeypatch, qstate, "random_mixed")
+        code, out, err = run(capsys, "analyze", "random:100000x100000:seed=1")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert str(cli.RANDOM_DIM_CAP) in err
+        code, _, _ = run(capsys, "analyze", "random:2x2:rank=1000000000:seed=1")
+        assert code == EXIT_CAP
+
+    def test_random_at_dimension_cap(self, capsys):
+        code, out, _ = run(capsys, "analyze", "random:8x8:seed=1")
+        assert code == EXIT_OK
+        assert json.loads(out)["dim_a"] == 8
+
+    @pytest.mark.parametrize(
+        "expr, option",
+        [
+            ("random:2x2:seed=-1", "seed"),
+            ("random:2x2:rank=2:seed=-5", "seed"),
+            ("random:2x2:rank=0:seed=1", "rank"),
+            ("random:3x3:rank=-2", "rank"),
+        ],
+    )
+    def test_bad_random_option_is_parse_error(self, capsys, expr, option):
+        code, out, err = run(capsys, "analyze", expr)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert f"option {option!r}" in err
+
+
+class TestTolerance:
+    # "--tol=X" form: argparse would read a bare "-1e-9" as an option
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "-0.5", "abc"])
+    def test_rejected_at_parse_time(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([f"--tol={tol}", "analyze", "werner:0"])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tol" in captured.err
+
+    def test_zero_accepted(self, capsys):
+        code, out, _ = run(capsys, "--tol", "0", "analyze", "werner:0")
+        assert code == EXIT_OK
+        assert json.loads(out)["verdicts"]["css_singleton"]
+
 
 class TestSweep:
     def test_golden_file(self, capsys):
@@ -148,6 +273,20 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "werner", "--start", "0.9", "--stop", "0.1")
         assert code == EXIT_PARSE
         assert "grid" in err
+
+    def test_steps_cap(self, capsys, monkeypatch):
+        forbid(monkeypatch, np, "linspace")
+        code, out, err = run(capsys, "sweep", "werner", "--steps", "1000000000")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert str(cli.SWEEP_STEPS_CAP) in err
+
+    def test_one_pi_map_and_one_ppt_spectrum_per_point(self, capsys, monkeypatch):
+        pi_calls = counting(monkeypatch, qstate, "pi_map")
+        pt_calls = counting(monkeypatch, matcore, "partial_transpose")
+        code, _, _ = run(capsys, "sweep", "werner", "--steps", "7")
+        assert code == EXIT_OK
+        assert len(pi_calls) == len(pt_calls) == 7
 
 
 class TestTensor:
@@ -236,6 +375,18 @@ class TestCssCheck:
         code, out, _ = run(capsys, "css-check", self._write(tmp_path, c))
         assert code == EXIT_OK
         assert json.loads(out)["css"]
+
+    def test_vertex_cap(self, capsys, tmp_path, monkeypatch):
+        forbid(monkeypatch, invsep, "state_polytope_from_json")
+        vertex = qstate.werner_state(0.2)
+        obj = invsep.state_polytope_to_json(StatePolytope((vertex,), TWO_QUBITS))
+        obj["vertices"] *= cli.CSS_VERTEX_CAP + 1
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "css-check", str(path))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert str(cli.CSS_VERTEX_CAP) in err
 
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entgeo import matcore
 from entgeo.matcore import DimSplit
 
 from conftest import random_hermitian
+
+
+# finite complex matrices of any shape up to 5x5, square or not
+COMPLEX_MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: arrays(complex, shape, elements=st.complex_numbers(max_magnitude=1e100))
+)
 
 
 def kron_oracle(a, b):
@@ -51,6 +60,13 @@ class TestKron:
             assert np.isclose(
                 np.trace(matcore.kron(a, b)), np.trace(a) * np.trace(b)
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(COMPLEX_MATRICES, COMPLEX_MATRICES)
+    def test_bit_identical_to_numpy(self, a, b):
+        got, want = matcore.kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_associativity(self, rng):
         a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
