@@ -34,6 +34,7 @@ from .comgeo import (
     VPolytope,
     classical_model,
     enumerate_max_vertices,
+    facet_membership,
     gbit_model,
     gpt_marginals,
     hull_membership,

@@ -104,10 +104,11 @@ def parse_state_expr(text: str):
 def _parse_random(text: str, parts: list[str]):
     if len(parts) < 3:
         raise ExprError(f"bad random expression {text!r}: expected random:AxB:seed=N")
-    dims = parts[1].split("x")
     try:
-        split = DimSplit(int(dims[0]), int(dims[1]))
-    except (IndexError, ValueError):
+        # a count of parts other than two fails the unpacking
+        dim_a, dim_b = map(int, parts[1].split("x"))
+        split = DimSplit(dim_a, dim_b)
+    except ValueError:
         raise ExprError(
             f"bad dimension spec {parts[1]!r} at position {len(parts[0]) + 1}"
         ) from None
@@ -288,7 +289,7 @@ def cmd_tensor(args) -> int:
             outside = [
                 list(v)
                 for v in omax.vertices
-                if not comgeo.hull_membership(v, omin, args.tol)
+                if not comgeo.facet_membership(v, omin, args.tol)
             ]
             summary["equal"] = not outside and all(
                 comgeo.hull_membership(v, omax, args.tol) for v in omin.vertices
@@ -311,7 +312,10 @@ def cmd_css_check(args) -> int:
         raise CapError(
             f"state polytope has {len(verts)} vertices, over the cap of {CSS_VERTEX_CAP}"
         )
-    c = invsep.state_polytope_from_json(obj)
+    try:
+        c = invsep.state_polytope_from_json(obj)
+    except (TypeError, KeyError) as exc:
+        raise ExprError(f"malformed state polytope in {args.polytope_file!r}: {exc}") from None
     image = invsep.lambda_tau(c)
     cf, imf = c.flat(), image.flat()
     residuals = [comgeo.hull_distance(v, cf)[0] for v in imf]

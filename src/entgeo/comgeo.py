@@ -3,22 +3,32 @@
 States of a single model live in a real coordinate space; composite states
 of a model pair live in the flattened outer-product space, where a bilinear
 functional phi(a, b) on effect pairs evaluates as a^T M b with M the
-coordinate matrix.  The LP engine (hull membership / distance) is the
-workhorse behind every separability question in this package.
+coordinate matrix.  Every separability question in this package is a hull
+question, and each is settled by the first of these that decides it: a
+vertex match, a strict-maximizer certificate (redundancy only), a simplex's
+barycentric coordinates, the facets of a model's state space or of a model
+pair's product hull (built once by Qhull), and only then an LP.  Distances
+and separating hyperplanes whose numbers are reported stay LPs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space, solve_triangular
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 EFFECT_TOL = 1e-10
 DEDUP_TOL = 1e-8
 REDUCE_TOL = 1e-9
+# a QR or SVD pivot this small relative to the largest one counts as zero
+RANK_TOL = 1e-10
+# the triangulated facets of one facet plane agree to about 1e-15
+FACET_MERGE_TOL = 1e-12
 
 # decisions are made at tolerances down to 1e-9, so the LP must resolve
 # distances well below the solver's default 1e-7 feasibility tolerance
@@ -47,17 +57,24 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Half-space form: each inequality row means normal . x >= offset."""
+    """Half-space form: each inequality row means normal . x >= offset.
+
+    ``interior`` is an optional point that should satisfy every inequality
+    strictly; vertex enumeration starts from it, when it does, instead of
+    solving an LP for such a point."""
 
     ambient_dim: int
     ineq_normals: np.ndarray
     ineq_offsets: np.ndarray
     eq_normals: np.ndarray
     eq_values: np.ndarray
+    interior: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.interior is not None:
+            object.__setattr__(self, "interior", np.asarray(self.interior, dtype=float))
         if len(self.ineq_normals) == 0 and len(self.eq_normals) == 0:
             raise ValueError("H-polytope needs at least one constraint")
 
@@ -142,7 +159,7 @@ def pr_box() -> BilinearState:
 
 
 # ---------------------------------------------------------------------------
-# LP engine
+# Hull questions: certificates first, LPs last
 
 
 def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
@@ -177,18 +194,140 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
 def hull_membership(x, p: VPolytope, tol: float) -> bool:
     """True iff x is a convex combination of the vertices within tol.
 
-    The nearest vertex bounds the hull distance from above (and equals it
-    for a single vertex), so the LP runs only when that bound leaves the
-    answer open.
+    Decided by the first of these that settles it: the nearest vertex (an
+    upper bound on the hull distance, exact for a single vertex), the
+    barycentric coordinates when the vertices are affinely independent
+    (``_simplex_verdict``), and the hull-distance LP.
     """
-    v = p.vertices
+    return _member(_point(x, p), p.vertices, tol)
+
+
+def facet_membership(x, p: VPolytope, tol: float) -> bool:
+    """``hull_membership`` for a hull that is asked about again and again: a
+    model's state space or a model pair's product hull.
+
+    Between the simplex certificate and the LP it tests x against the
+    hull's facets (``_facet_verdict``), which Qhull builds once per vertex
+    set and a small memo keeps (``_facets_of``).  For a product hull of
+    box-world systems these facets are the positivity and CHSH inequalities
+    (Fine, PRL 48, 291 (1982)).
+    """
+    return _member(_point(x, p), p.vertices, tol, facets=True)
+
+
+def _point(x, p: VPolytope) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
-    if x.size != v.shape[1]:
-        raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
+    if x.size != p.ambient_dim:
+        raise ValueError(f"point dim {x.size} != polytope ambient dim {p.ambient_dim}")
+    return x
+
+
+def _member(x: np.ndarray, v: np.ndarray, tol: float, facets: bool = False) -> bool:
     nearest = float(np.abs(v - x).max(axis=1).min())
     if nearest <= tol or len(v) == 1:
         return nearest <= tol
-    return hull_distance(x, v)[0] <= tol
+    verdict = _simplex_verdict(x, v, tol)
+    if verdict is None and facets:
+        f = _facets_of(v.tobytes(), v.shape)
+        verdict = None if f is None else _facet_verdict(x, f, tol)
+    if verdict is None:
+        verdict = hull_distance(x, v)[0] <= tol
+    return verdict
+
+
+def _simplex_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
+    """Membership of x in the hull of affinely independent rows v, from the
+    barycentric coordinates lam; None if the rows are dependent or the
+    answer is open.
+
+    In: lam clipped at 0 and renormalised rebuilds x within tol.  Out: the
+    hull distance is at least -lam_i / |g_i|_1, where g_i is lam_i as a
+    linear functional of x (|g.(x - y)| <= |g|_1 |x - y|_inf and lam_i >= 0
+    on the hull), and at least |r|_2 / sqrt(d) for the residual r off the
+    affine hull.
+    """
+    n, d = v.shape
+    if n > d + 1:
+        return None
+    q, r = np.linalg.qr((v[1:] - v[0]).T)
+    pivots = np.abs(np.diag(r))
+    if pivots.min() <= RANK_TOL * pivots.max():
+        return None
+    g = solve_triangular(r, q.T)
+    g = np.vstack([-g.sum(axis=0), g])
+    rel = x - v[0]
+    lam = g @ rel
+    lam[0] += 1.0
+    clipped = np.maximum(lam, 0.0)
+    if np.abs(clipped @ v / clipped.sum() - x).max() <= tol:
+        return True
+    off = rel - q @ (q.T @ rel)
+    if max(np.max(-lam / np.abs(g).sum(axis=1)), np.linalg.norm(off) / np.sqrt(d)) > tol:
+        return False
+    return None
+
+
+class _Facets(NamedTuple):
+    """A polytope as {x on origin + span(basis) : normals @ x <= offsets},
+    with read-only arrays; ``slack`` is each facet's margin at ``origin``."""
+
+    origin: np.ndarray
+    basis: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    slack: np.ndarray
+    l1: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _facets_of(data: bytes, shape: tuple) -> _Facets | None:
+    """Facets of the hull of the float rows held in ``data``, from Qhull on
+    their affine hull, with the triangulated pieces of each facet plane
+    merged; None when that hull is a point or a segment, or Qhull fails."""
+    v = np.frombuffer(data).reshape(shape)
+    origin = v.mean(axis=0)
+    _, sv, vt = np.linalg.svd(v - origin, full_matrices=False)
+    basis = vt[sv > RANK_TOL * sv[0]].T
+    if basis.shape[1] < 2:
+        return None
+    try:
+        hull = ConvexHull((v - origin) @ basis)
+    except QhullError:
+        return None
+    # Qhull's rows (n, b) mean n . y + b <= 0 inside, with b < 0 at the
+    # centroid.  Group the pieces of each plane on a rounded key first (326
+    # rows for gbit x gbit), then merge the few keys that rounding split.
+    _, first = np.unique(np.round(hull.equations, 12), axis=0, return_index=True)
+    eqs = dedup_rows(hull.equations[np.sort(first)], FACET_MERGE_TOL)
+    normals = eqs[:, :-1] @ basis.T
+    slack = -eqs[:, -1]
+    f = _Facets(origin, basis, normals, normals @ origin + slack, slack,
+                np.abs(normals).sum(axis=1))
+    for arr in f:
+        arr.flags.writeable = False
+    return f
+
+
+def _facet_verdict(x: np.ndarray, f: _Facets, tol: float) -> bool | None:
+    """Membership of x in the polytope f; None if the answer is open.
+
+    Out: a facet that x violates by more than tol * |h|_1, or a residual r
+    off the affine hull with |r|_2 / sqrt(d) > tol (the bounds of
+    ``_simplex_verdict``).  In: moving the projection p of x toward the
+    interior point ``origin`` by the fraction max_j v_j / (s_j + v_j), for
+    the violations v_j > 0 and margins s_j, satisfies every facet, so the
+    hull distance is at most |r|_inf plus that fraction of |p - origin|_inf.
+    """
+    rel = x - f.origin
+    along = f.basis @ (f.basis.T @ rel)
+    off = rel - along
+    viol = f.normals @ x - f.offsets
+    if max(np.max(viol / f.l1), np.linalg.norm(off) / np.sqrt(len(x))) > tol:
+        return False
+    over = np.maximum(viol, 0.0)
+    if np.abs(off).max() + np.max(over / (f.slack + over)) * np.abs(along).max() <= tol:
+        return True
+    return None
 
 
 def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
@@ -257,14 +396,16 @@ def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
     pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given.
 
     A row certified extreme by a strict maximizer is kept without an LP; the
-    LP would keep it against any subset of the other rows, so the result is
-    that of the plain sequential LP pass."""
+    LP would keep it against any subset of the other rows.  Every other row
+    is tested against the rows still kept as ``hull_membership`` tests a
+    point (vertex match, simplex certificate, LP), so the result is that of
+    the plain sequential LP pass; affinely independent rows need no LP."""
     rows = dedup_rows(rows)
     pts = _coords(rows)
     keep = list(range(len(pts)))
     for k in np.flatnonzero(~_strict_maximizers(pts, tol)):
         others = [j for j in keep if j != k]
-        if others and hull_distance(pts[k], pts[others])[0] <= tol:
+        if others and _member(pts[k], pts[others], tol):
             keep.remove(k)
     return rows[keep]
 
@@ -317,6 +458,8 @@ def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
         ineq_offsets=np.zeros(len(normals)),
         eq_normals=np.outer(a.unit, b.unit).ravel()[None, :],
         eq_values=np.array([1.0]),
+        # phi(e, f) = e(c_A) f(c_B) at the product of the two vertex centroids
+        interior=np.outer(a.vertices.mean(axis=0), b.vertices.mean(axis=0)).ravel(),
     )
 
 
@@ -346,9 +489,9 @@ def gpt_marginals(
         raise ValueError("state is outside the maximal tensor product")
     omega_a = phi.coord @ b.unit
     omega_b = phi.coord.T @ a.unit
-    if not hull_membership(omega_a, VPolytope(a.vertices), tol):
+    if not facet_membership(omega_a, VPolytope(a.vertices), tol):
         raise ValueError("A-marginal left the model state space")
-    if not hull_membership(omega_b, VPolytope(b.vertices), tol):
+    if not facet_membership(omega_b, VPolytope(b.vertices), tol):
         raise ValueError("B-marginal left the model state space")
     return omega_a, omega_b
 
@@ -357,9 +500,11 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     """All extreme points of a bounded H-polytope with an interior point in
     its equality hull.
 
-    On the equality rows' affine hull x = x0 + N y (N their null space), one
-    Chebyshev-centre LP gives an interior point, and Qhull's halfspace
-    intersection (Barber, Dobkin & Huhdanpaa 1996) gives the extreme points.
+    On the equality rows' affine hull x = x0 + N y (N their null space),
+    Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives
+    the extreme points around an interior point: ``h.interior`` when it is
+    more than 1e-9 inside every inequality (``max_tensor_constraints`` sets
+    the product of the model centroids), else the centre of a Chebyshev LP.
     Each point is snapped to a certified vertex: among the inequality rows
     tight at it (within 1e-9), scanned in index order, keep every row
     independent of the equality rows and of the rows kept so far.  That is
@@ -395,7 +540,10 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     if k == 0:
         ys = np.zeros((1, 0))
     else:
-        ys = _extreme_points(unit, unit_rhs, _chebyshev_centre(unit, unit_rhs, tol))
+        centre = None if h.interior is None else null.T @ (h.interior - x0)
+        if centre is None or not (unit @ centre - unit_rhs > tol).all():
+            centre = _chebyshev_centre(unit, unit_rhs, tol)
+        ys = _extreme_points(unit, unit_rhs, centre)
     points = dedup_rows(x0 + ys @ null.T)
     tight = np.abs(points @ ineq.T - offsets) <= tol
     bases = {_first_basis(a, scale, t, tol) for t in tight}

@@ -158,16 +158,18 @@ def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
 
 
 def ppt_verdict(rho: DensityMatrix) -> str:
-    """Partial-transpose criterion; conclusive only on 2x2 and 2x3 splits."""
+    """Partial-transpose criterion; conclusive only on 2x2 and 2x3 splits
+    and on splits with a one-dimensional factor."""
     return ppt_verdict_from_eigenvalue(ppt_min_eigenvalue(rho), rho.split)
 
 
 def ppt_verdict_from_eigenvalue(min_eig: float, split: DimSplit) -> str:
     """The PPT verdict given ``ppt_min_eigenvalue`` of a state on ``split``."""
+    if min(split.dim_a, split.dim_b) == 1:
+        return "separable"  # every state with a one-dimensional factor is a product
     if min_eig < -PPT_TOL:
         return "entangled"
-    dims = tuple(sorted((split.dim_a, split.dim_b)))
-    if dims in ((2, 2), (2, 3), (1, 2), (1, 3), (1, 1)):
+    if tuple(sorted((split.dim_a, split.dim_b))) in ((2, 2), (2, 3)):
         return "separable"
     return "inconclusive"
 
@@ -217,12 +219,13 @@ def gpt_separable(
     phi: BilinearState, a: ComModel, b: ComModel, tol: float = 1e-9
 ) -> bool:
     """Separability of a composite GPT state: membership in the hull of
-    product states.  Exact for polytopic models via LP."""
+    product states, decided by the product hull's facets (Bell inequalities)
+    and only in a narrow band around them by an LP."""
     if not comgeo.max_tensor_membership(
         phi, comgeo.max_tensor_constraints(a, b), tol
     ):
         raise ValueError("state is outside the maximal tensor product")
-    return comgeo.hull_membership(phi.vector(), comgeo.min_tensor(a, b), tol)
+    return comgeo.facet_membership(phi.vector(), comgeo.min_tensor(a, b), tol)
 
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
@@ -237,7 +240,7 @@ def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     # every marginal lies in the hull of the reduced sets, so checking those suffices
     for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
         space = VPolytope(m.vertices)
-        if not all(comgeo.hull_membership(w, space, tol) for w in marg):
+        if not all(comgeo.facet_membership(w, space, tol) for w in marg):
             raise ValueError(f"{side}-marginal left the model state space")
     return VPolytope(comgeo.product_composites(pa, pb))
 
@@ -340,7 +343,15 @@ def state_polytope_to_json(c: StatePolytope) -> dict:
 
 
 def state_polytope_from_json(obj: dict) -> StatePolytope:
+    """Inverse of ``state_polytope_to_json``; TypeError unless ``obj`` is an
+    object with "dim_a", "dim_b" and a list of matrix objects as "vertices"."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"state polytope must be a JSON object, got {type(obj).__name__}")
+    missing = {"dim_a", "dim_b", "vertices"} - set(obj)
+    if missing:
+        raise TypeError(f"state polytope lacks {sorted(missing)}")
+    verts = obj["vertices"]
+    if not isinstance(verts, list) or not all(isinstance(v, dict) for v in verts):
+        raise TypeError('"vertices" must be a list of matrix objects')
     split = DimSplit(int(obj["dim_a"]), int(obj["dim_b"]))
-    return StatePolytope(
-        tuple(matcore.matrix_from_json(v) for v in obj["vertices"]), split
-    )
+    return StatePolytope(tuple(matcore.matrix_from_json(v) for v in verts), split)

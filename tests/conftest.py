@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from entgeo.matcore import DimSplit
+
+# CI (which sets CI) draws the same hypothesis examples on every run
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 TWO_QUBITS = DimSplit(2, 2)
 

@@ -18,7 +18,9 @@ GOLDEN = Path(__file__).parent / "golden" / "werner_sweep.csv"
 GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
 # stdout of `entgeo ARGV` for Bell, Werner and random states on several
 # splits under several --f-kind/--norm/--tol choices, recorded when every
-# measure and verdict recomputed pi(rho) and the PPT spectrum on its own
+# measure and verdict recomputed pi(rho) and the PPT spectrum on its own;
+# the 1x4 and 4x1 entries were recorded again when their PPT verdict went
+# from "inconclusive" to "separable"
 GOLDEN_ANALYZE = json.loads(
     (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
 )
@@ -215,6 +217,19 @@ class TestAnalyze:
         assert out == ""
         assert f"option {option!r}" in err
 
+    @pytest.mark.parametrize("expr", ["random:2x2x7:seed=1", "random:2:seed=1", "random:x3:seed=1"])
+    def test_bad_random_dimensions_are_parse_error(self, capsys, expr):
+        code, out, err = run(capsys, "analyze", expr)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "dimension spec" in err
+
+    @pytest.mark.parametrize("expr", ["random:1x4:seed=3", "random:5x1:rank=3:seed=2"])
+    def test_one_dimensional_factor_is_ppt_separable(self, capsys, expr):
+        code, out, _ = run(capsys, "analyze", expr)
+        assert code == EXIT_OK
+        assert json.loads(out)["verdicts"]["ppt"] == "separable"
+
 
 class TestTolerance:
     # "--tol=X" form: argparse would read a bare "-1e-9" as an option
@@ -387,6 +402,23 @@ class TestCssCheck:
         assert code == EXIT_CAP
         assert out == ""
         assert str(cli.CSS_VERTEX_CAP) in err
+
+    @pytest.mark.parametrize(
+        "obj, what",
+        [
+            ([1, 2], "JSON object"),
+            ({"dim_a": 2, "dim_b": 2, "vertices": 5}, "vertices"),
+            ({"dim_a": 2, "dim_b": 2, "vertices": [5]}, "vertices"),
+            ({"dim_a": 2, "vertices": []}, "dim_b"),
+        ],
+    )
+    def test_wrong_shape_is_parse_error(self, capsys, tmp_path, obj, what):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "css-check", str(path))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "malformed state polytope" in err and what in err
 
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

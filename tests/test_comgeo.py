@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
 from entgeo import comgeo
@@ -13,6 +16,7 @@ from entgeo.comgeo import (
     VPolytope,
     classical_model,
     enumerate_max_vertices,
+    facet_membership,
     gbit_model,
     gpt_marginals,
     hull_distance,
@@ -49,6 +53,24 @@ def lp_reduce(rows, tol=1e-9):
         if others and hull_distance(pts[k], pts[others])[0] <= tol:
             keep.remove(k)
     return rows[keep]
+
+
+def lp_member(x, verts, tol=1e-9):
+    """LP-only membership reference."""
+    return hull_distance(x, verts)[0] <= tol
+
+
+def exit_point(verts, start, direction):
+    """Where the ray start + t * direction leaves the hull of verts (start
+    inside), from one LP: max t s.t. V^T lam = start + t direction,
+    sum lam = 1, lam >= 0."""
+    n, d = verts.shape
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    a_eq = np.vstack([np.hstack([verts.T, -direction[:, None]]), np.r_[np.ones(n), 0.0]])
+    res = linprog(c, A_eq=a_eq, b_eq=np.r_[start, 1.0], bounds=(0, None), method="highs")
+    assert res.status == 0
+    return start + res.x[-1] * direction
 
 
 def near_facet(rng, verts, offsets):
@@ -239,11 +261,148 @@ class TestHullMembership:
         for x in probes:
             expected = hull_distance(x, verts)[0] <= tol
             assert hull_membership(x, VPolytope(verts), tol) == expected
+            assert facet_membership(x, VPolytope(verts), tol) == expected
         one = VPolytope(verts[:1])
         for off in (0.0, 0.5 * tol, 2 * tol):
             x = verts[0] + off * rng.choice([-1.0, 1.0], size=dim)
             expected = hull_distance(x, one.vertices)[0] <= tol
             assert hull_membership(x, one, tol) == expected == (off <= tol)
+
+
+PRODUCT_PAIRS = {
+    "gbit-gbit": (gbit_model(), gbit_model()),
+    "classical2-gbit": (classical_model(2), gbit_model()),
+    "classical3-classical3": (classical_model(3), classical_model(3)),
+    "classical4-gbit": (classical_model(4), gbit_model()),
+}
+
+
+class TestSimplexCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(1, 32), drop=st.integers(0, 3))
+    def test_agrees_with_lp(self, seed, dim, drop):
+        # a random simplex of dim + 1 - drop vertices in dim coordinates:
+        # interior points, points 1e-10 either side of a face or half of tol
+        # or 1e-3 outside it, and points off the affine hull by 1e-10, 0.8 tol
+        # or 1e-3 in the infinity norm
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        n = max(2, dim + 1 - drop)
+        verts = rng.standard_normal((n, dim))
+        assert comgeo._simplex_verdict(verts.mean(axis=0), verts, tol) is True
+        probes = list(rng.dirichlet(np.ones(n), size=2) @ verts)
+        for _ in range(2):
+            i = rng.integers(n)
+            on_face = rng.dirichlet(np.ones(n - 1)) @ np.delete(verts, i, axis=0)
+            away = on_face - verts[i]
+            away /= np.abs(away).max()
+            probes += [on_face + off * away for off in (-1e-10, 1e-10, 0.5 * tol, 1e-3)]
+            if n == dim + 1:
+                # 0.8 tol out along the sign pattern of the face normal: the
+                # steepest way out in the infinity norm
+                normal = null_space(np.delete(verts, i, axis=0)[1:] - on_face)[:, 0]
+                probes.append(on_face - 0.8 * tol * np.sign(normal * (normal @ (verts[i] - on_face))))
+        edges = (verts[1:] - verts[0]).T
+        normal = rng.standard_normal(dim)
+        normal -= edges @ np.linalg.lstsq(edges, normal, rcond=None)[0]
+        if np.abs(normal).max() > 1e-6:
+            normal /= np.abs(normal).max()
+            centre = verts.mean(axis=0)
+            probes += [centre + off * normal for off in (1e-10, 0.8 * tol, 1e-3)]
+        for x in probes:
+            assert hull_membership(x, VPolytope(verts), tol) == lp_member(x, verts, tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(3, 8), kind=st.sampled_from(["line", "repeat", "plane"]))
+    def test_flat_hulls_fall_through_to_the_lp(self, seed, dim, kind):
+        # affinely dependent vertex sets of at most dim + 1 rows: three
+        # points on a line, a repeated vertex, or a parallelogram
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((3, dim))
+        verts = {
+            "line": np.vstack([base[:2], 0.3 * base[0] + 0.7 * base[1]]),
+            "repeat": np.vstack([base, base[1]]),
+            "plane": np.vstack([base, base[0] + base[1] - base[2]]),
+        }[kind]
+        probes = np.vstack([
+            rng.dirichlet(np.ones(len(verts)), size=2) @ verts,
+            rng.standard_normal((2, dim)),
+        ])
+        for x in probes:
+            assert comgeo._simplex_verdict(x, verts, tol) is None
+            assert hull_membership(x, VPolytope(verts), tol) == lp_member(x, verts, tol)
+
+
+class TestFacetCertificate:
+    @pytest.mark.parametrize(
+        "pair, n_facets",
+        [("gbit-gbit", 24), ("classical2-gbit", 8), ("classical3-classical3", 9),
+         ("classical4-gbit", 16)],
+    )
+    def test_merged_facets_are_memoized_and_read_only(self, pair, n_facets):
+        # gbit x gbit: 16 positivity facets and the 8 CHSH facets
+        v = min_tensor(*PRODUCT_PAIRS[pair]).vertices
+        f = comgeo._facets_of(v.tobytes(), v.shape)
+        assert len(f.normals) == n_facets
+        assert comgeo._facets_of(v.copy().tobytes(), v.shape) is f
+        assert not any(arr.flags.writeable for arr in f)
+        # every vertex satisfies every facet, and each facet is tight somewhere
+        values = v @ f.normals.T - f.offsets
+        assert values.max() <= 1e-12
+        assert np.abs(values).min(axis=0).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, pair=st.sampled_from(sorted(PRODUCT_PAIRS)))
+    def test_agrees_with_lp(self, seed, pair):
+        # rays from the product of the centroids leave the product hull
+        # through a positivity facet or, toward a PR-type maximal vertex, a
+        # CHSH facet; probes sit 1e-10 and 1e-3 either side of the exit, and
+        # half of tol outside it
+        tol = 1e-9
+        rng = np.random.default_rng(seed)
+        a, b = PRODUCT_PAIRS[pair]
+        omin = min_tensor(a, b)
+        centre = omin.vertices.mean(axis=0)
+        omax = enumerate_max_vertices(max_tensor_constraints(a, b)).vertices
+        targets = [omax[rng.integers(len(omax))], rng.standard_normal(len(centre))]
+        if pair == "gbit-gbit":
+            targets.append(pr_box().vector())
+        for target in targets:
+            direction = target - centre
+            # stay on the affine hull phi(u_A, u_B) = 1
+            unit = np.outer(a.unit, b.unit).ravel()
+            direction -= (direction @ unit) / (unit @ unit) * unit
+            direction /= np.abs(direction).max()
+            exit_at = exit_point(omin.vertices, centre, direction)
+            # 0.8 tol out along the sign pattern of the facet it crosses
+            f = comgeo._facets_of(omin.vertices.tobytes(), omin.vertices.shape)
+            crossed = f.normals[np.argmax(f.normals @ exit_at - f.offsets)]
+            for x in [exit_at + off * direction for off in (-1e-3, -1e-10, 1e-10, 0.5 * tol, 1e-3)] + [
+                exit_at + 0.8 * tol * np.sign(crossed)
+            ]:
+                assert facet_membership(x, omin, tol) == lp_member(x, omin.vertices, tol)
+
+    def test_sharp_vertex_falls_through_to_the_lp(self):
+        # 1e-8 beyond the tip of a thin kite each facet is broken by only
+        # about 1e-11 |h|_1, but the point is 1e-8 from the hull
+        kite = np.array([[0.0, 0.0], [-1.0, 1e-3], [-1.0, -1e-3], [-2.0, 0.0]])
+        f = comgeo._facets_of(kite.tobytes(), kite.shape)
+        x = np.array([1e-8, 0.0])
+        assert comgeo._facet_verdict(x, f, 1e-9) is None
+        assert not facet_membership(x, VPolytope(kite), 1e-9)
+        assert facet_membership(x, VPolytope(kite), 1e-7)
+
+    def test_noisy_pr_boxes_are_decided_by_facets(self):
+        # v PR + (1 - v) uniform crosses the CHSH facet at v = 1/2
+        gb = gbit_model()
+        omin = min_tensor(gb, gb)
+        v = omin.vertices
+        f = comgeo._facets_of(v.tobytes(), v.shape)
+        uniform = v.mean(axis=0)
+        for w, inside in ((0.3, True), (0.49, True), (0.51, False), (1.0, False)):
+            x = w * pr_box().vector() + (1 - w) * uniform
+            assert comgeo._facet_verdict(x, f, 1e-9) is inside
 
 
 class TestReduceAndEqual:
@@ -432,6 +591,22 @@ class TestMaxTensor:
         want = basic_solution_vertices(h).vertices
         assert len(got) == len(want)
         assert same_vertex_set(got, want, 1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(classical_model(2), classical_model(2)), (classical_model(2), gbit_model()),
+         (gbit_model(), gbit_model()), (classical_model(3), classical_model(3)),
+         (classical_model(4), gbit_model())],
+    )
+    def test_centroid_product_start_gives_the_lp_start_output(self, a, b, monkeypatch):
+        # the same vertices, bit for bit, as from the Chebyshev centre; a
+        # start on the boundary falls back to that LP
+        h = max_tensor_constraints(a, b)
+        from_lp = enumerate_max_vertices(dataclasses.replace(h, interior=None)).vertices
+        boundary = dataclasses.replace(h, interior=min_tensor(a, b).vertices[0])
+        assert np.array_equal(enumerate_max_vertices(boundary).vertices, from_lp)
+        monkeypatch.setattr(comgeo, "_chebyshev_centre", None)
+        assert np.array_equal(enumerate_max_vertices(h).vertices, from_lp)
 
     @pytest.mark.parametrize(
         "h, kind",

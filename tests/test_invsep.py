@@ -228,6 +228,14 @@ class TestPpt:
         assert ppt_min_eigenvalue(rho) >= -1e-12
         assert ppt_verdict(rho) == "separable"
 
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 4), (4, 1), (1, 7), (6, 1)])
+    def test_one_dimensional_factor_is_separable(self, dims):
+        # such a state is a product with a scalar, whatever its spectrum
+        split = DimSplit(*dims)
+        rho = qstate.random_mixed(split, split.dim, seed=5)
+        assert ppt_verdict(rho) == "separable"
+        assert invsep.ppt_verdict_from_eigenvalue(-1.0, split) == "separable"
+
     def test_inconclusive_beyond_2x3(self):
         rho = qstate.random_mixed(DimSplit(3, 3), 1, seed=37)
         if ppt_min_eigenvalue(rho) >= -invsep.PPT_TOL:

@@ -1,0 +1,90 @@
+"""LP solves per operation, counted through ``comgeo.linprog``.
+
+The counts are deterministic: every hull question that a vertex match, a
+strict maximizer, a simplex or a facet certificate settles solves no LP,
+so only the distances and hyperplanes whose numbers are reported do.
+"""
+
+import numpy as np
+import pytest
+
+from entgeo import cli, comgeo, invsep, qstate
+from entgeo.invsep import Decomposition, StatePolytope
+from entgeo.matcore import DimSplit
+
+from conftest import TWO_QUBITS
+
+QUBIT = DimSplit(2, 1)
+UNIFORM_PRODUCT = np.outer([0.5, 0.5, 1.0], [0.5, 0.5, 1.0])
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    original = comgeo.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(comgeo, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "model_a, model_b",
+    [
+        ("classical:2", "classical:2"),
+        ("classical:2", "gbit"),
+        ("gbit", "gbit"),
+        ("classical:2", "classical:3"),
+    ],
+)
+def test_tensor_solves_none(capsys, lp_calls, model_a, model_b):
+    # the interior point is the product of the model centroids, and the
+    # PR-type vertices break a CHSH facet of the product hull
+    assert cli.main(["tensor", model_a, model_b]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(lp_calls) == 0
+
+
+def test_prbox_report_solves_its_distance_and_hyperplane(capsys, lp_calls):
+    # the marginals are decided by the gbit square's facets; the two LPs
+    # left give min_tensor_distance and the infeasibility certificate
+    assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(lp_calls) == 2
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_is_css_on_random_polytopes_solves_none(lp_calls, k, seed):
+    verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=10 * seed + j) for j in range(k))
+    c = StatePolytope(verts, TWO_QUBITS)
+    assert not invsep.is_css(c)
+    assert invsep.is_css(invsep.lambda_tau(c))
+    assert len(lp_calls) == 0
+
+
+def test_css_from_decomposition_solves_none(lp_calls):
+    # with four generic factors on each side, no strict maximizer certifies
+    # every marginal row
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3, 4):
+        terms = tuple(
+            (w, qstate.random_mixed(QUBIT, 2, seed=2 * j).mat,
+             qstate.random_mixed(QUBIT, 2, seed=2 * j + 1).mat)
+            for j, w in enumerate(rng.dirichlet(np.ones(k)))
+        )
+        witness = invsep.css_from_decomposition(Decomposition(terms, TWO_QUBITS))
+        assert len(witness.vertices) == k * k
+        assert invsep.is_css(witness)
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize("v", [0.0, 0.2, 0.45, 0.48, 0.52, 0.55, 0.8, 1.0])
+def test_noisy_pr_box_separability_solves_none(lp_calls, v):
+    gb = comgeo.gbit_model()
+    phi = comgeo.BilinearState(v * comgeo.pr_box().coord + (1 - v) * UNIFORM_PRODUCT)
+    assert invsep.gpt_separable(phi, gb, gb) is (v <= 0.5)
+    assert len(lp_calls) == 0
