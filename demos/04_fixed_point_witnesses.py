@@ -46,10 +46,9 @@ def main():
     )
     c = StatePolytope(verts, SPLIT)
     once = invsep.lambda_tau(c)
-    twice = invsep.lambda_tau(once)
     print(f"  random 3-vertex polytope -> {len(once.vertices)} product vertices")
     print(f"  applying the map again changes nothing: "
-          f"{invsep.polytopes_equal(once, twice, 1e-8)}")
+          f"{invsep.is_css(once, 1e-8)}")
 
     print("\n=== No fixed-point set can hold a Bell state ===")
     bell = qstate.bell_state("phi+")

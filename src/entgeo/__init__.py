@@ -43,7 +43,6 @@ from .comgeo import (
     min_tensor,
     polytope_equal,
     pr_box,
-    reduce_vertices,
     separating_hyperplane,
 )
 from .invsep import (

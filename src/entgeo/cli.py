@@ -91,7 +91,10 @@ def parse_state_expr(text: str):
             raise ExprError(f"cannot read state file {path!r}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ExprError(f"invalid JSON in {path!r}: {exc}") from None
-        state = qstate.state_from_json(obj)
+        try:
+            state = qstate.state_from_json(obj)
+        except (TypeError, KeyError) as exc:
+            raise ExprError(f"malformed state in {path!r}: {exc}") from None
         if isinstance(state, qstate.PureState):
             state = qstate.density_from_pure(state)
         return state
@@ -182,11 +185,11 @@ def _measure_values(delta, f_kind: str = "identity", norm_kind: str = "frobenius
 
 def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> dict:
     ma, mb = qstate.marginals(rho)
-    measures = _measure_values(invsep.pi_delta(rho), f_kind, norm_kind)
+    delta = invsep.pi_delta(rho)
+    measures = _measure_values(delta, f_kind, norm_kind)
     # the Frobenius norm of the delta is pi_distance, and is_product compares it
     pi_dist = measures["sm_frobenius"]
     ppt_min = invsep.ppt_min_eigenvalue(rho)
-    singleton = invsep.StatePolytope((rho,), rho.split)
     return {
         "input": expr,
         "dim_a": rho.split.dim_a,
@@ -198,7 +201,7 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
         "ppt_min_eig": ppt_min,
         "verdicts": {
             "product": pi_dist <= tol,
-            "css_singleton": invsep.is_css(singleton, max(tol, invsep.CSS_TOL)),
+            "css_singleton": float(np.abs(delta.view(float)).max()) <= max(tol, invsep.CSS_TOL),
             "ppt": invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split),
         },
     }

@@ -410,11 +410,6 @@ def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
     return rows[keep]
 
 
-def reduce_vertices(p: VPolytope, tol: float = REDUCE_TOL) -> VPolytope:
-    """Irredundant vertex list: drop every point inside the hull of the rest."""
-    return VPolytope(reduce_rows(p.vertices, tol))
-
-
 def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
     """Hull equality by mutual vertex membership."""
     if p.ambient_dim != q.ambient_dim:

@@ -22,7 +22,7 @@ import numpy as np
 from . import comgeo, matcore, qstate
 from .comgeo import BilinearState, ComModel, VPolytope
 from .matcore import DimSplit
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _derived
 
 CSS_TOL = 1e-8
 PPT_TOL = 1e-10
@@ -64,15 +64,19 @@ class Decomposition:
 
     def __post_init__(self):
         weights = np.array([t[0] for t in self.terms], dtype=float)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-10:
+        # phrased so that a NaN weight fails it
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-10):
             raise ValueError(
-                f"weights must be nonnegative and sum to 1, got sum {weights.sum()!r}"
+                f"weights must be finite, nonnegative and sum to 1, got {weights.tolist()!r}"
             )
+        for _, a, b in self.terms:
+            DensityMatrix(a, DimSplit(self.split.dim_a, 1))
+            DensityMatrix(b, DimSplit(1, self.split.dim_b))
 
     def state(self) -> DensityMatrix:
         """The decomposed state, sum_i p_i a_i (x) b_i."""
         acc = sum(p * matcore.kron(a, b) for p, a, b in self.terms)
-        return DensityMatrix(acc, self.split)
+        return _derived(DensityMatrix, acc, self.split)
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,7 @@ def _rebuild(mats_a, mats_b, split: DimSplit) -> StatePolytope:
     """Hull of all products of two irredundant lists of matrices."""
     (ra, ca), (rb, cb) = np.shape(mats_a)[1:], np.shape(mats_b)[1:]
     x = comgeo.product_composites(mats_a, mats_b).reshape(-1, ra, ca, rb, cb)
-    return StatePolytope(tuple(x.swapaxes(2, 3).reshape(-1, ra * rb, ca * cb)), split)
+    return _derived(StatePolytope, tuple(x.swapaxes(2, 3).reshape(-1, ra * rb, ca * cb)), split)
 
 
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
@@ -108,8 +112,8 @@ def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
         x.reshape(-1, da * da, db * db), np.eye(da).ravel(), np.eye(db).ravel()
     )
     return (
-        StatePolytope(tuple(ma.reshape(-1, da, da)), DimSplit(da, 1)),
-        StatePolytope(tuple(mb.reshape(-1, db, db)), DimSplit(1, db)),
+        _derived(StatePolytope, tuple(ma.reshape(-1, da, da)), DimSplit(da, 1)),
+        _derived(StatePolytope, tuple(mb.reshape(-1, db, db)), DimSplit(1, db)),
     )
 
 
@@ -125,13 +129,9 @@ def lambda_tau(c: StatePolytope) -> StatePolytope:
     return _rebuild(c1.vertices, c2.vertices, c.split)
 
 
-def polytopes_equal(p: StatePolytope, q: StatePolytope, tol: float) -> bool:
-    return comgeo.polytope_equal(VPolytope(p.flat()), VPolytope(q.flat()), tol)
-
-
 def is_css(c: StatePolytope, tol: float = CSS_TOL) -> bool:
     """Fixed-point test: is the set invariant under marginalize-and-rebuild?"""
-    return polytopes_equal(lambda_tau(c), c, tol)
+    return comgeo.polytope_equal(VPolytope(lambda_tau(c).flat()), VPolytope(c.flat()), tol)
 
 
 def css_from_decomposition(d: Decomposition) -> StatePolytope:
@@ -321,7 +321,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj: dict) -> Decomposition:
-    split = DimSplit(int(obj["dim_a"]), int(obj["dim_b"]))
+    split = matcore.split_from_json(obj)
     terms = tuple(
         (
             float(t["p"]),
@@ -344,14 +344,10 @@ def state_polytope_to_json(c: StatePolytope) -> dict:
 
 def state_polytope_from_json(obj: dict) -> StatePolytope:
     """Inverse of ``state_polytope_to_json``; TypeError unless ``obj`` is an
-    object with "dim_a", "dim_b" and a list of matrix objects as "vertices"."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"state polytope must be a JSON object, got {type(obj).__name__}")
-    missing = {"dim_a", "dim_b", "vertices"} - set(obj)
-    if missing:
-        raise TypeError(f"state polytope lacks {sorted(missing)}")
-    verts = obj["vertices"]
+    object with integer "dim_a" and "dim_b" and a list of matrix objects as
+    "vertices"."""
+    split = matcore.split_from_json(obj)
+    verts = obj.get("vertices")
     if not isinstance(verts, list) or not all(isinstance(v, dict) for v in verts):
         raise TypeError('"vertices" must be a list of matrix objects')
-    split = DimSplit(int(obj["dim_a"]), int(obj["dim_b"]))
     return StatePolytope(tuple(matcore.matrix_from_json(v) for v in verts), split)

@@ -166,6 +166,17 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def split_from_json(obj) -> DimSplit:
+    """The split of a JSON state object; TypeError unless ``obj`` is an
+    object whose "dim_a" and "dim_b" are JSON integers (true is not 1)."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("dim_a", "dim_b"):
+        if type(obj.get(key)) is not int:
+            raise TypeError(f'"{key}" must be a JSON integer, got {obj.get(key)!r}')
+    return DimSplit(obj["dim_a"], obj["dim_b"])
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
     re = np.asarray(obj["re"], dtype=float)

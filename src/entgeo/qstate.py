@@ -1,5 +1,13 @@
 """Bipartite quantum states: density matrices, canonical families, marginals.
 
+A state is validated once, where its matrix enters: the ``DensityMatrix``
+constructor, the JSON reader, and the ``werner_state``/``random_mixed``
+families (``invsep`` adds ``StatePolytope`` vertices and ``Decomposition``
+factors).  A state that a validity-preserving map derives from valid states
+(a partial trace, a product, the projector of a normalized vector, a convex
+combination) is not validated again: those maps build it with
+``_derived(cls, *fields)``, which is ``cls(*fields)`` minus the validation.
+
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64,
 so every ensemble is bit-reproducible from its seed.
 """
@@ -80,9 +88,15 @@ class DensityMatrix:
         return out
 
 
+def _derived(cls, *fields):
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
+
+
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
-    return DensityMatrix(np.outer(psi.amps, psi.amps.conj()), psi.split)
+    return _derived(DensityMatrix, np.outer(psi.amps, psi.amps.conj()), psi.split)
 
 
 def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
@@ -90,8 +104,8 @@ def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     a = matcore.partial_trace(rho.mat, rho.split, over="b")
     b = matcore.partial_trace(rho.mat, rho.split, over="a")
     return (
-        DensityMatrix(a, DimSplit(rho.split.dim_a, 1)),
-        DensityMatrix(b, DimSplit(1, rho.split.dim_b)),
+        _derived(DensityMatrix, a, DimSplit(rho.split.dim_a, 1)),
+        _derived(DensityMatrix, b, DimSplit(1, rho.split.dim_b)),
     )
 
 
@@ -101,7 +115,7 @@ def pi_map(rho: DensityMatrix) -> DensityMatrix:
     Idempotent; its fixed points are exactly the product states.
     """
     a, b = marginals(rho)
-    return DensityMatrix(matcore.kron(a.mat, b.mat), rho.split)
+    return _derived(DensityMatrix, matcore.kron(a.mat, b.mat), rho.split)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -123,16 +137,11 @@ def bell_state(kind: str) -> DensityMatrix:
     return density_from_pure(PureState(np.array(table[kind]), DimSplit(2, 2)))
 
 
-# |phi+><phi+|, validated once here rather than on every werner_state call
-_PHI_PLUS = bell_state("phi+").mat
-_PHI_PLUS.setflags(write=False)
-
-
 def werner_state(p: float) -> DensityMatrix:
     """p |phi+><phi+| + (1-p) I/4 for p in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    return DensityMatrix(p * _PHI_PLUS + (1.0 - p) * np.eye(4) / 4.0, DimSplit(2, 2))
+    return DensityMatrix(p * bell_state("phi+").mat + (1.0 - p) * np.eye(4) / 4.0, DimSplit(2, 2))
 
 
 def random_pure(split: DimSplit, seed: int) -> PureState:
@@ -185,7 +194,7 @@ def state_to_json(state) -> dict:
 
 
 def state_from_json(obj: dict):
-    split = DimSplit(int(obj["dim_a"]), int(obj["dim_b"]))
+    split = matcore.split_from_json(obj)
     if obj.get("type") == "density":
         return DensityMatrix(matcore.matrix_from_json(obj["matrix"]), split)
     if obj.get("type") == "pure":

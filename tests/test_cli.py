@@ -118,6 +118,26 @@ class TestAnalyze:
         assert out == ""
         assert "non-finite entries" in err
 
+    @pytest.mark.parametrize(
+        "obj, what",
+        [
+            ([1, 2], "JSON object"),
+            ({"type": "density", "dim_a": "x", "dim_b": 2}, "dim_a"),
+            # a qubit's matrix: int(1.9) would make it a valid 1x2 state
+            (dict(qstate.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2))),
+                  dim_a=1.9), "dim_a"),
+            (dict(qstate.state_to_json(qstate.werner_state(0.3)), dim_b=True), "dim_b"),
+            ({"type": "density", "dim_a": 2, "dim_b": 2}, "matrix"),
+        ],
+    )
+    def test_malformed_file_is_parse_error(self, capsys, tmp_path, obj, what):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "analyze", f"file:{path}")
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "malformed state" in err and what in err
+
     def test_lp_failure_is_numeric_error(self, capsys, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
         monkeypatch.setattr(comgeo, "linprog", lambda *args, **kwargs: failed)
@@ -128,8 +148,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("expr", ["bell:phi+", "werner:0.5"])
     def test_singleton_report_needs_no_lp(self, capsys, monkeypatch, expr):
-        # both hulls of the singleton test have one vertex, where the nearest
-        # vertex is the exact distance, so no LP is solved
+        # css_singleton is read off pi(rho) - rho, so no LP is solved
         def no_lp(*args, **kwargs):
             raise AssertionError("an LP was solved")
 
@@ -410,6 +429,9 @@ class TestCssCheck:
             ({"dim_a": 2, "dim_b": 2, "vertices": 5}, "vertices"),
             ({"dim_a": 2, "dim_b": 2, "vertices": [5]}, "vertices"),
             ({"dim_a": 2, "vertices": []}, "dim_b"),
+            ({"dim_a": "x", "dim_b": 2, "vertices": []}, "dim_a"),
+            ({"dim_a": 1.9, "dim_b": 2, "vertices": []}, "dim_a"),
+            ({"dim_a": 2, "dim_b": False, "vertices": []}, "dim_b"),
         ],
     )
     def test_wrong_shape_is_parse_error(self, capsys, tmp_path, obj, what):

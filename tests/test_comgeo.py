@@ -27,7 +27,6 @@ from entgeo.comgeo import (
     polytope_equal,
     pr_box,
     reduce_rows,
-    reduce_vertices,
 )
 from entgeo.invsep import flatten_matrix
 
@@ -106,7 +105,7 @@ def basic_solution_vertices(h):
             points.append(x)
     if not points:
         raise ValueError("H-polytope appears empty")
-    return reduce_vertices(VPolytope(np.array(points)))
+    return VPolytope(reduce_rows(np.array(points)))
 
 
 def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
@@ -407,17 +406,16 @@ class TestFacetCertificate:
 
 class TestReduceAndEqual:
     def test_midpoint_removal(self):
-        p = reduce_vertices(VPolytope([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]))
-        assert len(p.vertices) == 2
+        kept = reduce_rows(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0]]))
+        assert len(kept) == 2
 
     def test_simplex_unchanged(self):
-        p = reduce_vertices(VPolytope(np.eye(3)))
-        assert len(p.vertices) == 3
+        assert len(reduce_rows(np.eye(3))) == 3
 
     def test_membership_agrees_after_reduction(self, rng):
         verts = rng.standard_normal((12, 3))
         p = VPolytope(verts)
-        q = reduce_vertices(p)
+        q = VPolytope(reduce_rows(verts))
         for _ in range(200):
             probe = rng.standard_normal(3) * 0.8
             assert hull_membership(probe, p, 1e-8) == hull_membership(
@@ -437,16 +435,16 @@ class TestReduceAndEqual:
 
     def test_complex_rows_match_flattened_rows(self, rng):
         # a complex entry counts as a re/im pair: the same rows survive as
-        # when the flatten_matrix rows go through reduce_vertices
+        # when the flatten_matrix rows go through reduce_rows
         base = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
         w = rng.dirichlet(np.ones(5), size=4)
         mats = np.concatenate([base, np.tensordot(w, base, axes=1), base[:2]])
         mats = mats[rng.permutation(len(mats))]
         kept = reduce_rows(mats)
-        flat = reduce_vertices(VPolytope([flatten_matrix(m) for m in mats]))
+        flat = reduce_rows(np.array([flatten_matrix(m) for m in mats]))
         assert kept.dtype == complex and kept.shape == (5, 2, 2)
         np.testing.assert_array_equal(
-            [flatten_matrix(m) for m in kept], flat.vertices
+            [flatten_matrix(m) for m in kept], flat
         )
 
     @settings(max_examples=30, deadline=None)

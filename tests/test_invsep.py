@@ -18,7 +18,6 @@ from entgeo.invsep import (
     is_product,
     lambda_map,
     lambda_tau,
-    polytopes_equal,
     ppt_min_eigenvalue,
     ppt_verdict,
     psi_preimage_member,
@@ -106,7 +105,7 @@ class TestLambdaMap:
         fb = [random_product(s)[1] for s in seeds_b]
         out = lambda_map(StatePolytope(fa, QUBIT), StatePolytope(fb, QUBIT))
         kron_rows = [invsep.flatten_matrix(matcore.kron(a, b)) for a in fa for b in fb]
-        old = comgeo.reduce_vertices(VPolytope(kron_rows))
+        old = VPolytope(comgeo.reduce_rows(np.array(kron_rows)))
         assert comgeo.polytope_equal(VPolytope(out.flat()), old, 1e-8)
         if len(set(seeds_a)) == len(seeds_a) and len(set(seeds_b)) == len(seeds_b):
             assert len(out.vertices) == len(old.vertices) == len(fa) * len(fb)
@@ -115,7 +114,7 @@ class TestLambdaMap:
         d = werner_product_decomposition(0.25)
         s = css_from_decomposition(d)
         rebuilt = lambda_map(*tau(s))
-        assert polytopes_equal(rebuilt, s, 1e-8)
+        assert comgeo.polytope_equal(VPolytope(rebuilt.flat()), VPolytope(s.flat()), 1e-8)
 
 
 class TestLambdaTau:
@@ -130,7 +129,7 @@ class TestLambdaTau:
     def test_product_singleton_fixed(self):
         r1, r2 = random_product(7)
         c = StatePolytope((matcore.kron(r1, r2),), TWO_QUBITS)
-        assert polytopes_equal(lambda_tau(c), c, 1e-10)
+        assert is_css(c, 1e-10)
 
     def test_idempotent_on_random_polytopes(self):
         for seed in range(10):
@@ -141,7 +140,7 @@ class TestLambdaTau:
                 for j in range(k)
             )
             lt = lambda_tau(StatePolytope(verts, TWO_QUBITS))
-            assert polytopes_equal(lambda_tau(lt), lt, 1e-8)
+            assert is_css(lt, 1e-8)
 
 
 class TestIsCss:
@@ -197,6 +196,30 @@ class TestCssFromDecomposition:
         r1, r2 = random_product(23)
         with pytest.raises(ValueError, match="sum to 1"):
             Decomposition(((0.7, r1, r2),), TWO_QUBITS)
+
+    @pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan], [np.inf, -np.inf]])
+    def test_non_finite_weights(self, weights):
+        # NaN compares false both ways, so a sum check phrased as "reject if
+        # off by more than 1e-10" lets it through
+        r1, r2 = random_product(29)
+        with pytest.raises(ValueError, match="finite"):
+            Decomposition(tuple((w, r1, r2) for w in weights), TWO_QUBITS)
+
+    @pytest.mark.parametrize(
+        "side, factor, problem",
+        [
+            ("a", np.diag([1.5, -0.5]), "negative eigenvalue"),
+            ("b", np.diag([1.5, -0.5]), "negative eigenvalue"),
+            ("a", np.eye(2), "trace"),
+            ("b", np.eye(3) / 3, "shape"),
+            ("a", np.array([[0.5, 0.5], [0.0, 0.5]]), "hermiticity"),
+        ],
+    )
+    def test_invalid_factor_rejected_at_construction(self, side, factor, problem):
+        r1, r2 = random_product(31)
+        term = (1.0, factor, r2) if side == "a" else (1.0, r1, factor)
+        with pytest.raises(ValueError, match=problem):
+            Decomposition((term,), TWO_QUBITS)
 
 
 class TestIsProduct:
@@ -412,4 +435,4 @@ class TestJson:
     def test_state_polytope_round_trip(self):
         s = css_from_decomposition(werner_product_decomposition(0.25))
         back = invsep.state_polytope_from_json(invsep.state_polytope_to_json(s))
-        assert polytopes_equal(back, s, 1e-10)
+        assert comgeo.polytope_equal(VPolytope(back.flat()), VPolytope(s.flat()), 1e-10)

@@ -226,6 +226,21 @@ class TestValidation:
 
 
 class TestJson:
+    @pytest.mark.parametrize(
+        "dims, what",
+        [
+            ({"dim_a": "x"}, "dim_a"),
+            ({"dim_a": 1.9}, "dim_a"),
+            ({"dim_a": 2.0}, "dim_a"),
+            ({"dim_b": True}, "dim_b"),
+            ({"dim_b": None}, "dim_b"),
+        ],
+    )
+    def test_split_must_be_json_integers(self, dims, what):
+        obj = dict(qstate.state_to_json(qstate.werner_state(0.3)), **dims)
+        with pytest.raises(TypeError, match=what):
+            qstate.state_from_json(obj)
+
     def test_density_round_trip(self):
         rho = qstate.werner_state(0.3)
         back = qstate.state_from_json(qstate.state_to_json(rho))
