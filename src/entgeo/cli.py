@@ -14,6 +14,18 @@ All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report computes
 pi(rho) - rho and the partial-transpose spectrum once per state and derives
 every measure and verdict from them.
+
+The tolerance behind each verdict (the table is in ``matcore``):
+
+- ``product``: ||pi(rho) - rho||_F <= ``--tol``;
+- ``css_singleton``: the largest real or imaginary part of pi(rho) - rho,
+  in modulus, <= max(``--tol``, ``CSS_TOL``), so under ``--tol 0`` a 1x4
+  state whose delta is 2e-16 reads ``"product": false, "css_singleton": true``;
+- ``ppt``: the least eigenvalue of the partial transpose against
+  ``VALID_TOL``, whatever ``--tol`` is;
+- ``max_tensor_member``, ``gpt_membership``, the ``tensor`` membership
+  checks and ``css-check``: ``--tol``.  A verdict an LP decides at a
+  ``--tol`` below 10 * ``LP_TOL`` is at the solver's resolution.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ import sys
 import numpy as np
 
 from . import comgeo, invsep, qstate
-from .matcore import DimSplit
+from .matcore import CSS_TOL, DECISION_TOL, DimSplit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -201,7 +213,7 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
         "ppt_min_eig": ppt_min,
         "verdicts": {
             "product": pi_dist <= tol,
-            "css_singleton": float(np.abs(delta.view(float)).max()) <= max(tol, invsep.CSS_TOL),
+            "css_singleton": float(np.abs(delta.view(float)).max()) <= max(tol, CSS_TOL),
             "ppt": invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split),
         },
     }
@@ -347,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entgeo", description="geometric entanglement toolkit"
     )
     ap.add_argument(
-        "--tol", type=_tolerance, default=1e-9, help="decision tolerance (finite, >= 0)"
+        "--tol", type=_tolerance, default=DECISION_TOL, help="decision tolerance (finite, >= 0)"
     )
     ap.add_argument(
         "--f-kind",

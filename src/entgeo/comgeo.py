@@ -22,20 +22,9 @@ from scipy.linalg import null_space, solve_triangular
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-EFFECT_TOL = 1e-10
-DEDUP_TOL = 1e-8
-REDUCE_TOL = 1e-9
-# a QR or SVD pivot this small relative to the largest one counts as zero
-RANK_TOL = 1e-10
-# the triangulated facets of one facet plane agree to about 1e-15
-FACET_MERGE_TOL = 1e-12
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, RANK_TOL, ROUND_TOL, VALID_TOL
 
-# decisions are made at tolerances down to 1e-9, so the LP must resolve
-# distances well below the solver's default 1e-7 feasibility tolerance
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+_LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
 
 @dataclass(frozen=True)
@@ -96,10 +85,10 @@ class ComModel:
         object.__setattr__(self, "effects", e)
         object.__setattr__(self, "unit", u)
         norm_err = float(np.max(np.abs(v @ u - 1.0)))
-        if norm_err > EFFECT_TOL:
+        if norm_err > VALID_TOL:
             raise ValueError(f"unit functional off by {norm_err:.3e} on some vertex")
         vals = v @ e.T
-        if vals.min() < -EFFECT_TOL or vals.max() > 1.0 + EFFECT_TOL:
+        if vals.min() < -VALID_TOL or vals.max() > 1.0 + VALID_TOL:
             raise ValueError("an extreme effect leaves [0, 1] on some vertex")
 
 
@@ -298,7 +287,7 @@ def _facets_of(data: bytes, shape: tuple) -> _Facets | None:
     # centroid.  Group the pieces of each plane on a rounded key first (326
     # rows for gbit x gbit), then merge the few keys that rounding split.
     _, first = np.unique(np.round(hull.equations, 12), axis=0, return_index=True)
-    eqs = dedup_rows(hull.equations[np.sort(first)], FACET_MERGE_TOL)
+    eqs = dedup_rows(hull.equations[np.sort(first)], ROUND_TOL)
     normals = eqs[:, :-1] @ basis.T
     slack = -eqs[:, -1]
     f = _Facets(origin, basis, normals, normals @ origin + slack, slack,
@@ -391,7 +380,7 @@ def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
     return certified
 
 
-def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
+def reduce_rows(rows) -> np.ndarray:
     """Drop every row in the hull of the rest; a complex entry counts as a re/im
     pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given.
 
@@ -399,13 +388,14 @@ def reduce_rows(rows, tol: float = REDUCE_TOL) -> np.ndarray:
     LP would keep it against any subset of the other rows.  Every other row
     is tested against the rows still kept as ``hull_membership`` tests a
     point (vertex match, simplex certificate, LP), so the result is that of
-    the plain sequential LP pass; affinely independent rows need no LP."""
+    the plain sequential LP pass at ``DECISION_TOL``; affinely independent
+    rows need no LP."""
     rows = dedup_rows(rows)
     pts = _coords(rows)
     keep = list(range(len(pts)))
-    for k in np.flatnonzero(~_strict_maximizers(pts, tol)):
+    for k in np.flatnonzero(~_strict_maximizers(pts, DECISION_TOL)):
         others = [j for j in keep if j != k]
-        if others and _member(pts[k], pts[others], tol):
+        if others and _member(pts[k], pts[others], DECISION_TOL):
             keep.remove(k)
     return rows[keep]
 
@@ -473,7 +463,7 @@ def max_tensor_membership(phi, h: HPolytope, tol: float) -> bool:
 
 
 def gpt_marginals(
-    phi: BilinearState, a: ComModel, b: ComModel, tol: float = 1e-9
+    phi: BilinearState, a: ComModel, b: ComModel, tol: float = DECISION_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """Marginal state vectors (omega_A, omega_B) via unit contraction.
 
@@ -498,16 +488,17 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     On the equality rows' affine hull x = x0 + N y (N their null space),
     Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives
     the extreme points around an interior point: ``h.interior`` when it is
-    more than 1e-9 inside every inequality (``max_tensor_constraints`` sets
-    the product of the model centroids), else the centre of a Chebyshev LP.
-    Each point is snapped to a certified vertex: among the inequality rows
-    tight at it (within 1e-9), scanned in index order, keep every row
-    independent of the equality rows and of the rows kept so far.  That is
-    the lexicographically first basis; full rank proves a vertex, which is
-    then solved on exactly that square system, and the vertices come in
-    order of their bases.  Basic-solution enumeration over the row subsets
-    in lexicographic order, keeping the first hit of each vertex, meets that
-    same basis first, so it yields the same values in the same order.
+    more than ``DECISION_TOL`` inside every inequality
+    (``max_tensor_constraints`` sets the product of the model centroids),
+    else the centre of a Chebyshev LP.  Each point is snapped to a certified
+    vertex: among the inequality rows tight at it (within ``DECISION_TOL``),
+    scanned in index order, keep every row independent of the equality rows
+    and of the rows kept so far.  That is the lexicographically first basis;
+    full rank proves a vertex, which is then solved on exactly that square
+    system, and the vertices come in order of their bases.  Basic-solution
+    enumeration over the row subsets in lexicographic order, keeping the
+    first hit of each vertex, meets that same basis first, so it yields the
+    same values in the same order.
 
     Raises ``ValueError`` for an H-polytope that is empty, flat (no interior
     point within its equality hull) or unbounded.
@@ -515,7 +506,7 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     d = h.ambient_dim
     if d > dim_cap:
         raise ValueError(f"ambient dim {d} exceeds enumeration cap {dim_cap}")
-    tol = 1e-9
+    tol = DECISION_TOL
     eq = np.reshape(h.eq_normals, (-1, d))
     ineq = np.reshape(h.ineq_normals, (-1, d))
     offsets = np.reshape(h.ineq_offsets, -1)

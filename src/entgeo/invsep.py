@@ -21,11 +21,8 @@ import numpy as np
 
 from . import comgeo, matcore, qstate
 from .comgeo import BilinearState, ComModel, VPolytope
-from .matcore import DimSplit
+from .matcore import CSS_TOL, DECISION_TOL, ROUND_TOL, VALID_TOL, DimSplit
 from .qstate import DensityMatrix, _derived
-
-CSS_TOL = 1e-8
-PPT_TOL = 1e-10
 
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:
@@ -65,7 +62,7 @@ class Decomposition:
     def __post_init__(self):
         weights = np.array([t[0] for t in self.terms], dtype=float)
         # phrased so that a NaN weight fails it
-        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-10):
+        if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= VALID_TOL):
             raise ValueError(
                 f"weights must be finite, nonnegative and sum to 1, got {weights.tolist()!r}"
             )
@@ -145,7 +142,7 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
     return _rebuild(comgeo.reduce_rows(mats_a), comgeo.reduce_rows(mats_b), d.split)
 
 
-def is_product(rho: DensityMatrix, tol: float = 1e-10) -> bool:
+def is_product(rho: DensityMatrix, tol: float = VALID_TOL) -> bool:
     """True iff rho equals the product of its own marginals."""
     return measure_of_delta(pi_delta(rho)) <= tol
 
@@ -167,7 +164,7 @@ def ppt_verdict_from_eigenvalue(min_eig: float, split: DimSplit) -> str:
     """The PPT verdict given ``ppt_min_eigenvalue`` of a state on ``split``."""
     if min(split.dim_a, split.dim_b) == 1:
         return "separable"  # every state with a one-dimensional factor is a product
-    if min_eig < -PPT_TOL:
+    if min_eig < -VALID_TOL:
         return "entangled"
     if tuple(sorted((split.dim_a, split.dim_b))) in ((2, 2), (2, 3)):
         return "separable"
@@ -216,7 +213,7 @@ def measure_of_delta(delta: np.ndarray, cfg: MeasureConfig = MeasureConfig()) ->
 
 
 def gpt_separable(
-    phi: BilinearState, a: ComModel, b: ComModel, tol: float = 1e-9
+    phi: BilinearState, a: ComModel, b: ComModel, tol: float = DECISION_TOL
 ) -> bool:
     """Separability of a composite GPT state: membership in the hull of
     product states, decided by the product hull's facets (Bell inequalities)
@@ -230,9 +227,8 @@ def gpt_separable(
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     """GPT flavor of marginalize-and-rebuild on a composite-state polytope."""
-    tol = 1e-9  # the state-space tolerance of comgeo.gpt_marginals
     if not comgeo.max_tensor_membership(
-        c.vertices, comgeo.max_tensor_constraints(a, b), tol
+        c.vertices, comgeo.max_tensor_constraints(a, b), DECISION_TOL
     ):
         raise ValueError("state is outside the maximal tensor product")
     x = c.vertices.reshape(-1, a.ambient_dim, b.ambient_dim)
@@ -240,7 +236,7 @@ def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     # every marginal lies in the hull of the reduced sets, so checking those suffices
     for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
         space = VPolytope(m.vertices)
-        if not all(comgeo.facet_membership(w, space, tol) for w in marg):
+        if not all(comgeo.facet_membership(w, space, DECISION_TOL) for w in marg):
             raise ValueError(f"{side}-marginal left the model state space")
     return VPolytope(comgeo.product_composites(pa, pb))
 
@@ -273,7 +269,7 @@ def werner_product_decomposition(p: float) -> Decomposition:
     pairs with the four computational-basis products:
     weights p/2 on each axis pair, (1-3p)/4 on each basis pair.
     """
-    if not 0.0 <= p <= 1.0 / 3.0 + 1e-12:
+    if not 0.0 <= p <= 1.0 / 3.0 + ROUND_TOL:
         raise ValueError(f"decomposition exists only for p <= 1/3, got {p}")
     s = 1.0 / np.sqrt(2.0)
     x_plus = np.array([s, s])

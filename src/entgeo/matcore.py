@@ -5,6 +5,8 @@ Matrices are kept small (side <= 64), so there is no sparsity or blocking.
 Per-call overhead is what costs here, and it is trimmed where it is
 measured: ``kron`` is one broadcast multiply, bit-identical to ``np.kron``
 without its ``expand_dims`` plumbing.
+
+Every tolerance of the package is an entry of the table below.
 """
 
 from __future__ import annotations
@@ -13,7 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
+# how far a quantity that vanishes on every valid input may be off (states, effects, PPT)
+VALID_TOL = 1e-10
+# rounding slack on a value that is known exactly (|psi|^2 = 1, one Qhull facet plane)
+ROUND_TOL = 1e-12
+# a QR or SVD pivot this small relative to the largest one counts as zero
+RANK_TOL = 1e-10
+# the default geometric decision tolerance (--tol, membership, redundancy, tightness)
+DECISION_TOL = 1e-9
+# rows this close in the infinity norm coincide
+DEDUP_TOL = 1e-8
+# the default of the fixed-point tests, and the floor of css_singleton
+CSS_TOL = 1e-8
+# HiGHS primal and dual feasibility; at most a tenth of DECISION_TOL and CSS_TOL
+LP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,11 +110,11 @@ def partial_transpose(m, split: DimSplit, on: str = "b") -> np.ndarray:
     return t.reshape(split.dim, split.dim).copy()
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m) -> bool:
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return float(np.max(np.abs(m - m.conj().T))) <= VALID_TOL
 
 
 def hermitize(m) -> np.ndarray:
@@ -108,11 +123,11 @@ def hermitize(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def hermitian_eig(m, tol: float = HERMITIAN_TOL):
+def hermitian_eig(m):
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized before solving to absorb rounding noise from
-    upstream products; inputs farther than ``tol`` from Hermitian are
+    upstream products; inputs farther than ``VALID_TOL`` from Hermitian are
     rejected.
 
     Returns
@@ -123,9 +138,9 @@ def hermitian_eig(m, tol: float = HERMITIAN_TOL):
     m = _as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eigendecomposition needs a square matrix, got {m.shape}")
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         dev = float(np.max(np.abs(m - m.conj().T)))
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {tol})")
+        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {VALID_TOL})")
     w, v = np.linalg.eigh(hermitize(m))
     return w, v
 
@@ -166,19 +181,24 @@ def matrix_to_json(m) -> dict:
     }
 
 
-def split_from_json(obj) -> DimSplit:
-    """The split of a JSON state object; TypeError unless ``obj`` is an
-    object whose "dim_a" and "dim_b" are JSON integers (true is not 1)."""
+def _json_ints(obj, *keys) -> list[int]:
+    """The values of ``keys`` in ``obj``; TypeError unless ``obj`` is a JSON
+    object and each value is a JSON integer (true is not 1, 2.0 is not 2)."""
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in ("dim_a", "dim_b"):
+    for key in keys:
         if type(obj.get(key)) is not int:
             raise TypeError(f'"{key}" must be a JSON integer, got {obj.get(key)!r}')
-    return DimSplit(obj["dim_a"], obj["dim_b"])
+    return [obj[key] for key in keys]
+
+
+def split_from_json(obj) -> DimSplit:
+    """The split of a JSON state object, from its integer "dim_a" and "dim_b"."""
+    return DimSplit(*_json_ints(obj, "dim_a", "dim_b"))
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_ints(obj, "rows", "cols")
     re = np.asarray(obj["re"], dtype=float)
     im = np.asarray(obj["im"], dtype=float)
     if re.size != rows * cols or im.size != rows * cols:

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import DimSplit
-
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-NORM_TOL = 1e-12
+from .matcore import ROUND_TOL, VALID_TOL, DimSplit
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -45,7 +41,7 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise ValueError("state vector has non-finite entries")
         nrm = float(np.vdot(amps, amps).real)
-        if abs(nrm - 1.0) > NORM_TOL:
+        if abs(nrm - 1.0) > ROUND_TOL:
             raise ValueError(f"state vector not normalized: |psi|^2 = {nrm!r}")
 
 
@@ -75,15 +71,15 @@ class DensityMatrix:
             return out
         adj = self.mat.conj().T
         herm_dev = float(np.max(np.abs(self.mat - adj)))
-        if herm_dev > matcore.HERMITIAN_TOL:
+        if herm_dev > VALID_TOL:
             out.append(f"hermiticity deviation {herm_dev:.3e}")
         tr = complex(np.trace(self.mat))
-        if abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > 1e-12:
+        if abs(tr.real - 1.0) > VALID_TOL or abs(tr.imag) > ROUND_TOL:
             out.append(f"trace {tr!r} != 1")
-        if herm_dev <= matcore.HERMITIAN_TOL:
+        if herm_dev <= VALID_TOL:
             # the Hermitian part, as matcore.hermitize computes it
             wmin = float(np.linalg.eigvalsh((self.mat + adj) / 2)[0])
-            if wmin < -PSD_TOL:
+            if wmin < -VALID_TOL:
                 out.append(f"negative eigenvalue {wmin:.3e}")
         return out
 
@@ -199,4 +195,4 @@ def state_from_json(obj: dict):
         return DensityMatrix(matcore.matrix_from_json(obj["matrix"]), split)
     if obj.get("type") == "pure":
         return PureState(matcore.matrix_from_json(obj["amplitudes"]).ravel(), split)
-    raise ValueError(f"unknown state type {obj.get('type')!r}")
+    raise TypeError(f"unknown state type {obj.get('type')!r}")

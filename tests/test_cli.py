@@ -25,6 +25,10 @@ GOLDEN_ANALYZE = json.loads(
     (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
 )
 
+# the maximally mixed state and |0> on a 1x2 split, as state JSON
+HALF_QUBIT = qstate.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2)))
+PURE_QUBIT = qstate.state_to_json(qstate.PureState(np.array([1.0, 0.0]), DimSplit(1, 2)))
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -128,6 +132,10 @@ class TestAnalyze:
                   dim_a=1.9), "dim_a"),
             (dict(qstate.state_to_json(qstate.werner_state(0.3)), dim_b=True), "dim_b"),
             ({"type": "density", "dim_a": 2, "dim_b": 2}, "matrix"),
+            # int(2.9) would read the 2x2 payload as a valid 1x2 state
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=2.9)), "rows"),
+            (dict(PURE_QUBIT, amplitudes=dict(PURE_QUBIT["amplitudes"], cols=True)), "cols"),
+            (dict(HALF_QUBIT, type="densty"), "densty"),
         ],
     )
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, obj, what):
@@ -137,6 +145,15 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert out == ""
         assert "malformed state" in err and what in err
+
+    def test_pure_file_reports_as_its_density_file(self, capsys, tmp_path):
+        psi = qstate.random_pure(DimSplit(2, 3), seed=11)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(qstate.state_to_json(psi)))
+        pure = run(capsys, "analyze", f"file:{path}")
+        path.write_text(json.dumps(qstate.state_to_json(qstate.density_from_pure(psi))))
+        assert pure[0] == EXIT_OK
+        assert run(capsys, "analyze", f"file:{path}") == pure
 
     def test_lp_failure_is_numeric_error(self, capsys, monkeypatch):
         failed = SimpleNamespace(status=4, message="numerical difficulties")
@@ -432,6 +449,8 @@ class TestCssCheck:
             ({"dim_a": "x", "dim_b": 2, "vertices": []}, "dim_a"),
             ({"dim_a": 1.9, "dim_b": 2, "vertices": []}, "dim_a"),
             ({"dim_a": 2, "dim_b": False, "vertices": []}, "dim_b"),
+            ({"dim_a": 1, "dim_b": 2, "vertices": [dict(HALF_QUBIT["matrix"], rows=2.9)]},
+             "rows"),
         ],
     )
     def test_wrong_shape_is_parse_error(self, capsys, tmp_path, obj, what):
@@ -448,3 +467,37 @@ class TestCssCheck:
         code, _, err = run(capsys, "css-check", str(path))
         assert code == EXIT_PARSE
         assert "junk.json" in err
+
+
+# one case per parse-error branch of the CLI; {tmp} is a directory that
+# holds junk.json (not JSON) and no missing.json
+PARSE_ERRORS = [
+    (["analyze", "werner:1:2"], "bad werner expression"),
+    (["analyze", "werner:x"], "bad werner parameter"),
+    (["analyze", "werner:2"], "must lie in [0, 1]"),
+    (["analyze", "file:"], "empty path"),
+    (["analyze", "file:{tmp}/junk.json"], "invalid JSON"),
+    (["analyze", "foo"], "unknown state expression"),
+    (["analyze", "random:2x2"], "bad random expression"),
+    (["analyze", "random:2x2:seed"], "bad option"),
+    (["analyze", "random:2x2:seed=x"], "bad integer"),
+    (["analyze", "random:2x2:foo=1"], "unknown options"),
+    (["tensor", "classical:2:3", "gbit"], "bad model expression"),
+    (["tensor", "classical:x", "gbit"], "bad integer"),
+    (["tensor", "classical:1", "gbit"], "needs n >= 2"),
+    (["tensor", "gbit", "foo"], "unknown model expression"),
+    (["sweep", "bogus"], "unknown sweep family"),
+    (["css-check", "{tmp}/missing.json"], "cannot read"),
+]
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize(
+        "argv, what", PARSE_ERRORS, ids=[" ".join(argv) for argv, _ in PARSE_ERRORS]
+    )
+    def test_exits_2_with_message(self, capsys, tmp_path, argv, what):
+        (tmp_path / "junk.json").write_text("{not json")
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("entgeo: parse error: ") and what in err

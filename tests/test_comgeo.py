@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull
 from entgeo import comgeo
 from entgeo.comgeo import (
     BilinearState,
+    ComModel,
     HPolytope,
     VPolytope,
     classical_model,
@@ -655,6 +656,14 @@ class TestGptMarginals:
         gb = gbit_model()
         with pytest.raises(ValueError, match="maximal tensor"):
             gpt_marginals(BilinearState(2.0 * pr_box().coord), gb, gb)
+
+    def test_rejects_marginal_outside_state_space(self):
+        # the one effect of this model does not cut out its state space, so
+        # phi lies in the maximal tensor product with A-marginal (2, -1)
+        m = ComModel(2, np.eye(2), [[0.5, 0.5]], np.ones(2))
+        phi = BilinearState([[2.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="A-marginal left the model state space"):
+            gpt_marginals(phi, m, m)
 
 
 class TestBilinearTable:

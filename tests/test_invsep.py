@@ -261,8 +261,12 @@ class TestPpt:
 
     def test_inconclusive_beyond_2x3(self):
         rho = qstate.random_mixed(DimSplit(3, 3), 1, seed=37)
-        if ppt_min_eigenvalue(rho) >= -invsep.PPT_TOL:
+        if ppt_min_eigenvalue(rho) >= -matcore.VALID_TOL:
             assert ppt_verdict(rho) == "inconclusive"
+
+    def test_maximally_mixed_3x3_is_inconclusive(self):
+        # PPT, but on a 3x3 split that does not prove separability
+        assert ppt_verdict(DensityMatrix(np.eye(9) / 9, DimSplit(3, 3))) == "inconclusive"
 
 
 class TestGptSeparable:
@@ -381,6 +385,14 @@ class TestClassicalInvariance:
         c = VPolytope(np.vstack([verts, 2.0 * pr_box().vector()]))
         with pytest.raises(ValueError, match="maximal tensor"):
             gpt_lambda_tau(c, gb, gb)
+
+    def test_marginal_outside_state_space_rejected(self):
+        # the one effect of this model does not cut out its state space, so
+        # phi lies in the maximal tensor product with A-marginal (2, -1)
+        m = comgeo.ComModel(2, np.eye(2), [[0.5, 0.5]], np.ones(2))
+        c = VPolytope(np.array([[2.0, 0.0, 0.0, -1.0]]))
+        with pytest.raises(ValueError, match="A-marginal left the model state space"):
+            gpt_lambda_tau(c, m, m)
 
 
 class TestBackendAgreement:

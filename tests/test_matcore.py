@@ -1,3 +1,9 @@
+import ast
+import importlib
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +224,58 @@ class TestJson:
     def test_bad_payload_length(self):
         with pytest.raises(ValueError, match="does not match"):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_shape_must_be_json_integers(self, key, value):
+        obj = dict(matcore.matrix_to_json(np.eye(2)), **{key: value})
+        with pytest.raises(TypeError, match=key):
+            matcore.matrix_from_json(obj)
+
+
+PACKAGE = Path(matcore.__file__).parent
+
+
+def _table() -> dict:
+    """The line of each module-level NAME_TOL assignment in matcore, by name."""
+    tree = ast.parse((PACKAGE / "matcore.py").read_text())
+    return {
+        node.targets[0].id: node.lineno
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.endswith("_TOL")
+    }
+
+
+class TestToleranceTable:
+    def test_every_small_number_is_a_table_value(self):
+        entry_lines = set(_table().values())
+        found = []
+        for path in sorted(PACKAGE.glob("*.py")):
+            with path.open("rb") as fh:
+                for tok in tokenize.tokenize(fh.readline):
+                    if tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string):
+                        found.append((path.name, tok.start[0]))
+        assert all(name == "matcore.py" and line in entry_lines for name, line in found), found
+        assert len(found) == len(entry_lines) <= 7
+
+    def test_each_entry_states_what_it_decides(self):
+        lines = (PACKAGE / "matcore.py").read_text().splitlines()
+        for name, lineno in _table().items():
+            assert lines[lineno - 2].startswith("# "), name
+
+    def test_no_other_module_names_a_tolerance(self):
+        table = _table()
+        for path in PACKAGE.glob("*.py"):
+            mod = importlib.import_module(
+                "entgeo" if path.stem == "__init__" else f"entgeo.{path.stem}"
+            )
+            names = {n for n in vars(mod) if n.endswith("_TOL")}
+            assert names <= set(table), (mod.__name__, names - set(table))
+            for n in names:
+                assert getattr(mod, n) == getattr(matcore, n)
+
+    def test_lp_resolves_the_decision_tolerances(self):
+        assert matcore.LP_TOL <= matcore.DECISION_TOL / 10
+        assert matcore.LP_TOL <= matcore.CSS_TOL / 10
