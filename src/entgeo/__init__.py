@@ -34,7 +34,6 @@ from .comgeo import (
     VPolytope,
     classical_model,
     enumerate_max_vertices,
-    facet_membership,
     gbit_model,
     gpt_marginals,
     hull_membership,

@@ -8,7 +8,11 @@ exceeded.  The size caps are checked before anything is allocated:
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
 - ``analyze random:AxB`` with A*B at most ``RANDOM_DIM_CAP`` and
   ``rank`` at most ``RANDOM_DIM_CAP``;
-- ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices.
+- ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices;
+- ``tensor`` with dim_a * dim_b at most ``TENSOR_DIM_CAP``, and at most
+  ``--dim-cap`` when the maximal tensor product is enumerated; each
+  dimension is read off its model expression (n for classical:n, 3 for
+  gbit).
 
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report computes
@@ -47,6 +51,7 @@ EXIT_CAP = 4
 
 SWEEP_STEPS_CAP = 100_000
 RANDOM_DIM_CAP = 64  # side of the density matrix, and the Ginibre rank
+TENSOR_DIM_CAP = 64  # dim_a * dim_b of a tensor model pair
 CSS_VERTEX_CAP = 64  # lambda_tau of k vertices has up to k * k
 
 
@@ -157,8 +162,9 @@ def _parse_random(text: str, parts: list[str]):
     return qstate.density_from_pure(qstate.random_pure(split, seed))
 
 
-def parse_model_expr(text: str) -> comgeo.ComModel:
-    """Parse a model expression: "classical:n" or "gbit"."""
+def _model_dim(text: str) -> int:
+    """The ambient dimension a model expression names, read before any model
+    is built: n for "classical:n", 3 for "gbit"."""
     parts = text.split(":")
     if parts[0] == "classical":
         if len(parts) != 2:
@@ -167,13 +173,18 @@ def parse_model_expr(text: str) -> comgeo.ComModel:
             n = int(parts[1])
         except ValueError:
             raise ExprError(f"bad integer {parts[1]!r} in {text!r}") from None
-        try:
-            return comgeo.classical_model(n)
-        except ValueError as exc:
-            raise ExprError(str(exc)) from None
+        if n < 2:
+            raise ExprError(f"classical model needs n >= 2, got {n}")
+        return n
     if text == "gbit":
-        return comgeo.gbit_model()
+        return 3
     raise ExprError(f"unknown model expression {text!r}")
+
+
+def parse_model_expr(text: str) -> comgeo.ComModel:
+    """Parse a model expression: "classical:n" or "gbit"."""
+    n = _model_dim(text)
+    return comgeo.gbit_model() if text == "gbit" else comgeo.classical_model(n)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +296,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_tensor(args) -> int:
+    dim = _model_dim(args.model_a) * _model_dim(args.model_b)
+    if dim > TENSOR_DIM_CAP:
+        raise CapError(f"composite dimension {dim} exceeds the cap of {TENSOR_DIM_CAP}")
+    if args.which in ("max", "both") and dim > args.dim_cap:
+        raise CapError(
+            f"maximal tensor enumeration needs ambient dim <= {args.dim_cap}, got {dim}"
+        )
     a = parse_model_expr(args.model_a)
     b = parse_model_expr(args.model_b)
     summary = {"model_a": args.model_a, "model_b": args.model_b, "which": args.which}
@@ -293,18 +311,13 @@ def cmd_tensor(args) -> int:
         summary["min_vertices"] = len(omin.vertices)
     if args.which in ("max", "both"):
         h = comgeo.max_tensor_constraints(a, b)
-        if h.ambient_dim > args.dim_cap:
-            raise CapError(
-                f"maximal tensor enumeration needs ambient dim <= {args.dim_cap}, "
-                f"got {h.ambient_dim}"
-            )
         omax = comgeo.enumerate_max_vertices(h, args.dim_cap)
         summary["max_vertices"] = len(omax.vertices)
         if omin is not None:
             outside = [
                 list(v)
                 for v in omax.vertices
-                if not comgeo.facet_membership(v, omin, args.tol)
+                if not comgeo.hull_membership(v, omin, args.tol)
             ]
             summary["equal"] = not outside and all(
                 comgeo.hull_membership(v, omax, args.tol) for v in omin.vertices

@@ -5,24 +5,22 @@ of a model pair live in the flattened outer-product space, where a bilinear
 functional phi(a, b) on effect pairs evaluates as a^T M b with M the
 coordinate matrix.  Every separability question in this package is a hull
 question, and each is settled by the first of these that decides it: a
-vertex match, a strict-maximizer certificate (redundancy only), a simplex's
-barycentric coordinates, the facets of a model's state space or of a model
-pair's product hull (built once by Qhull), and only then an LP.  Distances
-and separating hyperplanes whose numbers are reported stay LPs.
+vertex match, a strict-maximizer certificate (redundancy only), the
+Euclidean projection onto the hull (one NNLS solve, whose inner and outer
+bounds are each checked on their own), and only then an LP.  Distances and
+separating hyperplanes whose numbers are reported stay LPs.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import null_space, solve_triangular
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+from scipy.linalg import null_space
+from scipy.optimize import linprog, nnls
+from scipy.spatial import HalfspaceIntersection
 
-from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, RANK_TOL, ROUND_TOL, VALID_TOL
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -84,6 +82,11 @@ class ComModel:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "effects", e)
         object.__setattr__(self, "unit", u)
+        widths = (v.shape[1], e.shape[1], u.size)
+        if widths != (self.ambient_dim,) * 3:
+            raise ValueError(
+                f"ambient_dim {self.ambient_dim} != widths {widths} of vertices, effects, unit"
+            )
         norm_err = float(np.max(np.abs(v @ u - 1.0)))
         if norm_err > VALID_TOL:
             raise ValueError(f"unit functional off by {norm_err:.3e} on some vertex")
@@ -185,23 +188,10 @@ def hull_membership(x, p: VPolytope, tol: float) -> bool:
 
     Decided by the first of these that settles it: the nearest vertex (an
     upper bound on the hull distance, exact for a single vertex), the
-    barycentric coordinates when the vertices are affinely independent
-    (``_simplex_verdict``), and the hull-distance LP.
+    Euclidean projection onto the hull (``_projection_verdict``), and the
+    hull-distance LP.
     """
     return _member(_point(x, p), p.vertices, tol)
-
-
-def facet_membership(x, p: VPolytope, tol: float) -> bool:
-    """``hull_membership`` for a hull that is asked about again and again: a
-    model's state space or a model pair's product hull.
-
-    Between the simplex certificate and the LP it tests x against the
-    hull's facets (``_facet_verdict``), which Qhull builds once per vertex
-    set and a small memo keeps (``_facets_of``).  For a product hull of
-    box-world systems these facets are the positivity and CHSH inequalities
-    (Fine, PRL 48, 291 (1982)).
-    """
-    return _member(_point(x, p), p.vertices, tol, facets=True)
 
 
 def _point(x, p: VPolytope) -> np.ndarray:
@@ -211,111 +201,42 @@ def _point(x, p: VPolytope) -> np.ndarray:
     return x
 
 
-def _member(x: np.ndarray, v: np.ndarray, tol: float, facets: bool = False) -> bool:
+def _member(x: np.ndarray, v: np.ndarray, tol: float) -> bool:
     nearest = float(np.abs(v - x).max(axis=1).min())
     if nearest <= tol or len(v) == 1:
         return nearest <= tol
-    verdict = _simplex_verdict(x, v, tol)
-    if verdict is None and facets:
-        f = _facets_of(v.tobytes(), v.shape)
-        verdict = None if f is None else _facet_verdict(x, f, tol)
+    verdict = _projection_verdict(x, v, tol)
     if verdict is None:
         verdict = hull_distance(x, v)[0] <= tol
     return verdict
 
 
-def _simplex_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
-    """Membership of x in the hull of affinely independent rows v, from the
-    barycentric coordinates lam; None if the rows are dependent or the
-    answer is open.
+def _projection_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
+    """Membership of x in the hull of the rows v from the Euclidean
+    projection y = lam @ v of x onto that hull; None if the answer is open.
 
-    In: lam clipped at 0 and renormalised rebuilds x within tol.  Out: the
-    hull distance is at least -lam_i / |g_i|_1, where g_i is lam_i as a
-    linear functional of x (|g.(x - y)| <= |g|_1 |x - y|_inf and lam_i >= 0
-    on the hull), and at least |r|_2 / sqrt(d) for the residual r off the
-    affine hull.
+    mu = nnls([(v - x)^T; 1^T], e_last) gives lam = mu / sum(mu) (Lawson &
+    Hanson 1974, as in Wolfe's minimum-norm point, Math. Programming 11, 128
+    (1976)): with s = sum(mu) the objective is s^2 |y - x|^2 + (s - 1)^2,
+    whose minimum over s, |y - x|^2 / (1 + |y - x|^2), grows with |y - x|,
+    so the minimizing lam gives the nearest y.
+    In: h = x - y has |h|_inf <= tol.  Out: h.x - max_i h.v_i > tol |h|_1,
+    since |h.(x - z)| <= |h|_1 |x - z|_inf for every z in the hull.  Both
+    bounds are recomputed from lam, so an inexact NNLS answer can leave the
+    question to the LP but cannot make a verdict wrong.
     """
-    n, d = v.shape
-    if n > d + 1:
-        return None
-    q, r = np.linalg.qr((v[1:] - v[0]).T)
-    pivots = np.abs(np.diag(r))
-    if pivots.min() <= RANK_TOL * pivots.max():
-        return None
-    g = solve_triangular(r, q.T)
-    g = np.vstack([-g.sum(axis=0), g])
-    rel = x - v[0]
-    lam = g @ rel
-    lam[0] += 1.0
-    clipped = np.maximum(lam, 0.0)
-    if np.abs(clipped @ v / clipped.sum() - x).max() <= tol:
-        return True
-    off = rel - q @ (q.T @ rel)
-    if max(np.max(-lam / np.abs(g).sum(axis=1)), np.linalg.norm(off) / np.sqrt(d)) > tol:
-        return False
-    return None
-
-
-class _Facets(NamedTuple):
-    """A polytope as {x on origin + span(basis) : normals @ x <= offsets},
-    with read-only arrays; ``slack`` is each facet's margin at ``origin``."""
-
-    origin: np.ndarray
-    basis: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
-    slack: np.ndarray
-    l1: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _facets_of(data: bytes, shape: tuple) -> _Facets | None:
-    """Facets of the hull of the float rows held in ``data``, from Qhull on
-    their affine hull, with the triangulated pieces of each facet plane
-    merged; None when that hull is a point or a segment, or Qhull fails."""
-    v = np.frombuffer(data).reshape(shape)
-    origin = v.mean(axis=0)
-    _, sv, vt = np.linalg.svd(v - origin, full_matrices=False)
-    basis = vt[sv > RANK_TOL * sv[0]].T
-    if basis.shape[1] < 2:
-        return None
+    a = np.vstack([(v - x).T, np.ones(len(v))])
+    b = np.zeros(len(x) + 1)
+    b[-1] = 1.0
     try:
-        hull = ConvexHull((v - origin) @ basis)
-    except QhullError:
+        mu = nnls(a, b)[0]
+    except RuntimeError:  # the iteration limit
         return None
-    # Qhull's rows (n, b) mean n . y + b <= 0 inside, with b < 0 at the
-    # centroid.  Group the pieces of each plane on a rounded key first (326
-    # rows for gbit x gbit), then merge the few keys that rounding split.
-    _, first = np.unique(np.round(hull.equations, 12), axis=0, return_index=True)
-    eqs = dedup_rows(hull.equations[np.sort(first)], ROUND_TOL)
-    normals = eqs[:, :-1] @ basis.T
-    slack = -eqs[:, -1]
-    f = _Facets(origin, basis, normals, normals @ origin + slack, slack,
-                np.abs(normals).sum(axis=1))
-    for arr in f:
-        arr.flags.writeable = False
-    return f
-
-
-def _facet_verdict(x: np.ndarray, f: _Facets, tol: float) -> bool | None:
-    """Membership of x in the polytope f; None if the answer is open.
-
-    Out: a facet that x violates by more than tol * |h|_1, or a residual r
-    off the affine hull with |r|_2 / sqrt(d) > tol (the bounds of
-    ``_simplex_verdict``).  In: moving the projection p of x toward the
-    interior point ``origin`` by the fraction max_j v_j / (s_j + v_j), for
-    the violations v_j > 0 and margins s_j, satisfies every facet, so the
-    hull distance is at most |r|_inf plus that fraction of |p - origin|_inf.
-    """
-    rel = x - f.origin
-    along = f.basis @ (f.basis.T @ rel)
-    off = rel - along
-    viol = f.normals @ x - f.offsets
-    if max(np.max(viol / f.l1), np.linalg.norm(off) / np.sqrt(len(x))) > tol:
-        return False
-    over = np.maximum(viol, 0.0)
-    if np.abs(off).max() + np.max(over / (f.slack + over)) * np.abs(along).max() <= tol:
+    h = x - (mu / mu.sum()) @ v
+    if np.abs(h).max() <= tol:
         return True
+    if h @ x - np.max(v @ h) > tol * np.abs(h).sum():
+        return False
     return None
 
 
@@ -387,9 +308,8 @@ def reduce_rows(rows) -> np.ndarray:
     A row certified extreme by a strict maximizer is kept without an LP; the
     LP would keep it against any subset of the other rows.  Every other row
     is tested against the rows still kept as ``hull_membership`` tests a
-    point (vertex match, simplex certificate, LP), so the result is that of
-    the plain sequential LP pass at ``DECISION_TOL``; affinely independent
-    rows need no LP."""
+    point (vertex match, projection, LP), so the result is that of the plain
+    sequential LP pass at ``DECISION_TOL``."""
     rows = dedup_rows(rows)
     pts = _coords(rows)
     keep = list(range(len(pts)))
@@ -474,9 +394,9 @@ def gpt_marginals(
         raise ValueError("state is outside the maximal tensor product")
     omega_a = phi.coord @ b.unit
     omega_b = phi.coord.T @ a.unit
-    if not facet_membership(omega_a, VPolytope(a.vertices), tol):
+    if not hull_membership(omega_a, VPolytope(a.vertices), tol):
         raise ValueError("A-marginal left the model state space")
-    if not facet_membership(omega_b, VPolytope(b.vertices), tol):
+    if not hull_membership(omega_b, VPolytope(b.vertices), tol):
         raise ValueError("B-marginal left the model state space")
     return omega_a, omega_b
 
@@ -618,7 +538,7 @@ def model_to_json(m: ComModel) -> dict:
 
 def model_from_json(obj: dict) -> ComModel:
     return ComModel(
-        int(obj["ambient_dim"]),
+        *_json_ints(obj, "ambient_dim"),
         np.asarray(obj["vertices"], float),
         np.asarray(obj["effects"], float),
         np.asarray(obj["unit"], float),
@@ -630,7 +550,8 @@ def polytope_to_json(p: VPolytope) -> dict:
 
 
 def polytope_from_json(obj: dict) -> VPolytope:
+    (dim,) = _json_ints(obj, "ambient_dim")
     p = VPolytope(np.asarray(obj["vertices"], float))
-    if p.ambient_dim != int(obj["ambient_dim"]):
+    if p.ambient_dim != dim:
         raise ValueError("ambient_dim does not match vertex width")
     return p

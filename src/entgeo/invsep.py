@@ -216,13 +216,13 @@ def gpt_separable(
     phi: BilinearState, a: ComModel, b: ComModel, tol: float = DECISION_TOL
 ) -> bool:
     """Separability of a composite GPT state: membership in the hull of
-    product states, decided by the product hull's facets (Bell inequalities)
-    and only in a narrow band around them by an LP."""
+    product states, decided by the projection onto that hull and only in a
+    narrow band around its boundary by an LP."""
     if not comgeo.max_tensor_membership(
         phi, comgeo.max_tensor_constraints(a, b), tol
     ):
         raise ValueError("state is outside the maximal tensor product")
-    return comgeo.facet_membership(phi.vector(), comgeo.min_tensor(a, b), tol)
+    return comgeo.hull_membership(phi.vector(), comgeo.min_tensor(a, b), tol)
 
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
@@ -236,7 +236,7 @@ def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     # every marginal lies in the hull of the reduced sets, so checking those suffices
     for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
         space = VPolytope(m.vertices)
-        if not all(comgeo.facet_membership(w, space, DECISION_TOL) for w in marg):
+        if not all(comgeo.hull_membership(w, space, DECISION_TOL) for w in marg):
             raise ValueError(f"{side}-marginal left the model state space")
     return VPolytope(comgeo.product_composites(pa, pb))
 

@@ -17,10 +17,8 @@ import numpy as np
 
 # how far a quantity that vanishes on every valid input may be off (states, effects, PPT)
 VALID_TOL = 1e-10
-# rounding slack on a value that is known exactly (|psi|^2 = 1, one Qhull facet plane)
+# rounding slack on a value that is known exactly (|psi|^2 = 1, Im tr rho = 0, p <= 1/3)
 ROUND_TOL = 1e-12
-# a QR or SVD pivot this small relative to the largest one counts as zero
-RANK_TOL = 1e-10
 # the default geometric decision tolerance (--tol, membership, redundancy, tightness)
 DECISION_TOL = 1e-9
 # rows this close in the infinity norm coincide
@@ -183,12 +181,13 @@ def matrix_to_json(m) -> dict:
 
 def _json_ints(obj, *keys) -> list[int]:
     """The values of ``keys`` in ``obj``; TypeError unless ``obj`` is a JSON
-    object and each value is a JSON integer (true is not 1, 2.0 is not 2)."""
+    object and each value is a JSON integer (true is not 1, 2.0 is not 2)
+    of at least 1."""
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
     for key in keys:
-        if type(obj.get(key)) is not int:
-            raise TypeError(f'"{key}" must be a JSON integer, got {obj.get(key)!r}')
+        if type(obj.get(key)) is not int or obj[key] < 1:
+            raise TypeError(f'"{key}" must be a JSON integer >= 1, got {obj.get(key)!r}')
     return [obj[key] for key in keys]
 
 
@@ -198,11 +197,16 @@ def split_from_json(obj) -> DimSplit:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
+    """Inverse of ``matrix_to_json``; TypeError unless "re" and "im" are flat
+    lists of rows * cols JSON numbers."""
     rows, cols = _json_ints(obj, "rows", "cols")
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.size != rows * cols or im.size != rows * cols:
-        raise ValueError(
-            f"matrix payload length {re.size}/{im.size} does not match {rows}x{cols}"
+    parts = [obj.get("re"), obj.get("im")]
+    for key, vals in zip(("re", "im"), parts):
+        if not isinstance(vals, list) or any(type(x) not in (int, float) for x in vals):
+            raise TypeError(f'"{key}" must be a flat list of JSON numbers')
+    if len(parts[0]) != rows * cols or len(parts[1]) != rows * cols:
+        raise TypeError(
+            f"matrix payload length {len(parts[0])}/{len(parts[1])} does not match {rows}x{cols}"
         )
+    re, im = np.array(parts, dtype=float)
     return (re + 1j * im).reshape(rows, cols)

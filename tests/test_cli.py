@@ -136,6 +136,13 @@ class TestAnalyze:
             (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=2.9)), "rows"),
             (dict(PURE_QUBIT, amplitudes=dict(PURE_QUBIT["amplitudes"], cols=True)), "cols"),
             (dict(HALF_QUBIT, type="densty"), "densty"),
+            (dict(HALF_QUBIT, dim_a=0), "dim_a"),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=-2, cols=-2)), "rows"),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=0, cols=0, re=[], im=[])),
+             "rows"),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=[0.5, 0, 0])), "length 3/4"),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=["a", 0, 0, 0.5])), '"re"'),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=[[0.5, 0], [0, 0.5]])), '"re"'),
         ],
     )
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, obj, what):
@@ -372,6 +379,20 @@ class TestTensor:
         assert code == EXIT_CAP
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "argv, what",
+        [(["classical:13", "gbit"], "ambient dim <= 12, got 39"),
+         (["--which", "min", "classical:65", "gbit"], "composite dimension 195"),
+         (["--which", "both", "gbit", "classical:22"], "composite dimension 66")],
+    )
+    def test_caps_are_checked_before_any_model_is_built(self, capsys, monkeypatch, argv, what):
+        forbid(monkeypatch, comgeo, "classical_model")
+        forbid(monkeypatch, comgeo, "gbit_model")
+        code, out, err = run(capsys, "tensor", *argv)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert what in err
+
     def test_gbit_pair_golden_output(self, capsys):
         # pins the vertex values and the order of max_vertices_outside_min
         code, out, _ = run(capsys, "tensor", "gbit", "gbit")
@@ -451,6 +472,16 @@ class TestCssCheck:
             ({"dim_a": 2, "dim_b": False, "vertices": []}, "dim_b"),
             ({"dim_a": 1, "dim_b": 2, "vertices": [dict(HALF_QUBIT["matrix"], rows=2.9)]},
              "rows"),
+            ({"dim_a": 1, "dim_b": 2, "vertices": [dict(HALF_QUBIT["matrix"], rows=-2, cols=-2)]},
+             "rows"),
+            ({"dim_a": 1, "dim_b": 2,
+              "vertices": [dict(HALF_QUBIT["matrix"], rows=0, cols=0, re=[], im=[])]}, "rows"),
+            ({"dim_a": 1, "dim_b": 2, "vertices": [dict(HALF_QUBIT["matrix"], re=[0.5, 0, 0])]},
+             "length 3/4"),
+            ({"dim_a": 1, "dim_b": 2,
+              "vertices": [dict(HALF_QUBIT["matrix"], re=["a", 0, 0, 0.5])]}, '"re"'),
+            ({"dim_a": 1, "dim_b": 2,
+              "vertices": [dict(HALF_QUBIT["matrix"], re=[[0.5, 0], [0, 0.5]])]}, '"re"'),
         ],
     )
     def test_wrong_shape_is_parse_error(self, capsys, tmp_path, obj, what):

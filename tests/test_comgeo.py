@@ -17,7 +17,6 @@ from entgeo.comgeo import (
     VPolytope,
     classical_model,
     enumerate_max_vertices,
-    facet_membership,
     gbit_model,
     gpt_marginals,
     hull_distance,
@@ -83,6 +82,27 @@ def near_facet(rng, verts, offsets):
         w = rng.dirichlet(np.ones(verts.shape[1]))
         out.append(w @ verts[hull.simplices[f]] + off * hull.equations[f, :-1])
     return np.reshape(out, (-1, verts.shape[1]))
+
+
+def hull_facets(verts):
+    """Reference facets of the hull of verts within its affine hull, from
+    Qhull: rows (normals, offsets) with normals @ x <= offsets inside."""
+    origin = verts.mean(axis=0)
+    _, sv, vt = np.linalg.svd(verts - origin, full_matrices=False)
+    basis = vt[sv > 1e-10 * sv[0]].T
+    eqs = ConvexHull((verts - origin) @ basis).equations
+    normals = eqs[:, :-1] @ basis.T
+    return normals, normals @ origin - eqs[:, -1]
+
+
+def assert_projection_agrees(x, verts, tol):
+    """The projection's verdict, when it gives one, and hull_membership both
+    equal the LP-only reference; returns the projection's verdict."""
+    expected = lp_member(x, verts, tol)
+    verdict = comgeo._projection_verdict(x, verts, tol)
+    assert verdict in (None, expected)
+    assert hull_membership(x, VPolytope(verts), tol) == expected
+    return verdict
 
 
 def basic_solution_vertices(h):
@@ -261,7 +281,6 @@ class TestHullMembership:
         for x in probes:
             expected = hull_distance(x, verts)[0] <= tol
             assert hull_membership(x, VPolytope(verts), tol) == expected
-            assert facet_membership(x, VPolytope(verts), tol) == expected
         one = VPolytope(verts[:1])
         for off in (0.0, 0.5 * tol, 2 * tol):
             x = verts[0] + off * rng.choice([-1.0, 1.0], size=dim)
@@ -277,10 +296,10 @@ PRODUCT_PAIRS = {
 }
 
 
-class TestSimplexCertificate:
+class TestProjectionCertificate:
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, dim=st.integers(1, 32), drop=st.integers(0, 3))
-    def test_agrees_with_lp(self, seed, dim, drop):
+    def test_simplices_agree_with_lp(self, seed, dim, drop):
         # a random simplex of dim + 1 - drop vertices in dim coordinates:
         # interior points, points 1e-10 either side of a face or half of tol
         # or 1e-3 outside it, and points off the affine hull by 1e-10, 0.8 tol
@@ -289,7 +308,7 @@ class TestSimplexCertificate:
         rng = np.random.default_rng(seed)
         n = max(2, dim + 1 - drop)
         verts = rng.standard_normal((n, dim))
-        assert comgeo._simplex_verdict(verts.mean(axis=0), verts, tol) is True
+        assert comgeo._projection_verdict(verts.mean(axis=0), verts, tol) is True
         probes = list(rng.dirichlet(np.ones(n), size=2) @ verts)
         for _ in range(2):
             i = rng.integers(n)
@@ -310,13 +329,14 @@ class TestSimplexCertificate:
             centre = verts.mean(axis=0)
             probes += [centre + off * normal for off in (1e-10, 0.8 * tol, 1e-3)]
         for x in probes:
-            assert hull_membership(x, VPolytope(verts), tol) == lp_member(x, verts, tol)
+            assert_projection_agrees(x, verts, tol)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, dim=st.integers(3, 8), kind=st.sampled_from(["line", "repeat", "plane"]))
-    def test_flat_hulls_fall_through_to_the_lp(self, seed, dim, kind):
+    def test_flat_hulls_are_decided(self, seed, dim, kind):
         # affinely dependent vertex sets of at most dim + 1 rows: three
-        # points on a line, a repeated vertex, or a parallelogram
+        # points on a line, a repeated vertex, or a parallelogram; their
+        # convex combinations and points far off them need no LP
         tol = 1e-9
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((3, dim))
@@ -330,31 +350,11 @@ class TestSimplexCertificate:
             rng.standard_normal((2, dim)),
         ])
         for x in probes:
-            assert comgeo._simplex_verdict(x, verts, tol) is None
-            assert hull_membership(x, VPolytope(verts), tol) == lp_member(x, verts, tol)
-
-
-class TestFacetCertificate:
-    @pytest.mark.parametrize(
-        "pair, n_facets",
-        [("gbit-gbit", 24), ("classical2-gbit", 8), ("classical3-classical3", 9),
-         ("classical4-gbit", 16)],
-    )
-    def test_merged_facets_are_memoized_and_read_only(self, pair, n_facets):
-        # gbit x gbit: 16 positivity facets and the 8 CHSH facets
-        v = min_tensor(*PRODUCT_PAIRS[pair]).vertices
-        f = comgeo._facets_of(v.tobytes(), v.shape)
-        assert len(f.normals) == n_facets
-        assert comgeo._facets_of(v.copy().tobytes(), v.shape) is f
-        assert not any(arr.flags.writeable for arr in f)
-        # every vertex satisfies every facet, and each facet is tight somewhere
-        values = v @ f.normals.T - f.offsets
-        assert values.max() <= 1e-12
-        assert np.abs(values).min(axis=0).max() <= 1e-12
+            assert assert_projection_agrees(x, verts, tol) is not None
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, pair=st.sampled_from(sorted(PRODUCT_PAIRS)))
-    def test_agrees_with_lp(self, seed, pair):
+    def test_product_hulls_agree_with_lp(self, seed, pair):
         # rays from the product of the centroids leave the product hull
         # through a positivity facet or, toward a PR-type maximal vertex, a
         # CHSH facet; probes sit 1e-10 and 1e-3 either side of the exit, and
@@ -364,6 +364,7 @@ class TestFacetCertificate:
         a, b = PRODUCT_PAIRS[pair]
         omin = min_tensor(a, b)
         centre = omin.vertices.mean(axis=0)
+        normals, offsets = hull_facets(omin.vertices)
         omax = enumerate_max_vertices(max_tensor_constraints(a, b)).vertices
         targets = [omax[rng.integers(len(omax))], rng.standard_normal(len(centre))]
         if pair == "gbit-gbit":
@@ -376,33 +377,43 @@ class TestFacetCertificate:
             direction /= np.abs(direction).max()
             exit_at = exit_point(omin.vertices, centre, direction)
             # 0.8 tol out along the sign pattern of the facet it crosses
-            f = comgeo._facets_of(omin.vertices.tobytes(), omin.vertices.shape)
-            crossed = f.normals[np.argmax(f.normals @ exit_at - f.offsets)]
+            crossed = normals[np.argmax(normals @ exit_at - offsets)]
             for x in [exit_at + off * direction for off in (-1e-3, -1e-10, 1e-10, 0.5 * tol, 1e-3)] + [
                 exit_at + 0.8 * tol * np.sign(crossed)
             ]:
-                assert facet_membership(x, omin, tol) == lp_member(x, omin.vertices, tol)
+                assert_projection_agrees(x, omin.vertices, tol)
 
-    def test_sharp_vertex_falls_through_to_the_lp(self):
+    def test_sharp_vertex_is_decided(self):
         # 1e-8 beyond the tip of a thin kite each facet is broken by only
-        # about 1e-11 |h|_1, but the point is 1e-8 from the hull
+        # about 1e-11 |h|_1, but the projection is the tip itself, 1e-8 away
         kite = np.array([[0.0, 0.0], [-1.0, 1e-3], [-1.0, -1e-3], [-2.0, 0.0]])
-        f = comgeo._facets_of(kite.tobytes(), kite.shape)
         x = np.array([1e-8, 0.0])
-        assert comgeo._facet_verdict(x, f, 1e-9) is None
-        assert not facet_membership(x, VPolytope(kite), 1e-9)
-        assert facet_membership(x, VPolytope(kite), 1e-7)
+        assert comgeo._projection_verdict(x, kite, 1e-9) is False
+        assert not hull_membership(x, VPolytope(kite), 1e-9)
+        assert hull_membership(x, VPolytope(kite), 1e-7)
 
-    def test_noisy_pr_boxes_are_decided_by_facets(self):
+    def test_noisy_pr_boxes_are_decided(self):
         # v PR + (1 - v) uniform crosses the CHSH facet at v = 1/2
         gb = gbit_model()
-        omin = min_tensor(gb, gb)
-        v = omin.vertices
-        f = comgeo._facets_of(v.tobytes(), v.shape)
+        v = min_tensor(gb, gb).vertices
         uniform = v.mean(axis=0)
         for w, inside in ((0.3, True), (0.49, True), (0.51, False), (1.0, False)):
             x = w * pr_box().vector() + (1 - w) * uniform
-            assert comgeo._facet_verdict(x, f, 1e-9) is inside
+            assert comgeo._projection_verdict(x, v, 1e-9) is inside
+
+    def test_nnls_failure_leaves_the_question_to_the_lp(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        lp_calls = []
+        linprog = comgeo.linprog
+        monkeypatch.setattr(comgeo, "nnls", fail)
+        monkeypatch.setattr(comgeo, "linprog", lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
+        square = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert comgeo._projection_verdict(np.array([0.5, 0.5]), square.vertices, 1e-9) is None
+        assert hull_membership([0.5, 0.5], square, 1e-9)
+        assert not hull_membership([1.5, 0.5], square, 1e-9)
+        assert len(lp_calls) == 2
 
 
 class TestReduceAndEqual:
@@ -680,3 +691,30 @@ class TestBilinearTable:
         p = min_tensor(m, m)
         back_p = comgeo.polytope_from_json(comgeo.polytope_to_json(p))
         np.testing.assert_array_equal(back_p.vertices, p.vertices)
+
+
+class TestJsonBoundary:
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None, 0])
+    def test_polytope_ambient_dim_must_be_a_json_integer(self, value):
+        with pytest.raises(TypeError, match="ambient_dim"):
+            comgeo.polytope_from_json({"ambient_dim": value, "vertices": [[0, 0], [1, 1]]})
+
+    @pytest.mark.parametrize("value", [3.0, True, "3"])
+    def test_model_ambient_dim_must_be_a_json_integer(self, value):
+        obj = dict(comgeo.model_to_json(gbit_model()), ambient_dim=value)
+        with pytest.raises(TypeError, match="ambient_dim"):
+            comgeo.model_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["ambient_dim", "vertices", "effects", "unit"])
+    def test_model_widths_must_match_ambient_dim(self, field):
+        # gbit with its ambient_dim, or the rows of one field, one wider
+        obj = comgeo.model_to_json(gbit_model())
+        if field == "ambient_dim":
+            obj[field] = 4
+        elif field == "unit":
+            obj[field].append(0.0)
+        else:
+            for row in obj[field]:
+                row.append(0.0)
+        with pytest.raises(ValueError, match="ambient_dim"):
+            comgeo.model_from_json(obj)

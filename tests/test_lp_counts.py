@@ -1,8 +1,8 @@
 """LP solves per operation, counted through ``comgeo.linprog``.
 
 The counts are deterministic: every hull question that a vertex match, a
-strict maximizer, a simplex or a facet certificate settles solves no LP,
-so only the distances and hyperplanes whose numbers are reported do.
+strict maximizer or the projection onto the hull settles solves no LP, so
+only the distances and hyperplanes whose numbers are reported do.
 """
 
 import numpy as np
@@ -49,7 +49,7 @@ def test_tensor_solves_none(capsys, lp_calls, model_a, model_b):
 
 
 def test_prbox_report_solves_its_distance_and_hyperplane(capsys, lp_calls):
-    # the marginals are decided by the gbit square's facets; the two LPs
+    # the marginals are decided by the projection onto the gbit square; the two LPs
     # left give min_tensor_distance and the infeasibility certificate
     assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
     capsys.readouterr()
@@ -60,6 +60,19 @@ def test_prbox_report_solves_its_distance_and_hyperplane(capsys, lp_calls):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_is_css_on_random_polytopes_solves_none(lp_calls, k, seed):
     verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=10 * seed + j) for j in range(k))
+    c = StatePolytope(verts, TWO_QUBITS)
+    assert not invsep.is_css(c)
+    assert invsep.is_css(invsep.lambda_tau(c))
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_is_css_on_rank_2_polytopes_solves_none(lp_calls, k, seed):
+    # k qubit marginals per side are more than the four vertices of a
+    # simplex in a qubit's three real dimensions, and lambda_tau has k * k
+    # products in fifteen
+    verts = tuple(qstate.random_mixed(TWO_QUBITS, 2, seed=10 * seed + j) for j in range(k))
     c = StatePolytope(verts, TWO_QUBITS)
     assert not invsep.is_css(c)
     assert invsep.is_css(invsep.lambda_tau(c))

@@ -222,14 +222,25 @@ class TestJson:
         )
 
     def test_bad_payload_length(self):
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(TypeError, match="does not match"):
             matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
 
     @pytest.mark.parametrize("key", ["rows", "cols"])
-    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None, 0, -2])
     def test_shape_must_be_json_integers(self, key, value):
         obj = dict(matcore.matrix_to_json(np.eye(2)), **{key: value})
         with pytest.raises(TypeError, match=key):
+            matcore.matrix_from_json(obj)
+
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"re": ["a", 0, 0, 0.5]}, {"im": [0, None, 0, 0]}, {"re": [[1, 0], [0, 0]]},
+         {"re": True}, {"im": "0000"}],
+    )
+    def test_payload_must_be_flat_json_numbers(self, payload):
+        obj = dict(matcore.matrix_to_json(np.eye(2)), **payload)
+        with pytest.raises(TypeError, match="flat list of JSON numbers"):
             matcore.matrix_from_json(obj)
 
 
