@@ -17,7 +17,14 @@ exceeded.  The size caps are checked before anything is allocated:
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report computes
 pi(rho) - rho and the partial-transpose spectrum once per state and derives
-every measure and verdict from them.
+every measure and verdict from them.  ``sweep werner`` builds (and so
+validates) each grid state once, then computes those for blocks of
+``SWEEP_BLOCK`` states at once, one stacked pass of the ``matcore`` ops per
+block; each row is bit-identical to the per-state computation.
+
+``main`` parses with one parser per process, built on its first call
+(``build_parser`` is cached); argparse keeps no state between parses, so
+no option value carries over from one call to the next.
 
 The tolerance behind each verdict (the table is in ``matcore``):
 
@@ -35,13 +42,14 @@ The tolerance behind each verdict (the table is in ``matcore``):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import comgeo, invsep, qstate
+from . import comgeo, invsep, matcore, qstate
 from .matcore import CSS_TOL, DECISION_TOL, DimSplit
 
 EXIT_OK = 0
@@ -50,6 +58,7 @@ EXIT_NUMERIC = 3
 EXIT_CAP = 4
 
 SWEEP_STEPS_CAP = 100_000
+SWEEP_BLOCK = 1024  # grid points per stacked pass, so a cap-sized sweep stays small
 RANDOM_DIM_CAP = 64  # side of the density matrix, and the Ginibre rank
 TENSOR_DIM_CAP = 64  # dim_a * dim_b of a tensor model pair
 CSS_VERTEX_CAP = 64  # lambda_tau of k vertices has up to k * k
@@ -142,6 +151,8 @@ def _parse_random(text: str, parts: list[str]):
         if "=" not in chunk:
             raise ExprError(f"bad option {chunk!r} in {text!r}")
         key, val = chunk.split("=", 1)
+        if key in opts:
+            raise ExprError(f"option {key!r} given twice in {text!r}")
         try:
             opts[key] = int(val)
         except ValueError:
@@ -283,16 +294,34 @@ def cmd_sweep(args) -> int:
         )
     grid = np.linspace(args.start, args.stop, args.steps)
     lines = ["p,sm_frobenius,sm_trace,ppt_min_eig,verdict"]
-    for p in grid:
-        rho = qstate.werner_state(float(p))
-        sm = _measure_values(invsep.pi_delta(rho))
-        ppt_min = invsep.ppt_min_eigenvalue(rho)
-        lines.append(
-            f"{float(p)!r},{sm['sm_frobenius']!r},{sm['sm_trace']!r},"
-            f"{ppt_min!r},{invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split)}"
-        )
+    for lo in range(0, len(grid), SWEEP_BLOCK):
+        lines += _werner_rows(grid[lo:lo + SWEEP_BLOCK].tolist())
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _werner_rows(ps: list[float]) -> list[str]:
+    """The sweep's CSV rows for the Werner states at ps, in one stacked pass.
+
+    Each state is built, and so validated, by ``werner_state``.  Delta =
+    pi(rho) - rho, its measures and the partial-transpose spectra then come
+    from the matcore ops that ``pi_delta``, ``measure_of_delta`` and
+    ``ppt_min_eigenvalue`` apply to one state, applied once to the stack;
+    each row is bit-identical to what those functions give for its state.
+    """
+    rhos = [qstate.werner_state(p) for p in ps]
+    split = rhos[0].split
+    mats = np.array([rho.mat for rho in rhos])
+    marginal_a = matcore.partial_trace(mats, split, over="b")
+    marginal_b = matcore.partial_trace(mats, split, over="a")
+    sm = _measure_values(matcore.kron(marginal_a, marginal_b) - mats)
+    w, _ = matcore.hermitian_eig(matcore.partial_transpose(mats, split, on="b"))
+    return [
+        f"{p!r},{fro!r},{tr!r},{ppt!r},{invsep.ppt_verdict_from_eigenvalue(ppt, split)}"
+        for p, fro, tr, ppt in zip(
+            ps, sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(), w[:, 0].tolist()
+        )
+    ]
 
 
 def cmd_tensor(args) -> int:
@@ -367,7 +396,9 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on the first call and then reused."""
     ap = argparse.ArgumentParser(
         prog="entgeo", description="geometric entanglement toolkit"
     )
@@ -390,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for one state")
     p.add_argument("expr", help="state expression, e.g. bell:phi+ or werner:0.35")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn="cmd_analyze")
 
     p = sub.add_parser("sweep", help="parameter sweep over a state family (CSV)")
     p.add_argument("family", help="family name (werner)")
@@ -399,25 +430,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--steps", type=int, default=101, help=f"grid points, 2..{SWEEP_STEPS_CAP}"
     )
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn="cmd_sweep")
 
     p = sub.add_parser("tensor", help="compare minimal/maximal tensor products")
     p.add_argument("model_a", help="model expression, e.g. classical:2 or gbit")
     p.add_argument("model_b")
     p.add_argument("--which", choices=("min", "max", "both"), default="both")
     p.add_argument("--dim-cap", type=int, default=12)
-    p.set_defaults(fn=cmd_tensor)
+    p.set_defaults(fn="cmd_tensor")
 
     p = sub.add_parser("css-check", help="fixed-point check of a state polytope file")
     p.add_argument("polytope_file")
-    p.set_defaults(fn=cmd_css_check)
+    p.set_defaults(fn="cmd_css_check")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up by name when it runs, not bound when the parser was built, so
+    # a wrapper set on the module attribute afterwards is the one called
+    command = globals()[args.fn]
     try:
-        return args.fn(args)
+        return command(args)
     except ExprError as exc:
         print(f"entgeo: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

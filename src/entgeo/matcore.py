@@ -6,6 +6,13 @@ Per-call overhead is what costs here, and it is trimmed where it is
 measured: ``kron`` is one broadcast multiply, bit-identical to ``np.kron``
 without its ``expand_dims`` plumbing.
 
+``kron``, ``partial_trace``, ``partial_transpose``, ``is_hermitian``,
+``hermitize``, ``hermitian_eig`` and ``norm`` act on the last two axes, so
+one call serves one matrix or a stack of them (``kron`` broadcasts the
+stack axes of its factors).  On a stack, each slice of the result is
+bit-identical to the call on that slice alone; ``is_hermitian`` and
+``norm`` return an array over the stack axes instead of a Python scalar.
+
 Every tolerance of the package is an entry of the table below.
 """
 
@@ -46,19 +53,34 @@ class DimSplit:
 
 
 def _as_matrix(m) -> np.ndarray:
+    """m as a complex matrix, or a stack of matrices along its leading axes."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise ValueError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     return m
 
 
 def _check_split(m: np.ndarray, split: DimSplit) -> None:
     n = split.dim
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise ValueError(
-            f"matrix shape {m.shape} incompatible with split "
+            f"matrix shape {m.shape[-2:]} incompatible with split "
             f"{split.dim_a}x{split.dim_b} (expected {n}x{n})"
         )
+
+
+def _per_matrix(values, m: np.ndarray):
+    """values over the stack axes of m; a Python scalar when m is one matrix."""
+    return values.item() if m.ndim == 2 else values
+
+
+def _slices(m: np.ndarray) -> np.ndarray:
+    """The matrices of a stack, along one leading axis."""
+    return m.reshape(-1, *m.shape[-2:])
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
@@ -68,8 +90,9 @@ def kron(a, b) -> np.ndarray:
     elementwise products as ``np.kron``, so the result is bit-identical.
     """
     a, b = _as_matrix(a), _as_matrix(b)
-    (ra, ca), (rb, cb) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(*t.shape[:-4], ra * rb, ca * cb)
 
 
 def partial_trace(m, split: DimSplit, over: str) -> np.ndarray:
@@ -78,7 +101,7 @@ def partial_trace(m, split: DimSplit, over: str) -> np.ndarray:
     Parameters
     ----------
     m : array_like
-        Square matrix of side ``split.dim``.
+        Square matrix of side ``split.dim``, or a stack of them.
     split : DimSplit
         Bipartite dimensions of the composite index.
     over : {"a", "b"}
@@ -86,43 +109,44 @@ def partial_trace(m, split: DimSplit, over: str) -> np.ndarray:
     """
     m = _as_matrix(m)
     _check_split(m, split)
-    t = m.reshape(split.dim_a, split.dim_b, split.dim_a, split.dim_b)
+    t = m.reshape(*m.shape[:-2], split.dim_a, split.dim_b, split.dim_a, split.dim_b)
     if over == "b":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("...ikjk->...ij", t)
     if over == "a":
-        return np.einsum("ikil->kl", t)
+        return np.einsum("...ikil->...kl", t)
     raise ValueError(f"over must be 'a' or 'b', got {over!r}")
 
 
 def partial_transpose(m, split: DimSplit, on: str = "b") -> np.ndarray:
-    """Transpose the composite matrix on one tensor factor only."""
+    """Transpose the composite matrix (or each of a stack) on one tensor factor only."""
     m = _as_matrix(m)
     _check_split(m, split)
-    t = m.reshape(split.dim_a, split.dim_b, split.dim_a, split.dim_b)
+    t = m.reshape(*m.shape[:-2], split.dim_a, split.dim_b, split.dim_a, split.dim_b)
     if on == "b":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(-3, -1)
     elif on == "a":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(-4, -2)
     else:
         raise ValueError(f"on must be 'a' or 'b', got {on!r}")
-    return t.reshape(split.dim, split.dim).copy()
+    return t.reshape(m.shape).copy()
 
 
-def is_hermitian(m) -> bool:
+def is_hermitian(m):
+    """Whether m is within ``VALID_TOL`` of its adjoint (entrywise)."""
     m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return float(np.max(np.abs(m - m.conj().T))) <= VALID_TOL
+    if m.shape[-2] != m.shape[-1]:
+        return _per_matrix(np.zeros(m.shape[:-2], dtype=bool), m)
+    return _per_matrix(np.max(np.abs(m - _adjoint(m)), axis=(-2, -1)) <= VALID_TOL, m)
 
 
 def hermitize(m) -> np.ndarray:
     """Return the Hermitian part (M + M^dagger)/2."""
     m = _as_matrix(m)
-    return (m + m.conj().T) / 2
+    return (m + _adjoint(m)) / 2
 
 
 def hermitian_eig(m):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
     The input is symmetrized before solving to absorb rounding noise from
     upstream products; inputs farther than ``VALID_TOL`` from Hermitian are
@@ -130,21 +154,21 @@ def hermitian_eig(m):
 
     Returns
     -------
-    (w, v) : eigenvalues ascending (real 1-d array), eigenvectors as
-        columns of ``v`` (orthonormal).
+    (w, v) : eigenvalues ascending (real, along the last axis), eigenvectors
+        as columns of ``v`` (orthonormal).
     """
     m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"eigendecomposition needs a square matrix, got {m.shape}")
-    if not is_hermitian(m):
-        dev = float(np.max(np.abs(m - m.conj().T)))
+    if not np.all(is_hermitian(m)):
+        dev = float(np.max(np.abs(m - _adjoint(m))))
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {VALID_TOL})")
     w, v = np.linalg.eigh(hermitize(m))
     return w, v
 
 
-def norm(m, kind: str = "frobenius") -> float:
-    """Matrix norm.
+def norm(m, kind: str = "frobenius"):
+    """Matrix norm, of one matrix or of each of a stack.
 
     kind:
         "frobenius" -- sqrt of the sum of squared entry moduli
@@ -153,15 +177,20 @@ def norm(m, kind: str = "frobenius") -> float:
     """
     m = _as_matrix(m)
     if kind == "frobenius":
-        return float(np.linalg.norm(m))
+        if m.ndim == 2:
+            return float(np.linalg.norm(m))
+        # np.linalg.norm of each slice: its axis=(-2, -1) form rounds differently
+        return np.array([np.linalg.norm(s) for s in _slices(m)]).reshape(m.shape[:-2])
     if kind == "max_abs":
-        return float(np.max(np.abs(m)))
+        return _per_matrix(np.max(np.abs(m), axis=(-2, -1)), m)
     if kind == "trace":
-        if m.shape[0] != m.shape[1]:
+        if m.shape[-2] != m.shape[-1]:
             raise ValueError(f"trace norm needs a square matrix, got {m.shape}")
-        if is_hermitian(m):
+        if np.all(is_hermitian(m)):
             w, _ = hermitian_eig(m)
-            return float(np.sum(np.abs(w)))
+            return _per_matrix(np.sum(np.abs(w), axis=-1), m)
+        if m.ndim > 2:
+            return np.array([norm(s, kind) for s in _slices(m)]).reshape(m.shape[:-2])
         # |m| via eigenvalues of m^dagger m, square-rooted
         w = np.linalg.eigvalsh(m.conj().T @ m)
         return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
@@ -171,6 +200,8 @@ def norm(m, kind: str = "frobenius") -> float:
 def matrix_to_json(m) -> dict:
     """Serialize to the shared JSON matrix format (row-major re/im lists)."""
     m = _as_matrix(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected one matrix, got shape {m.shape}")
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),

@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +38,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(argv):
+    """(exit code, stdout) of ``cli.main(argv)``, an argparse rejection included;
+    unlike ``run`` it needs no fixture, so hypothesis tests can call it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 def counting(monkeypatch, module, name):
@@ -230,6 +246,28 @@ class TestAnalyze:
         assert verdicts["product"] is invsep.is_product(rho, tol)
         assert verdicts["ppt"] == invsep.ppt_verdict(rho)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from(((2, 2), (2, 3), (3, 3))),
+        rank=st.integers(1, 9),
+        seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+    )
+    def test_measures_invariant_under_local_unitaries(self, dims, rank, seeds):
+        split = DimSplit(*dims)
+        rho = qstate.random_mixed(split, min(rank, split.dim), seeds[0])
+        u = kron(
+            qstate.random_unitary(split.dim_a, seeds[1]),
+            qstate.random_unitary(split.dim_b, seeds[2]),
+        )
+        rotated = qstate.DensityMatrix(u @ rho.mat @ u.conj().T, split)
+        before, after = (
+            cli._quantum_report(r, "x", matcore.DECISION_TOL, "identity", "frobenius")
+            for r in (rho, rotated)
+        )
+        for key in ("sm_frobenius", "sm_trace"):
+            assert abs(before["measures"][key] - after["measures"][key]) <= 1e-9
+        assert abs(before["ppt_min_eig"] - after["ppt_min_eig"]) <= 1e-9
+
     def test_random_dimension_cap(self, capsys, monkeypatch):
         forbid(monkeypatch, qstate, "random_pure")
         forbid(monkeypatch, qstate, "random_mixed")
@@ -327,6 +365,39 @@ class TestSweep:
         vals = [float(l.split(",")[1]) for l in out.strip().split("\n")[1:]]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        steps=st.integers(2, 300),
+        block=st.sampled_from((1, 7, 64, cli.SWEEP_BLOCK)),
+    )
+    def test_rows_equal_the_per_state_functions(self, ends, steps, block):
+        start, stop = ends
+        argv = ["sweep", "werner", f"--start={start!r}", f"--stop={stop!r}", f"--steps={steps}"]
+        with mock.patch.object(cli, "SWEEP_BLOCK", block):
+            code, out = run_quiet(argv)
+        assert code == EXIT_OK
+        rows = out.splitlines()[1:]
+        assert len(rows) == steps
+        trace = invsep.MeasureConfig("identity", "trace")
+        for p, row in zip(np.linspace(start, stop, steps).tolist(), rows):
+            rho = qstate.werner_state(p)
+            delta = invsep.pi_delta(rho)
+            ppt = invsep.ppt_min_eigenvalue(rho)
+            fields = [p, invsep.measure_of_delta(delta), invsep.measure_of_delta(delta, trace), ppt]
+            verdict = invsep.ppt_verdict_from_eigenvalue(ppt, rho.split)
+            assert row.split(",") == [repr(x) for x in fields] + [verdict]
+
+    def test_frobenius_norm_of_each_slice_on_the_golden_grid(self):
+        # np.linalg.norm(deltas, axis=(-2, -1)) sums in another order, and
+        # differs from the per-matrix norm in the last bit on some rows here
+        deltas = np.array(
+            [invsep.pi_delta(qstate.werner_state(p)) for p in np.linspace(0, 1, 101).tolist()]
+        )
+        golden = [line.split(",")[1] for line in GOLDEN.read_text().splitlines()[1:]]
+        assert [repr(float(np.linalg.norm(d))) for d in deltas] == golden
+        assert [repr(x) for x in matcore.norm(deltas, "frobenius").tolist()] == golden
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "werner", "--start", "0.9", "--stop", "0.1")
         assert code == EXIT_PARSE
@@ -339,12 +410,21 @@ class TestSweep:
         assert out == ""
         assert str(cli.SWEEP_STEPS_CAP) in err
 
-    def test_one_pi_map_and_one_ppt_spectrum_per_point(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("block, passes", [(cli.SWEEP_BLOCK, 1), (3, 3), (7, 1)])
+    def test_one_stacked_pass_per_block(self, capsys, monkeypatch, block, passes):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
+        states = counting(monkeypatch, qstate, "werner_state")
         pi_calls = counting(monkeypatch, qstate, "pi_map")
         pt_calls = counting(monkeypatch, matcore, "partial_transpose")
+        eig_calls = counting(monkeypatch, matcore, "hermitian_eig")
         code, _, _ = run(capsys, "sweep", "werner", "--steps", "7")
         assert code == EXIT_OK
-        assert len(pi_calls) == len(pt_calls) == 7
+        # each point is built and validated once; delta and the PPT spectra per block
+        assert len(states) == 7
+        assert not pi_calls
+        assert len(pt_calls) == passes
+        # one eigh for the trace norms of the deltas, one for the PPT spectra
+        assert len(eig_calls) == passes * 2
 
 
 class TestTensor:
@@ -513,6 +593,8 @@ PARSE_ERRORS = [
     (["analyze", "random:2x2:seed"], "bad option"),
     (["analyze", "random:2x2:seed=x"], "bad integer"),
     (["analyze", "random:2x2:foo=1"], "unknown options"),
+    (["analyze", "random:2x2:seed=1:seed=2"], "option 'seed' given twice"),
+    (["analyze", "random:2x2:rank=2:seed=1:rank=3"], "option 'rank' given twice"),
     (["tensor", "classical:2:3", "gbit"], "bad model expression"),
     (["tensor", "classical:x", "gbit"], "bad integer"),
     (["tensor", "classical:1", "gbit"], "needs n >= 2"),
@@ -532,3 +614,48 @@ class TestParseErrors:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("entgeo: parse error: ") and what in err
+
+
+# each command once with options, an argparse rejection, then each command
+# again with its defaults: an option value left over from an earlier call
+# would change a later output
+REUSE_SEQUENCE = [
+    ["--tol", "0", "analyze", "werner:0.3"],
+    ["--f-kind", "square", "--norm", "trace", "analyze", "random:3x3:rank=4:seed=5"],
+    ["tensor", "--which", "min", "gbit", "gbit"],
+    ["sweep", "werner", "--steps", "5"],
+    ["--tol", "-1", "analyze", "werner:0.3"],
+    ["analyze", "werner:0.3"],
+    ["analyze", "random:3x3:rank=4:seed=5"],
+    ["tensor", "gbit", "gbit"],
+    ["sweep", "werner"],
+]
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        # the top-level parser is the only one that adds subparsers
+        built = counting(monkeypatch, argparse.ArgumentParser, "add_subparsers")
+        for argv in (["analyze", "werner:0.3"], ["sweep", "werner", "--steps", "3"], ["analyze", "prbox"]):
+            assert run(capsys, *argv)[0] == EXIT_OK
+        assert len(built) == 1
+
+    def test_no_option_leaks_between_calls(self):
+        in_sequence = [run_quiet(argv) for argv in REUSE_SEQUENCE]
+        alone = []
+        for argv in REUSE_SEQUENCE:
+            cli.build_parser.cache_clear()
+            alone.append(run_quiet(argv))
+        assert in_sequence == alone
+        assert [code for code, _ in in_sequence] == [0, 0, 0, 0, EXIT_PARSE, 0, 0, 0, 0]
+        assert in_sequence[-1][1] == GOLDEN.read_text()
+        # after every call above, the reused parser still yields the defaults
+        reused = cli.build_parser().parse_args(["analyze", "x"])
+        assert vars(reused) == vars(cli.build_parser.__wrapped__().parse_args(["analyze", "x"]))
+
+    def test_help_exits_0_on_the_reused_parser(self):
+        first = run_quiet(["sweep", "--help"])
+        assert first[0] == EXIT_OK and "--steps" in first[1]
+        assert run_quiet(["sweep", "--help"]) == first
+        assert run_quiet(["--help"])[0] == EXIT_OK

@@ -214,6 +214,75 @@ class TestNorm:
         assert matcore.norm(m, "trace") == pytest.approx(sv.sum(), rel=1e-12)
 
 
+SPLITS = st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda dims: DimSplit(*dims))
+ENTRIES = st.complex_numbers(max_magnitude=1e6)
+
+
+@st.composite
+def split_stacks(draw):
+    """A split up to 3x3 and a stack of 1 to 5 of its composite matrices."""
+    split = draw(SPLITS)
+    shape = (draw(st.integers(1, 5)), split.dim, split.dim)
+    return split, draw(arrays(complex, shape, elements=ENTRIES))
+
+
+class TestStacks:
+    """Each op on a stack equals, slice by slice and bit for bit, the op on one matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), SPLITS, SPLITS, st.data())
+    def test_kron(self, k, shape_a, shape_b, data):
+        a = data.draw(arrays(complex, (k, shape_a.dim_a, shape_a.dim_b), elements=ENTRIES))
+        b = data.draw(arrays(complex, (k, shape_b.dim_a, shape_b.dim_b), elements=ENTRIES))
+        got = matcore.kron(a, b)
+        assert all(np.array_equal(got[i], matcore.kron(a[i], b[i])) for i in range(k))
+        # the stack axes broadcast: one factor against a stack
+        got = matcore.kron(a[0], b)
+        assert all(np.array_equal(got[i], matcore.kron(a[0], b[i])) for i in range(k))
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_stacks())
+    def test_partial_trace_and_transpose(self, case):
+        split, m = case
+        for side in ("a", "b"):
+            traced = matcore.partial_trace(m, split, side)
+            transposed = matcore.partial_transpose(m, split, side)
+            for i, one in enumerate(m):
+                assert np.array_equal(traced[i], matcore.partial_trace(one, split, side))
+                assert np.array_equal(transposed[i], matcore.partial_transpose(one, split, side))
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_stacks())
+    def test_hermitian_eig(self, case):
+        _, m = case
+        h = m + m.conj().swapaxes(-1, -2)
+        assert matcore.is_hermitian(h).tolist() == [True] * len(h)
+        w, v = matcore.hermitian_eig(h)
+        for i, one in enumerate(h):
+            w1, v1 = matcore.hermitian_eig(one)
+            assert np.array_equal(w[i], w1) and np.array_equal(v[i], v1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_stacks(), st.booleans())
+    def test_norm(self, case, hermitian):
+        _, m = case
+        if hermitian:
+            m = m + m.conj().swapaxes(-1, -2)
+        for kind in ("frobenius", "trace", "max_abs"):
+            got = matcore.norm(m, kind)
+            assert got.tolist() == [matcore.norm(one, kind) for one in m]
+
+    def test_one_matrix_gives_python_scalars(self):
+        m = np.diag([1.0, -2.0])
+        assert matcore.is_hermitian(m) is True
+        assert matcore.is_hermitian(np.ones((2, 3))) is False
+        assert all(type(matcore.norm(m, kind)) is float for kind in ("frobenius", "trace", "max_abs"))
+
+    def test_a_stack_does_not_serialize(self):
+        with pytest.raises(ValueError, match="one matrix"):
+            matcore.matrix_to_json(np.zeros((2, 2, 2)))
+
+
 class TestJson:
     def test_round_trip(self, rng):
         m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
