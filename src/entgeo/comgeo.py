@@ -7,12 +7,14 @@ coordinate matrix.  Every separability question in this package is a hull
 question, and each is settled by the first of these that decides it: a
 vertex match, a strict-maximizer certificate (redundancy only), the
 Euclidean projection onto the hull (one NNLS solve, whose inner and outer
-bounds are each checked on their own), and only then an LP.  Distances and
-separating hyperplanes whose numbers are reported stay LPs.
+bounds are each checked on their own), and only then an LP.  A reported
+distance is an LP unless a vertex match or the projection rebuilds the point
+within ``LP_TOL``, where it is 0; separating hyperplanes stay LPs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,17 +157,36 @@ def pr_box() -> BilinearState:
 
 
 def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
-    """Chebyshev (infinity-norm) distance from x to the convex hull.
+    """Chebyshev (infinity-norm) distance s from x to the convex hull of the
+    rows ``vertices``, with weights lam (lam >= 0, sum lam = 1) whose
+    combination lam @ vertices is within s of x.
 
-    Solves  min s  s.t.  |V^T lam - x| <= s,  sum lam = 1,  lam >= 0
-    and returns (s, lam).  s <= tol means membership; lam is the
-    reconstruction certificate.
+    Settled by the first of: a vertex within ``LP_TOL``, a single vertex
+    (s is its exact distance), the projection (``_project``) when its lam
+    rebuilds x within ``LP_TOL``, and the LP of ``_lp_distance``.  A vertex
+    match or a rebuilt point gives s = 0: the LP runs at feasibility
+    tolerance ``LP_TOL``, so it cannot tell such a point from the hull.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
+    if x.size != v.shape[1]:
+        raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
+    gaps = np.abs(v - x).max(axis=1)
+    i = int(gaps.argmin())
+    if gaps[i] <= LP_TOL or len(v) == 1:
+        lam = np.zeros(len(v))
+        lam[i] = 1.0
+        return (0.0 if gaps[i] <= LP_TOL else float(gaps[i])), lam
+    lam = _project(x, v)
+    if lam is not None and np.abs(x - lam @ v).max() <= LP_TOL:
+        return 0.0, lam
+    return _lp_distance(x, v)
+
+
+def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Solves  min s  s.t.  |V^T lam - x| <= s,  sum lam = 1,  lam >= 0
+    and returns (s, lam)."""
     n, d = v.shape
-    if x.size != d:
-        raise ValueError(f"point dim {x.size} != polytope ambient dim {d}")
     c = np.zeros(n + 1)
     c[-1] = 1.0
     a_ub = np.block(
@@ -207,23 +228,20 @@ def _member(x: np.ndarray, v: np.ndarray, tol: float) -> bool:
         return nearest <= tol
     verdict = _projection_verdict(x, v, tol)
     if verdict is None:
-        verdict = hull_distance(x, v)[0] <= tol
+        verdict = _lp_distance(x, v)[0] <= tol
     return verdict
 
 
-def _projection_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
-    """Membership of x in the hull of the rows v from the Euclidean
-    projection y = lam @ v of x onto that hull; None if the answer is open.
+def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Weights lam of the Euclidean projection y = lam @ v of x onto the hull
+    of the rows v; None if NNLS stops at its iteration limit.
 
     mu = nnls([(v - x)^T; 1^T], e_last) gives lam = mu / sum(mu) (Lawson &
     Hanson 1974, as in Wolfe's minimum-norm point, Math. Programming 11, 128
     (1976)): with s = sum(mu) the objective is s^2 |y - x|^2 + (s - 1)^2,
     whose minimum over s, |y - x|^2 / (1 + |y - x|^2), grows with |y - x|,
-    so the minimizing lam gives the nearest y.
-    In: h = x - y has |h|_inf <= tol.  Out: h.x - max_i h.v_i > tol |h|_1,
-    since |h.(x - z)| <= |h|_1 |x - z|_inf for every z in the hull.  Both
-    bounds are recomputed from lam, so an inexact NNLS answer can leave the
-    question to the LP but cannot make a verdict wrong.
+    so the minimizing lam gives the nearest y.  lam is a certificate only
+    after its residual x - lam @ v is recomputed.
     """
     a = np.vstack([(v - x).T, np.ones(len(v))])
     b = np.zeros(len(x) + 1)
@@ -232,7 +250,23 @@ def _projection_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None
         mu = nnls(a, b)[0]
     except RuntimeError:  # the iteration limit
         return None
-    h = x - (mu / mu.sum()) @ v
+    return mu / mu.sum()
+
+
+def _projection_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
+    """Membership of x in the hull of the rows v from the Euclidean
+    projection y = lam @ v of x onto that hull (``_project``); None if the
+    answer is open.
+
+    In: h = x - y has |h|_inf <= tol.  Out: h.x - max_i h.v_i > tol |h|_1,
+    since |h.(x - z)| <= |h|_1 |x - z|_inf for every z in the hull.  Both
+    bounds are recomputed from lam, so an inexact NNLS answer can leave the
+    question to the LP but cannot make a verdict wrong.
+    """
+    lam = _project(x, v)
+    if lam is None:
+        return None
+    h = x - lam @ v
     if np.abs(h).max() <= tol:
         return True
     if h @ x - np.max(v @ h) > tol * np.abs(h).sum():
@@ -268,16 +302,48 @@ def _coords(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(len(rows), -1)).view(float)
 
 
+# entries in one float temporary of dedup_rows (8 MB)
+_DEDUP_ENTRIES = 2**20
+
+
 def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop rows (real or complex, any shape) that coincide with an earlier row."""
+    """Drop each row (real or complex, any shape) within tol, in the infinity
+    norm, of an earlier kept row.
+
+    Rows go in blocks whose pairwise comparison fits ``_DEDUP_ENTRIES``.  A
+    row within tol of a row kept from an earlier block is dropped.  Among
+    the block's other rows, keep_i = "no earlier kept row of the block is
+    within tol" is iterated to its fixed point, which is unique because
+    keep_i depends only on the rows before i; it is reached in as many steps
+    as the longest chain of near rows.
+    """
     points = np.atleast_2d(np.asarray(points))
     points = points.astype(complex if np.iscomplexobj(points) else float)
     coords = _coords(points)
-    kept: list[int] = []
-    for i, row in enumerate(coords):
-        if not (np.abs(coords[kept] - row).max(axis=1) <= tol).any():
-            kept.append(i)
-    return points[kept]
+    size = max(1, math.isqrt(_DEDUP_ENTRIES // max(1, coords.shape[1])))
+    keep = np.zeros(len(coords), dtype=bool)
+    for start in range(0, len(coords), size):
+        block = coords[start:start + size]
+        kept = coords[:start][keep[:start]]
+        fresh = np.ones(len(block), dtype=bool)
+        for k in range(0, len(kept), size):
+            fresh &= ~_near(block, kept[k:k + size], tol).any(axis=1)
+        rows = block[fresh]
+        order = np.arange(len(rows))
+        earlier = _near(rows, rows, tol) & (order[:, None] > order)
+        ok = np.ones(len(rows), dtype=bool)
+        while True:
+            new = ~(earlier & ok).any(axis=1)
+            if (new == ok).all():
+                break
+            ok = new
+        keep[start + np.flatnonzero(fresh)[ok]] = True
+    return points[keep]
+
+
+def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """near[i, j]: rows a_i and b_j are within tol in the infinity norm."""
+    return (np.abs(a[:, None] - b[None]) <= tol).all(axis=2)
 
 
 def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:

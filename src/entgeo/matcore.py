@@ -187,7 +187,7 @@ def norm(m, kind: str = "frobenius"):
         if m.shape[-2] != m.shape[-1]:
             raise ValueError(f"trace norm needs a square matrix, got {m.shape}")
         if np.all(is_hermitian(m)):
-            w, _ = hermitian_eig(m)
+            w = np.linalg.eigh(hermitize(m))[0]
             return _per_matrix(np.sum(np.abs(w), axis=-1), m)
         if m.ndim > 2:
             return np.array([norm(s, kind) for s in _slices(m)]).reshape(m.shape[:-2])

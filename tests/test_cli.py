@@ -416,7 +416,7 @@ class TestSweep:
         states = counting(monkeypatch, qstate, "werner_state")
         pi_calls = counting(monkeypatch, qstate, "pi_map")
         pt_calls = counting(monkeypatch, matcore, "partial_transpose")
-        eig_calls = counting(monkeypatch, matcore, "hermitian_eig")
+        eig_calls = counting(monkeypatch, np.linalg, "eigh")
         code, _, _ = run(capsys, "sweep", "werner", "--steps", "7")
         assert code == EXIT_OK
         # each point is built and validated once; delta and the PPT spectra per block

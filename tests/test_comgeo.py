@@ -29,6 +29,25 @@ from entgeo.comgeo import (
     reduce_rows,
 )
 from entgeo.invsep import flatten_matrix
+from entgeo.matcore import DEDUP_TOL, LP_TOL
+
+
+def lp_distance(x, verts):
+    """Pure LP oracle, independent of comgeo's certificates: the Chebyshev
+    distance min s s.t. |V^T lam - x| <= s, sum lam = 1, lam >= 0, at the
+    package's LP tolerances; returns (s, lam)."""
+    v = np.atleast_2d(np.asarray(verts, dtype=float))
+    x = np.asarray(x, dtype=float).ravel()
+    n, d = v.shape
+    c = np.r_[np.zeros(n), 1.0]
+    a_ub = np.block([[v.T, -np.ones((d, 1))], [-v.T, -np.ones((d, 1))]])
+    res = linprog(
+        c, A_ub=a_ub, b_ub=np.r_[x, -x], A_eq=np.r_[np.ones(n), 0.0][None, :], b_eq=[1.0],
+        bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL},
+    )
+    assert res.status == 0
+    return float(res.fun), res.x[:n]
 
 
 def is_irredundant(vertices, tol=1e-9):
@@ -36,7 +55,7 @@ def is_irredundant(vertices, tol=1e-9):
     v = np.atleast_2d(vertices)
     for i in range(len(v)):
         others = np.delete(v, i, axis=0)
-        if hull_distance(v[i], others)[0] <= tol:
+        if lp_distance(v[i], others)[0] <= tol:
             return False
     return True
 
@@ -49,14 +68,14 @@ def lp_reduce(rows, tol=1e-9):
     keep = list(range(len(rows)))
     for k in range(len(rows)):
         others = [j for j in keep if j != k]
-        if others and hull_distance(pts[k], pts[others])[0] <= tol:
+        if others and lp_distance(pts[k], pts[others])[0] <= tol:
             keep.remove(k)
     return rows[keep]
 
 
 def lp_member(x, verts, tol=1e-9):
     """LP-only membership reference."""
-    return hull_distance(x, verts)[0] <= tol
+    return lp_distance(x, verts)[0] <= tol
 
 
 def exit_point(verts, start, direction):
@@ -279,13 +298,47 @@ class TestHullMembership:
             near_facet(rng, verts, [-1e-10, 1e-10, outside, 1e-3]),
         ])
         for x in probes:
-            expected = hull_distance(x, verts)[0] <= tol
+            expected = lp_member(x, verts, tol)
             assert hull_membership(x, VPolytope(verts), tol) == expected
         one = VPolytope(verts[:1])
         for off in (0.0, 0.5 * tol, 2 * tol):
             x = verts[0] + off * rng.choice([-1.0, 1.0], size=dim)
-            expected = hull_distance(x, one.vertices)[0] <= tol
+            expected = lp_member(x, one.vertices, tol)
             assert hull_membership(x, one, tol) == expected == (off <= tol)
+
+
+class TestHullDistance:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(2, 6), extra=st.integers(0, 4))
+    def test_agrees_with_the_lp(self, seed, dim, extra):
+        # vertices, convex combinations and points 1e-3 outside a facet, and
+        # a one-vertex hull at and off its vertex: the distance is the LP's
+        # within LP_TOL, and lam is a probability vector rebuilding x within
+        # the distance
+        rng = np.random.default_rng(seed)
+        verts = rng.standard_normal((dim + 1 + extra, dim))
+        cases = [(x, verts) for x in np.vstack([
+            verts,
+            rng.dirichlet(np.ones(len(verts)), size=3) @ verts,
+            near_facet(rng, verts, [1e-3, 1e-3]),
+        ])]
+        cases += [(verts[0] + off * rng.standard_normal(dim), verts[:1]) for off in (0.0, 1e-3)]
+        for x, v in cases:
+            dist, lam = hull_distance(x, v)
+            assert dist == pytest.approx(lp_distance(x, v)[0], abs=LP_TOL)
+            assert lam.min() >= 0.0
+            assert lam.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs(lam @ v - x).max() <= dist + LP_TOL
+
+    def test_in_hull_points_solve_no_lp(self, rng, monkeypatch):
+        # a projection that rebuilds the point and a vertex within LP_TOL
+        # answer 0, and a one-vertex hull its exact distance
+        monkeypatch.setattr(comgeo, "linprog", None)
+        verts = rng.standard_normal((7, 4))
+        x = rng.dirichlet(np.ones(7)) @ verts
+        assert hull_distance(x, verts)[0] == 0.0
+        assert hull_distance(verts[2] + 0.5 * LP_TOL, verts)[0] == 0.0
+        assert hull_distance(verts[2] + 0.5, verts[2:3])[0] == pytest.approx(0.5, abs=1e-15)
 
 
 PRODUCT_PAIRS = {
@@ -493,6 +546,34 @@ class TestReduceAndEqual:
         if as_complex:
             rows = rows.view(complex)
         np.testing.assert_array_equal(reduce_rows(rows), lp_reduce(rows))
+
+    def test_dedup_keeps_a_row_whose_only_near_row_was_dropped(self):
+        # the rule is "no earlier kept row within tol": row 1 is dropped for
+        # row 0, and row 2, 0.6 tol from row 1 but 1.2 tol from row 0, stays
+        rows = np.array([[0.0], [0.6], [1.2]]) * DEDUP_TOL
+        np.testing.assert_array_equal(comgeo.dedup_rows(rows), rows[[0, 2]])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(1, 40),
+        dim=st.integers(1, 4),
+        entries=st.sampled_from([1, 8, 60, 2**20]),
+    )
+    def test_dedup_matches_the_sequential_rule(self, seed, n, dim, entries):
+        # clusters of rows jittered by up to 1.5 tol, so chains of near rows
+        # form; small comparison budgets split the rows into many blocks
+        rng = np.random.default_rng(seed)
+        centres = rng.standard_normal((int(rng.integers(1, 6)), dim))
+        jitter = rng.uniform(-1.5, 1.5, size=(n, dim)) * rng.integers(0, 2, size=(n, 1))
+        rows = centres[rng.integers(len(centres), size=n)] + DEDUP_TOL * jitter
+        kept = []
+        for row in rows:
+            if all(np.abs(row - k).max() > DEDUP_TOL for k in kept):
+                kept.append(row)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(comgeo, "_DEDUP_ENTRIES", entries)
+            np.testing.assert_array_equal(comgeo.dedup_rows(rows), np.reshape(kept, (-1, dim)))
 
     def test_equal_with_interior_points(self, rng):
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])

@@ -2,8 +2,11 @@
 
 The counts are deterministic: every hull question that a vertex match, a
 strict maximizer or the projection onto the hull settles solves no LP, so
-only the distances and hyperplanes whose numbers are reported do.
+only the distances of points outside the hull and the hyperplanes whose
+numbers are reported do.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -92,6 +95,36 @@ def test_css_from_decomposition_solves_none(lp_calls):
         witness = invsep.css_from_decomposition(Decomposition(terms, TWO_QUBITS))
         assert len(witness.vertices) == k * k
         assert invsep.is_css(witness)
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_decomposed_state_against_its_witness_solves_none(lp_calls, k):
+    # the decomposed state is in the witness hull by construction, so the
+    # projection rebuilds it and its distance is 0
+    rng = np.random.default_rng(k)
+    terms = tuple(
+        (w, qstate.random_mixed(QUBIT, 2, seed=10 * k + 2 * j).mat,
+         qstate.random_mixed(QUBIT, 2, seed=10 * k + 2 * j + 1).mat)
+        for j, w in enumerate(rng.dirichlet(np.ones(k)))
+    )
+    d = Decomposition(terms, TWO_QUBITS)
+    x, verts = invsep.flatten_matrix(d.state().mat), invsep.css_from_decomposition(d).flat()
+    dist, lam = comgeo.hull_distance(x, verts)
+    assert dist == 0.0
+    assert np.abs(lam @ verts - x).max() <= 1e-10
+    assert len(lp_calls) == 0
+
+
+def test_css_check_on_a_fixed_point_solves_none(capsys, lp_calls, tmp_path):
+    verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=40 + j) for j in range(3))
+    fixed = invsep.lambda_tau(StatePolytope(verts, TWO_QUBITS))
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(invsep.state_polytope_to_json(fixed)))
+    assert cli.main(["--tol", "0", "css-check", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"css": True, "distance_summary": 0.0}
+    assert '"distance_summary": 0.0' in out
     assert len(lp_calls) == 0
 
 

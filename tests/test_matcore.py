@@ -208,6 +208,18 @@ class TestNorm:
         with pytest.raises(ValueError, match="square"):
             matcore.norm(np.ones((2, 3)), "trace")
 
+    def test_trace_norm_checks_hermiticity_once(self, rng, monkeypatch):
+        # one check, then eigh of the Hermitian part: the eigenvalues that
+        # hermitian_eig returns, bit for bit
+        h = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+        want = [np.abs(matcore.hermitian_eig(s)[0]).sum() for s in h]
+        calls = []
+        check = matcore.is_hermitian
+        monkeypatch.setattr(matcore, "is_hermitian", lambda m: calls.append(1) or check(m))
+        assert matcore.norm(h[0], "trace") == want[0]
+        np.testing.assert_array_equal(matcore.norm(h, "trace"), want)
+        assert len(calls) == 2
+
     def test_trace_norm_non_hermitian_branch(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         sv = np.linalg.svd(m, compute_uv=False)
