@@ -37,6 +37,10 @@ The tolerance behind each verdict (the table is in ``matcore``):
 - ``max_tensor_member``, ``gpt_membership``, the ``tensor`` membership
   checks and ``css-check``: ``--tol``.  A verdict an LP decides at a
   ``--tol`` below 10 * ``LP_TOL`` is at the solver's resolution.
+
+``css-check`` reports the largest hull distance between a polytope and its
+image under ``lambda_tau``, both ways; ``comgeo.max_hull_distance`` solves
+an LP only at the points that may hold it.
 """
 
 from __future__ import annotations
@@ -375,9 +379,7 @@ def cmd_css_check(args) -> int:
         raise ExprError(f"malformed state polytope in {args.polytope_file!r}: {exc}") from None
     image = invsep.lambda_tau(c)
     cf, imf = c.flat(), image.flat()
-    residuals = [comgeo.hull_distance(v, cf)[0] for v in imf]
-    residuals += [comgeo.hull_distance(v, imf)[0] for v in cf]
-    worst = max(residuals)
+    worst = comgeo.max_hull_distance([(imf, cf), (cf, imf)])
     print(json.dumps({"css": worst <= args.tol, "distance_summary": worst}, indent=2))
     return EXIT_OK
 

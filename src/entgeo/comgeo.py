@@ -9,7 +9,9 @@ vertex match, a strict-maximizer certificate (redundancy only), the
 Euclidean projection onto the hull (one NNLS solve, whose inner and outer
 bounds are each checked on their own), and only then an LP.  A reported
 distance is an LP unless a vertex match or the projection rebuilds the point
-within ``LP_TOL``, where it is 0; separating hyperplanes stay LPs.
+within ``LP_TOL``, where it is 0; the largest of many distances solves the
+LP only where the bounds of those certificates leave it open; separating
+hyperplanes stay LPs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection
 
-from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints, _kron
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -171,16 +173,63 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != v.shape[1]:
         raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
+    _, s, lam = _distance_bounds(x, v)
+    return (s, lam) if lam is not None else _lp_distance(x, v)
+
+
+def _distance_bounds(x: np.ndarray, v: np.ndarray) -> tuple[float, float, np.ndarray | None]:
+    """What the certificates of ``hull_distance`` know of the distance s
+    from x to the hull of the rows v: (s, s, lam) where they settle it, else
+    (lo, hi, None) with lo <= s <= hi.
+
+    hi is the smaller of the nearest vertex's gap and the projection's
+    |h|_inf, h = x - lam @ v, since both are points of the hull; lo is the
+    projection's gap over |h|_1 (see ``_projection_verdict``), or 0.
+    """
     gaps = np.abs(v - x).max(axis=1)
     i = int(gaps.argmin())
     if gaps[i] <= LP_TOL or len(v) == 1:
         lam = np.zeros(len(v))
         lam[i] = 1.0
-        return (0.0 if gaps[i] <= LP_TOL else float(gaps[i])), lam
+        s = 0.0 if gaps[i] <= LP_TOL else float(gaps[i])
+        return s, s, lam
     lam = _project(x, v)
-    if lam is not None and np.abs(x - lam @ v).max() <= LP_TOL:
-        return 0.0, lam
-    return _lp_distance(x, v)
+    if lam is None:
+        return 0.0, float(gaps[i]), None
+    h = x - lam @ v
+    if np.abs(h).max() <= LP_TOL:
+        return 0.0, 0.0, lam
+    lo = max(0.0, float(h @ x - np.max(v @ h)) / np.abs(h).sum())
+    return lo, min(float(gaps[i]), float(np.abs(h).max())), None
+
+
+def max_hull_distance(questions) -> float:
+    """The largest ``hull_distance(x, v)[0]`` over each pair (xs, v) of
+    ``questions`` and each row x of xs, with an LP only where it may be the
+    largest.
+
+    The certificates settle or bound each distance (``_distance_bounds``).
+    The rows go in order of their upper bounds, largest first, and the LP
+    of ``hull_distance`` is solved at a row only while its upper bound
+    reaches the best lower bound so far: the largest of the rows' lower
+    bounds and of the distances found.  The LP answers within its
+    feasibility tolerance, so "reaches" allows 2 ``LP_TOL``.  A row below
+    cannot hold the maximum, so the result is the same LP on the same input
+    as a maximum over every row, and ties go to the first row as there.
+    """
+    found = []
+    for xs, v in questions:
+        v = np.atleast_2d(np.asarray(v, dtype=float))
+        found += [(x, v, *_distance_bounds(x, v)) for x in np.atleast_2d(xs)]
+    best = max(lo for _, _, lo, _, _ in found)
+    dist = {}
+    for i in sorted(range(len(found)), key=lambda i: -found[i][3]):
+        x, v, _, hi, lam = found[i]
+        if dist and hi < best - 2 * LP_TOL:
+            break
+        dist[i] = hi if lam is not None else _lp_distance(x, v)[0]
+        best = max(best, dist[i])
+    return max(dist[i] for i in sorted(dist))
 
 
 def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -212,7 +261,7 @@ def hull_membership(x, p: VPolytope, tol: float) -> bool:
     Euclidean projection onto the hull (``_projection_verdict``), and the
     hull-distance LP.
     """
-    return _member(_point(x, p), p.vertices, tol)
+    return _all_in_hull(_point(x, p)[None], p.vertices, tol)
 
 
 def _point(x, p: VPolytope) -> np.ndarray:
@@ -222,14 +271,32 @@ def _point(x, p: VPolytope) -> np.ndarray:
     return x
 
 
-def _member(x: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    nearest = float(np.abs(v - x).max(axis=1).min())
-    if nearest <= tol or len(v) == 1:
-        return nearest <= tol
-    verdict = _projection_verdict(x, v, tol)
-    if verdict is None:
-        verdict = _lp_distance(x, v)[0] <= tol
-    return verdict
+def _all_in_hull(xs: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """Whether every row of xs is within tol of the hull of the rows v, each
+    decided as ``hull_membership`` decides one point.
+
+    The nearest vertices of all rows come from one pairwise comparison
+    (``_nearest_gaps``); the rows that match none go on, in order, to the
+    projection and the LP, and the first row outside ends the scan.
+    """
+    for x in xs[~(_nearest_gaps(xs, v) <= tol)]:
+        if len(v) == 1:
+            return False
+        verdict = _projection_verdict(x, v, tol)
+        if verdict is None:
+            verdict = _lp_distance(x, v)[0] <= tol
+        if not verdict:
+            return False
+    return True
+
+
+def _nearest_gaps(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """min_j |xs_i - v_j|_inf for each row xs_i, compared in chunks of rows
+    whose temporaries hold at most ``_DEDUP_ENTRIES`` floats."""
+    step = max(1, _DEDUP_ENTRIES // max(1, v.size))
+    if len(xs) <= step:
+        return np.abs(xs[:, None] - v).max(axis=2).min(axis=1)
+    return np.concatenate([_nearest_gaps(xs[i:i + step], v) for i in range(0, len(xs), step)])
 
 
 def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -323,21 +390,22 @@ def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     size = max(1, math.isqrt(_DEDUP_ENTRIES // max(1, coords.shape[1])))
     keep = np.zeros(len(coords), dtype=bool)
     for start in range(0, len(coords), size):
-        block = coords[start:start + size]
-        kept = coords[:start][keep[:start]]
-        fresh = np.ones(len(block), dtype=bool)
-        for k in range(0, len(kept), size):
-            fresh &= ~_near(block, kept[k:k + size], tol).any(axis=1)
-        rows = block[fresh]
+        rows = np.arange(start, min(start + size, len(coords)))
+        if start:  # the first block has no kept row before it
+            kept = coords[:start][keep[:start]]
+            for k in range(0, len(kept), size):
+                rows = rows[~_near(coords[rows], kept[k:k + size], tol).any(axis=1)]
+        block = coords[rows]
         order = np.arange(len(rows))
-        earlier = _near(rows, rows, tol) & (order[:, None] > order)
+        earlier = _near(block, block, tol) & (order[:, None] > order)
         ok = np.ones(len(rows), dtype=bool)
-        while True:
-            new = ~(earlier & ok).any(axis=1)
-            if (new == ok).all():
-                break
-            ok = new
-        keep[start + np.flatnonzero(fresh)[ok]] = True
+        if earlier.any():  # else every row of the block is kept
+            while True:
+                new = ~(earlier & ok).any(axis=1)
+                if (new == ok).all():
+                    break
+                ok = new
+        keep[rows[ok]] = True
     return points[keep]
 
 
@@ -381,19 +449,22 @@ def reduce_rows(rows) -> np.ndarray:
     keep = list(range(len(pts)))
     for k in np.flatnonzero(~_strict_maximizers(pts, DECISION_TOL)):
         others = [j for j in keep if j != k]
-        if others and _member(pts[k], pts[others], DECISION_TOL):
+        if others and _all_in_hull(pts[k:k + 1], pts[others], DECISION_TOL):
             keep.remove(k)
     return rows[keep]
 
 
 def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
-    """Hull equality by mutual vertex membership."""
+    """Hull equality by mutual vertex membership: the vertices of p in the
+    hull of q, then those of q in the hull of p, each direction one pass of
+    ``_all_in_hull``, so the verdict and the LPs are those of
+    ``hull_membership`` called vertex by vertex."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError(
             f"ambient dims differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
-    return all(hull_membership(v, q, tol) for v in p.vertices) and all(
-        hull_membership(v, p, tol) for v in q.vertices
+    return _all_in_hull(p.vertices, q.vertices, tol) and _all_in_hull(
+        q.vertices, p.vertices, tol
     )
 
 
@@ -410,7 +481,10 @@ def product_composites(xa, xb) -> np.ndarray:
     """Row-major rows of every product xa[i] (x) xb[j], i slowest.  Nothing is
     reduced: products of irredundant lists are exactly the vertices of their
     hull (Namioka & Phelps, Pacific J. Math. 1969)."""
-    return np.kron(np.reshape(xa, (len(xa), -1)), np.reshape(xb, (len(xb), -1)))
+    ka, kb = len(xa), len(xb)
+    # rows as 1 x d matrices, in stacks that broadcast to (ka, kb)
+    prods = _kron(np.reshape(xa, (ka, 1, 1, -1)), np.reshape(xb, (1, kb, 1, -1)))
+    return prods.reshape(ka * kb, -1)
 
 
 def min_tensor(a: ComModel, b: ComModel) -> VPolytope:

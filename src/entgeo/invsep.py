@@ -7,10 +7,17 @@ exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
 Both flavors run through one core in ``comgeo`` (``marginal_sets``,
-``product_composites``, ``reduce_rows``) on composites x[a, b] with units.
-A density matrix rho[(i k), (j l)] is regrouped as x[(i j), (k l)] with unit
-vec(I), so partial traces are unit contractions and ``kron`` is an outer
-product; that only permutes the ``flatten_matrix`` coordinates.
+``reduce_rows`` and the broadcast multiply of ``product_composites``) on
+composites x[a, b] with units.  A density matrix rho[(i k), (j l)] is
+regrouped as x[(i j), (k l)] with unit vec(I), so partial traces are unit
+contractions and ``kron`` is an outer product; that only permutes the
+``flatten_matrix`` coordinates.  The quantum products are ``matcore.kron``
+of the two vertex stacks, the same multiply.
+
+A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
+the maps work on whole stacks.  Its vertices, when given as matrices, are
+validated in one ``DensityMatrix.validate`` call, and a ``Decomposition``'s
+factors in two, one per side; derived polytopes are not validated again.
 """
 
 from __future__ import annotations
@@ -32,24 +39,50 @@ def flatten_matrix(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StatePolytope:
-    """Convex set of density matrices on a fixed split, given by vertices."""
+    """Convex set of density matrices on a fixed split, given by vertices.
 
-    vertices: tuple
+    ``vertices`` is one (k, n, n) complex array.  It may be given as a
+    sequence of matrices, validated in one stacked pass, or of
+    ``DensityMatrix`` objects, which are valid already and are not
+    validated again; a sequence that mixes the two is validated whole."""
+
+    vertices: np.ndarray
     split: DimSplit
 
     def __post_init__(self):
-        if len(self.vertices) == 0:
+        given = self.vertices
+        if len(given) == 0:
             raise ValueError("state polytope needs at least one vertex")
-        mats = []
-        for v in self.vertices:
-            rho = v if isinstance(v, DensityMatrix) else DensityMatrix(v, self.split)
-            if rho.split.dim != self.split.dim:
-                raise ValueError("vertex dimension mismatch")
-            mats.append(rho.mat)
-        object.__setattr__(self, "vertices", tuple(mats))
+        valid = all(isinstance(v, DensityMatrix) for v in given)
+        mats = _stack([v.mat if isinstance(v, DensityMatrix) else v for v in given], "vertices")
+        object.__setattr__(self, "vertices", mats)
+        if not valid:
+            _validate(mats, self.split, "vertex")
+        elif mats.shape[1:] != (self.split.dim,) * 2:
+            raise ValueError("vertex dimension mismatch")
 
     def flat(self) -> np.ndarray:
-        return np.array([flatten_matrix(m) for m in self.vertices])
+        """The vertices as rows of real coordinates (``flatten_matrix``)."""
+        return comgeo._coords(self.vertices)
+
+
+def _stack(mats, what: str) -> np.ndarray:
+    """Matrices of one shape as one complex (k, rows, cols) array."""
+    try:
+        out = np.array(mats, dtype=complex)
+    except ValueError:  # a ragged list
+        out = None
+    if out is None or out.ndim != 3:
+        raise ValueError(f"{what} must be matrices of one shape")
+    return out
+
+
+def _validate(mats: np.ndarray, split: DimSplit, what: str) -> None:
+    """One ``DensityMatrix.validate`` pass over a stack; ValueError naming
+    the first invalid matrix."""
+    problems = _derived(DensityMatrix, mats, split).validate()
+    if problems:
+        raise ValueError(f"invalid {what} " + "; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -66,9 +99,9 @@ class Decomposition:
             raise ValueError(
                 f"weights must be finite, nonnegative and sum to 1, got {weights.tolist()!r}"
             )
-        for _, a, b in self.terms:
-            DensityMatrix(a, DimSplit(self.split.dim_a, 1))
-            DensityMatrix(b, DimSplit(1, self.split.dim_b))
+        qa, qb = DimSplit(self.split.dim_a, 1), DimSplit(1, self.split.dim_b)
+        _validate(_stack([a for _, a, _ in self.terms], "A factors"), qa, "A factor")
+        _validate(_stack([b for _, _, b in self.terms], "B factors"), qb, "B factor")
 
     def state(self) -> DensityMatrix:
         """The decomposed state, sum_i p_i a_i (x) b_i."""
@@ -94,23 +127,23 @@ class MeasureConfig:
 # Convex-set maps (quantum flavor)
 
 
-def _rebuild(mats_a, mats_b, split: DimSplit) -> StatePolytope:
-    """Hull of all products of two irredundant lists of matrices."""
-    (ra, ca), (rb, cb) = np.shape(mats_a)[1:], np.shape(mats_b)[1:]
-    x = comgeo.product_composites(mats_a, mats_b).reshape(-1, ra, ca, rb, cb)
-    return _derived(StatePolytope, tuple(x.swapaxes(2, 3).reshape(-1, ra * rb, ca * cb)), split)
+def _rebuild(mats_a: np.ndarray, mats_b: np.ndarray, split: DimSplit) -> StatePolytope:
+    """Hull of all products of two irredundant stacks of matrices, a_i (x) b_j
+    with i slowest."""
+    prods = matcore.kron(mats_a[:, None], mats_b[None])
+    return _derived(StatePolytope, prods.reshape(-1, split.dim, split.dim), split)
 
 
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
     """Lift of the partial traces to convex sets: vertexwise marginals, reduced."""
     da, db = c.split.dim_a, c.split.dim_b
-    x = np.reshape(c.vertices, (-1, da, db, da, db)).swapaxes(2, 3)
+    x = c.vertices.reshape(-1, da, db, da, db).swapaxes(2, 3)
     ma, mb = comgeo.marginal_sets(
         x.reshape(-1, da * da, db * db), np.eye(da).ravel(), np.eye(db).ravel()
     )
     return (
-        _derived(StatePolytope, tuple(ma.reshape(-1, da, da)), DimSplit(da, 1)),
-        _derived(StatePolytope, tuple(mb.reshape(-1, db, db)), DimSplit(1, db)),
+        _derived(StatePolytope, ma.reshape(-1, da, da), DimSplit(da, 1)),
+        _derived(StatePolytope, mb.reshape(-1, db, db), DimSplit(1, db)),
     )
 
 
@@ -137,8 +170,8 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
     The hull of all cross products a_i (x) b_j is invariant and contains
     the decomposed state.
     """
-    mats_a = np.array([a for _, a, _ in d.terms], dtype=complex)
-    mats_b = np.array([b for _, _, b in d.terms], dtype=complex)
+    mats_a = _stack([a for _, a, _ in d.terms], "A factors")
+    mats_b = _stack([b for _, _, b in d.terms], "B factors")
     return _rebuild(comgeo.reduce_rows(mats_a), comgeo.reduce_rows(mats_b), d.split)
 
 

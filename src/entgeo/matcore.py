@@ -4,7 +4,8 @@ Everything here operates on plain ``numpy`` arrays of complex doubles.
 Matrices are kept small (side <= 64), so there is no sparsity or blocking.
 Per-call overhead is what costs here, and it is trimmed where it is
 measured: ``kron`` is one broadcast multiply, bit-identical to ``np.kron``
-without its ``expand_dims`` plumbing.
+without its ``expand_dims`` plumbing, and ``comgeo.product_composites``
+takes the same multiply.
 
 ``kron``, ``partial_trace``, ``partial_transpose``, ``is_hermitian``,
 ``hermitize``, ``hermitian_eig`` and ``norm`` act on the last two axes, so
@@ -89,8 +90,21 @@ def kron(a, b) -> np.ndarray:
     One broadcast multiply a[i, j] * b[k, l] at [i, k, j, l]: the same
     elementwise products as ``np.kron``, so the result is bit-identical.
     """
-    a, b = _as_matrix(a), _as_matrix(b)
+    return _kron(_as_matrix(a), _as_matrix(b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``kron`` of arrays of any dtype, on their last two axes.
+
+    Both factors get the same number of axes first.  Else a one-entry
+    product has factors of different shapes, which numpy sends through its
+    broadcast iterator with zero strides, to its scalar complex multiply; on
+    a CPU with fused multiply-add, that differs in the last bit from the
+    vector loop that ``np.kron`` takes.
+    """
     (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    a = a[(None,) * (b.ndim - a.ndim)]
+    b = b[(None,) * (a.ndim - b.ndim)]
     t = a[..., :, None, :, None] * b[..., None, :, None, :]
     return t.reshape(*t.shape[:-4], ra * rb, ca * cb)
 

@@ -3,7 +3,9 @@
 A state is validated once, where its matrix enters: the ``DensityMatrix``
 constructor, the JSON reader, and the ``werner_state``/``random_mixed``
 families (``invsep`` adds ``StatePolytope`` vertices and ``Decomposition``
-factors).  A state that a validity-preserving map derives from valid states
+factors).  ``DensityMatrix.validate`` is the one rule set; it acts on the
+last two axes, so ``invsep`` checks a stack of vertices or of factors in
+one call.  A state that a validity-preserving map derives from valid states
 (a partial trace, a product, the projector of a normalized vector, a convex
 combination) is not validated again: those maps build it with
 ``_derived(cls, *fields)``, which is ``cls(*fields)`` minus the validation.
@@ -55,33 +57,62 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        problems = self.validate()
+        # one state, though validate takes a stack too
+        problems = [f"shape {mat.shape} is a stack"] if mat.ndim > 2 else self.validate()
         if problems:
             raise ValueError("invalid density matrix: " + "; ".join(problems))
 
     def validate(self) -> list[str]:
-        """Re-check all invariants; returns a list of violation messages."""
-        out = []
+        """Re-check all invariants; returns a list of violation messages.
+
+        The rules act on the last two axes, as ``matcore``'s ops do, so
+        ``mat`` may also be a stack of matrices along its leading axes
+        (``invsep`` checks polytope vertices and decomposition factors that
+        way, one call per stack).  The messages then describe the first
+        slice that breaks a rule, and the first message opens with its
+        index along the flattened stack axes.
+        """
         n = self.split.dim
-        if self.mat.shape != (n, n):
-            out.append(f"shape {self.mat.shape} != ({n}, {n})")
-            return out
-        if not np.all(np.isfinite(self.mat)):
-            out.append("non-finite entries")
-            return out
-        adj = self.mat.conj().T
-        herm_dev = float(np.max(np.abs(self.mat - adj)))
-        if herm_dev > VALID_TOL:
-            out.append(f"hermiticity deviation {herm_dev:.3e}")
-        tr = complex(np.trace(self.mat))
-        if abs(tr.real - 1.0) > VALID_TOL or abs(tr.imag) > ROUND_TOL:
-            out.append(f"trace {tr!r} != 1")
-        if herm_dev <= VALID_TOL:
-            # the Hermitian part, as matcore.hermitize computes it
-            wmin = float(np.linalg.eigvalsh((self.mat + adj) / 2)[0])
-            if wmin < -VALID_TOL:
-                out.append(f"negative eigenvalue {wmin:.3e}")
+        if self.mat.shape[-2:] != (n, n):
+            return [f"shape {self.mat.shape} != ({n}, {n})"]
+        m = self.mat.reshape(-1, n, n)
+        nonfinite = None
+        if not np.isfinite(m).all():
+            nonfinite = ~np.isfinite(m).all(axis=(1, 2))
+            # a valid stand-in keeps the other rules quiet on these slices
+            m = np.where(nonfinite[:, None, None], np.eye(n) / n, m)
+        adj = m.conj().swapaxes(1, 2)
+        tr = m.trace(axis1=1, axis2=2)
+        # the least eigenvalue of the Hermitian part, as matcore.hermitize
+        # computes it; it counts only where m is Hermitian
+        wmin = np.linalg.eigvalsh((m + adj) / 2)[:, 0]
+        # a row per rule: Hermiticity, the trace's real and imaginary parts,
+        # the least eigenvalue; phrased so that a NaN (an eigensolve that
+        # overflowed) breaks the rule
+        over = ~(np.array(
+            [np.abs(m - adj).max(axis=(1, 2)), np.abs(tr.real - 1.0), np.abs(tr.imag), -wmin]
+        ) <= _LIMITS)
+        if nonfinite is None:
+            if not over.any():
+                return []
+            nonfinite = np.zeros(len(m), dtype=bool)
+        i = int((nonfinite | over.any(axis=0)).argmax())
+        if nonfinite[i]:
+            out = ["non-finite entries"]
+        else:
+            herm_dev = float(np.abs(m[i] - adj[i]).max())
+            out = [f"hermiticity deviation {herm_dev:.3e}"] if over[0, i] else []
+            if over[1, i] or over[2, i]:
+                out.append(f"trace {complex(tr[i])!r} != 1")
+            if over[3, i] and not over[0, i]:
+                out.append(f"negative eigenvalue {wmin[i]:.3e}")
+        if self.mat.ndim > 2:
+            out[0] = f"{i}: {out[0]}"
         return out
+
+
+# the limits of validate's rules, a row per rule
+_LIMITS = np.array([[VALID_TOL], [VALID_TOL], [ROUND_TOL], [VALID_TOL]])
 
 
 def _derived(cls, *fields):

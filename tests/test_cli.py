@@ -572,6 +572,23 @@ class TestCssCheck:
         assert out == ""
         assert "malformed state polytope" in err and what in err
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            (np.diag([1.5, -0.5, 0.0, 0.0]), "invalid vertex 1: negative eigenvalue"),
+            (np.eye(2) / 2, "vertices must be matrices of one shape"),
+        ],
+    )
+    def test_invalid_vertex_is_validation_error(self, capsys, tmp_path, second, message):
+        obj = invsep.state_polytope_to_json(StatePolytope((qstate.werner_state(0.2),), TWO_QUBITS))
+        obj["vertices"].append(matcore.matrix_to_json(second))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "css-check", str(path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert message in err
+
     def test_parse_failure(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
@@ -21,11 +24,13 @@ from entgeo.comgeo import (
     gpt_marginals,
     hull_distance,
     hull_membership,
+    max_hull_distance,
     max_tensor_constraints,
     max_tensor_membership,
     min_tensor,
     polytope_equal,
     pr_box,
+    product_composites,
     reduce_rows,
 )
 from entgeo.invsep import flatten_matrix
@@ -182,6 +187,39 @@ def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
     offsets = np.concatenate([offsets, scales * eq_value - slack])
     order = rng.permutation(len(normals))
     return HPolytope(d, normals[order], offsets[order], eq_normal[None, :], [eq_value])
+
+
+@contextlib.contextmanager
+def lp_count():
+    """A list that gets one entry per LP solved through ``comgeo.linprog``
+    while the context is open."""
+    calls = []
+    original = comgeo.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with mock.patch.object(comgeo, "linprog", counted):
+        yield calls
+
+
+def polytope_pair(rng, dim, k, kind):
+    """Vertex rows of a random polytope and of a second one built from it:
+    a permutation with convex combinations added, a copy with every vertex
+    moved by up to 2 tol, or a copy with one vertex moved outside by 2 tol
+    or with one vertex dropped."""
+    p = rng.standard_normal((k, dim))
+    if kind == "interior":
+        q = np.vstack([p, rng.dirichlet(np.ones(k), size=3) @ p])
+    elif kind == "near":
+        q = p + rng.choice([-2.0, -0.5, 0.5, 2.0], size=p.shape) * 1e-9
+    elif kind == "outside":
+        q = p.copy()
+        q[rng.integers(k)] += 2e-9 * np.sign(rng.standard_normal(dim))
+    else:
+        q = p[1:] if k > 1 else p + 1.0
+    return p, q[rng.permutation(len(q))]
 
 
 def same_vertex_set(p, q, tol):
@@ -579,6 +617,96 @@ class TestReduceAndEqual:
         verts = np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]])
         interior = np.vstack([verts, rng.dirichlet(np.ones(4), size=3) @ verts])
         assert polytope_equal(VPolytope(verts), VPolytope(interior), 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.integers(1, 5),
+        k=st.integers(1, 8),
+        kind=st.sampled_from(["interior", "near", "outside", "dropped"]),
+    )
+    def test_equal_agrees_with_per_vertex_membership(self, seed, dim, k, kind):
+        # near-duplicate vertices sit 0.5 or 2 tol from their twins, so the
+        # pairwise match settles some vertices and leaves the rest to the
+        # projection and the LP
+        p, q = map(VPolytope, polytope_pair(np.random.default_rng(seed), dim, k, kind))
+        tol = 1e-9
+        with lp_count() as want_lps:
+            want = all(hull_membership(v, q, tol) for v in p.vertices) and all(
+                hull_membership(v, p, tol) for v in q.vertices
+            )
+        with lp_count() as got_lps:
+            got = polytope_equal(p, q, tol)
+        assert got == want
+        assert len(got_lps) == len(want_lps)
+
+    def test_equal_compares_in_bounded_chunks(self, rng, monkeypatch):
+        # with a budget of 40 floats, the 16 rows of q go against the 5
+        # vertices of p in chunks of two rows; the verdicts stay the same
+        p = rng.standard_normal((5, 4))
+        q = np.vstack([p, rng.dirichlet(np.ones(5), size=11) @ p])
+        pairs = [(p, q), (p, q + 0.1), (q, p)]
+        want = [polytope_equal(VPolytope(a), VPolytope(b), 1e-9) for a, b in pairs]
+        monkeypatch.setattr(comgeo, "_DEDUP_ENTRIES", 40)
+        rows = []
+        original = comgeo._nearest_gaps
+
+        def recorded(xs, v):
+            rows.append(len(xs))
+            return original(xs, v)
+
+        monkeypatch.setattr(comgeo, "_nearest_gaps", recorded)
+        got = [polytope_equal(VPolytope(a), VPolytope(b), 1e-9) for a, b in pairs]
+        assert got == want == [True, False, True]
+        assert 2 in rows
+
+
+class TestMaxHullDistance:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.integers(1, 5),
+        k=st.integers(1, 8),
+        kind=st.sampled_from(["interior", "near", "outside", "dropped"]),
+    )
+    def test_equals_the_largest_hull_distance(self, seed, dim, k, kind):
+        # the same float as a maximum over every row, and no more LPs
+        p, q = polytope_pair(np.random.default_rng(seed), dim, k, kind)
+        with lp_count() as per_row:
+            want = max(
+                [hull_distance(x, p)[0] for x in q] + [hull_distance(x, q)[0] for x in p]
+            )
+        with lp_count() as bounded:
+            got = max_hull_distance([(q, p), (p, q)])
+        assert repr(got) == repr(want)
+        assert len(bounded) <= len(per_row)
+
+    def test_solves_only_where_the_upper_bound_reaches_the_best_lower_bound(self):
+        # the projection bounds the distances 1, 2 and 3 of q's rows from the
+        # segment p exactly, so only the farthest row reaches the best lower
+        # bound, 3
+        p = np.array([[0.0, 0.0], [1.0, 0.0]])
+        q = np.array([[0.5, 1.0], [0.5, 3.0], [0.5, 2.0]])
+        with lp_count() as lps:
+            got = max_hull_distance([(q, p)])
+        assert len(lps) == 1
+        assert got == max(hull_distance(x, p)[0] for x in q) == pytest.approx(3.0)
+
+
+class TestProductComposites:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+        .flatmap(lambda s: st.tuples(
+            arrays(complex, s[:2], elements=st.complex_numbers(max_magnitude=1e6)),
+            arrays(complex, s[2:], elements=st.complex_numbers(max_magnitude=1e6)),
+        ))
+    )
+    def test_bit_identical_to_numpy_kron(self, pair):
+        xa, xb = pair
+        for a, b in ((xa, xb), (xa.real, xb.real)):
+            got, want = product_composites(a, b), np.kron(a, b)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMinTensor:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,50 @@ def random_product(seed):
     return mats[0], mats[1]
 
 
+class TestStatePolytope:
+    def test_vertices_are_one_complex_array(self):
+        mats = [qstate.random_mixed(TWO_QUBITS, 4, seed=j).mat for j in range(3)]
+        for given in (tuple(mats), mats, np.array(mats), [DensityMatrix(m, TWO_QUBITS) for m in mats]):
+            c = StatePolytope(given, TWO_QUBITS)
+            assert c.vertices.dtype == complex and c.vertices.shape == (3, 4, 4)
+            np.testing.assert_array_equal(c.vertices, mats)
+            np.testing.assert_array_equal(c.flat(), [invsep.flatten_matrix(m) for m in mats])
+
+    def test_message_names_the_first_invalid_vertex(self):
+        good = qstate.werner_state(0.3).mat
+        with pytest.raises(ValueError, match="invalid vertex 1: negative eigenvalue"):
+            StatePolytope((good, np.diag([1.5, -0.5, 0, 0]), np.eye(4)), TWO_QUBITS)
+        with pytest.raises(ValueError, match="invalid vertex 2: trace"):
+            StatePolytope((good, good, np.eye(4)), TWO_QUBITS)
+
+    @pytest.mark.parametrize(
+        "verts, what",
+        [
+            ((np.eye(4) / 4, np.eye(2) / 2), "vertices must be matrices of one shape"),
+            ((np.eye(2) / 2, np.eye(2) / 2), "invalid vertex shape"),
+            ((np.ones(4) / 4,), "vertices must be matrices of one shape"),
+            (np.eye(4) / 4, "vertices must be matrices of one shape"),
+            ((DensityMatrix(np.eye(2) / 2, QUBIT),), "vertex dimension mismatch"),
+            ((DensityMatrix(np.eye(2) / 2, QUBIT), np.eye(4) / 4), "one shape"),
+        ],
+    )
+    def test_rejects_vertices_of_the_wrong_shape(self, verts, what):
+        with pytest.raises(ValueError, match=what):
+            StatePolytope(verts, TWO_QUBITS)
+
+    def test_message_names_the_first_invalid_factor(self):
+        r1, r2 = random_product(37)
+        terms = [(0.25, r1, r2)] * 3 + [(0.25, r1, np.diag([1.5, -0.5]))]
+        with pytest.raises(ValueError, match="invalid B factor 3: negative eigenvalue"):
+            Decomposition(tuple(terms), TWO_QUBITS)
+        terms[1] = (0.25, np.eye(2), r2)
+        with pytest.raises(ValueError, match="invalid A factor 1: trace"):
+            Decomposition(tuple(terms), TWO_QUBITS)
+        terms[1] = (0.25, np.eye(3) / 3, r2)
+        with pytest.raises(ValueError, match="A factors must be matrices of one shape"):
+            Decomposition(tuple(terms), TWO_QUBITS)
+
+
 class TestTau:
     def test_bell_singleton(self):
         c = StatePolytope((qstate.bell_state("phi+"),), TWO_QUBITS)
@@ -72,7 +118,7 @@ class TestTau:
             qstate.random_mixed(TWO_QUBITS, 4, seed=s).mat for s in range(4)
         )
         a, b = tau(StatePolytope(verts, TWO_QUBITS))
-        for m in a.vertices + b.vertices:
+        for m in [*a.vertices, *b.vertices]:
             DensityMatrix(m, QUBIT)  # raises if marginal is not a valid state
 
 
@@ -443,6 +489,36 @@ class TestJson:
         assert (
             matcore.norm(back.state().mat - d.state().mat, "frobenius") <= 1e-15
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trips_through_json_text(self, dims, k, seed):
+        # through json.dumps and json.loads, bit for bit
+        split = DimSplit(*dims)
+        rng = np.random.default_rng(seed)
+        seeds = [int(s) for s in rng.integers(0, 2**32, size=3 * k)]
+        c = StatePolytope(
+            tuple(qstate.random_mixed(split, 1 + s % split.dim, s).mat for s in seeds[:k]), split
+        )
+        back = invsep.state_polytope_from_json(json.loads(json.dumps(invsep.state_polytope_to_json(c))))
+        assert back.split == split
+        assert back.vertices.tobytes() == c.vertices.tobytes()
+        qa, qb = DimSplit(split.dim_a, 1), DimSplit(1, split.dim_b)
+        d = Decomposition(
+            tuple(
+                (float(w), qstate.random_mixed(qa, 2, sa).mat, qstate.random_mixed(qb, 2, sb).mat)
+                for w, sa, sb in zip(rng.dirichlet(np.ones(k)), seeds[k:2 * k], seeds[2 * k:])
+            ),
+            split,
+        )
+        back = invsep.decomposition_from_json(json.loads(json.dumps(invsep.decomposition_to_json(d))))
+        assert back.split == split and len(back.terms) == k
+        for (p, a, b), (p2, a2, b2) in zip(d.terms, back.terms):
+            assert p2 == p and np.array_equal(a2, a) and np.array_equal(b2, b)
 
     def test_state_polytope_round_trip(self):
         s = css_from_decomposition(werner_product_decomposition(0.25))

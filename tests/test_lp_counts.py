@@ -128,6 +128,25 @@ def test_css_check_on_a_fixed_point_solves_none(capsys, lp_calls, tmp_path):
     assert len(lp_calls) == 0
 
 
+def test_css_check_on_a_generic_polytope_solves_fewer(capsys, lp_calls, tmp_path):
+    # the largest distance, one hull_distance per row as the reference:
+    # 64 LPs here; the bounds leave 8 of them
+    c = StatePolytope(
+        tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=400 + j) for j in range(8)), TWO_QUBITS
+    )
+    cf, imf = c.flat(), invsep.lambda_tau(c).flat()
+    worst = max([comgeo.hull_distance(v, cf)[0] for v in imf] + [comgeo.hull_distance(v, imf)[0] for v in cf])
+    per_row = len(lp_calls)
+    lp_calls.clear()
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(invsep.state_polytope_to_json(c)))
+    assert cli.main(["css-check", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out == json.dumps({"css": False, "distance_summary": worst}, indent=2) + "\n"
+    assert per_row == 64
+    assert len(lp_calls) == 8
+
+
 @pytest.mark.parametrize("v", [0.0, 0.2, 0.45, 0.48, 0.52, 0.55, 0.8, 1.0])
 def test_noisy_pr_box_separability_solves_none(lp_calls, v):
     gb = comgeo.gbit_model()

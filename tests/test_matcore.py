@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -231,6 +231,18 @@ ENTRIES = st.complex_numbers(max_magnitude=1e6)
 
 
 @st.composite
+def kron_stacks(draw):
+    """Two stacks of 1 to 5 matrices each, of the same length and of any
+    shapes up to 3x3."""
+    k = draw(st.integers(1, 5))
+    a, b = draw(SPLITS), draw(SPLITS)
+    return (
+        draw(arrays(complex, (k, a.dim_a, a.dim_b), elements=ENTRIES)),
+        draw(arrays(complex, (k, b.dim_a, b.dim_b), elements=ENTRIES)),
+    )
+
+
+@st.composite
 def split_stacks(draw):
     """A split up to 3x3 and a stack of 1 to 5 of its composite matrices."""
     split = draw(SPLITS)
@@ -242,10 +254,13 @@ class TestStacks:
     """Each op on a stack equals, slice by slice and bit for bit, the op on one matrix."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), SPLITS, SPLITS, st.data())
-    def test_kron(self, k, shape_a, shape_b, data):
-        a = data.draw(arrays(complex, (k, shape_a.dim_a, shape_a.dim_b), elements=ENTRIES))
-        b = data.draw(arrays(complex, (k, shape_b.dim_a, shape_b.dim_b), elements=ENTRIES))
+    @given(kron_stacks())
+    # one entry against a stack of one: numpy's broadcast iterator took its
+    # scalar complex multiply here, one bit off np.kron's fused multiply-add
+    @example((np.array([[[3 + 1j]]]), np.array([[[349525.8712729345 + 2j]]])))
+    def test_kron(self, pair):
+        a, b = pair
+        k = len(a)
         got = matcore.kron(a, b)
         assert all(np.array_equal(got[i], matcore.kron(a[i], b[i])) for i in range(k))
         # the stack axes broadcast: one factor against a stack

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entgeo import matcore, qstate
 from entgeo.matcore import DimSplit
@@ -223,6 +225,83 @@ class TestValidation:
             DensityMatrix(mat, TWO_QUBITS)
         with pytest.raises(ValueError, match="non-finite"):
             PureState(np.array([bad, 0, 0, 0]), TWO_QUBITS)
+
+
+# ways to break one matrix of a stack, each at 10 tol (breaks the rule) or
+# at tol / 10 (does not)
+FAULTS = ("none", "nan", "inf", "hermiticity", "trace", "imaginary trace", "negative")
+
+
+def faulty_state(rng, n, fault, size):
+    """A random density matrix of side n with ``fault`` of that size."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    if fault == "nan" or fault == "inf":
+        m[rng.integers(n), rng.integers(n)] = np.nan if fault == "nan" else np.inf
+    elif fault == "hermiticity" and n > 1:
+        m[0, 1] += size
+    elif fault == "trace":
+        m *= 1 + size
+    elif fault == "imaginary trace":
+        m[0, 0] += 1j * size / 100
+    elif fault == "negative":
+        w, v = np.linalg.eigh(m)
+        w = np.r_[-size, w[1:] + (w[0] + size) / max(1, n - 1)] if n > 1 else w
+        m = (v * w) @ v.conj().T
+    return m
+
+
+def problems(mat, split):
+    """What ``DensityMatrix.validate`` finds wrong with mat on split."""
+    return qstate._derived(DensityMatrix, mat, split).validate()
+
+
+class TestStackedValidation:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+        faults=st.lists(
+            st.tuples(st.sampled_from(FAULTS), st.sampled_from([1e-9, 1e-11])),
+            min_size=1, max_size=5,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_stack_fails_iff_some_slice_fails_on_its_own(self, dims, faults, seed):
+        split = DimSplit(*dims)
+        rng = np.random.default_rng(seed)
+        stack = np.array([faulty_state(rng, split.dim, f, size) for f, size in faults])
+        alone = [problems(m, split) for m in stack]
+        bad = [i for i, p in enumerate(alone) if p]
+        got = problems(stack, split)
+        if not bad:
+            assert got == []
+        else:
+            # the messages of the first failing slice, the first naming it
+            first = alone[bad[0]]
+            assert got == [f"{bad[0]}: {first[0]}"] + first[1:]
+
+    def test_messages_of_one_matrix_are_unchanged(self):
+        m = np.array([[1.5, 0.1], [0.0, -0.5]])
+        assert problems(m, DimSplit(2, 1)) == ["hermiticity deviation 1.000e-01"]
+        assert problems(np.diag([1.5, -0.5]), DimSplit(2, 1)) == ["negative eigenvalue -5.000e-01"]
+        assert problems(np.eye(2), DimSplit(2, 1)) == ["trace (2+0j) != 1"]
+        assert problems(np.eye(3) / 3, DimSplit(2, 1)) == ["shape (3, 3) != (2, 2)"]
+
+    def test_an_overflowing_eigensolve_is_rejected(self):
+        # Hermitian with unit trace, eigenvalues 0.5 +- 1e308; its Hermitian
+        # part overflows to inf, and the eigenvalues come back NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="negative eigenvalue nan"
+        ):
+            DensityMatrix(np.array([[0.5, 1e308], [1e308, 0.5]]), DimSplit(2, 1))
+
+    def test_the_constructor_takes_one_matrix(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 4, 4\) is a stack"):
+            DensityMatrix(np.array([np.eye(4) / 4] * 2), TWO_QUBITS)
+
+    def test_a_stack_of_the_wrong_shape_is_one_message(self):
+        assert problems(np.zeros((3, 2, 2)), TWO_QUBITS) == ["shape (3, 2, 2) != (4, 4)"]
 
 
 class TestJson:

@@ -39,7 +39,7 @@ def problems(mat, split: DimSplit) -> list:
 
 
 def assert_valid_vertices(c: StatePolytope) -> None:
-    assert c.vertices
+    assert len(c.vertices)
     for v in c.vertices:
         assert problems(v, c.split) == []
 
@@ -86,16 +86,26 @@ def test_is_css_validates_nothing_after_construction(validations, k):
     verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=50 + j).mat for j in range(k))
     validations.clear()
     c = StatePolytope(verts, TWO_QUBITS)
-    assert len(validations) == k
+    # one stacked pass over the k vertices
+    assert len(validations) == 1
     validations.clear()
     assert not invsep.is_css(c)
     assert invsep.is_css(invsep.lambda_tau(c))
     assert len(validations) == 0
 
 
+def test_density_matrix_vertices_are_not_validated_again(validations):
+    verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=60 + j) for j in range(3))
+    validations.clear()
+    c = StatePolytope(verts, TWO_QUBITS)
+    assert len(validations) == 0
+    assert c.vertices.shape == (3, 4, 4)
+
+
 def test_decomposition_validates_its_factors_only(validations):
     d = invsep.werner_product_decomposition(0.25)
-    assert len(validations) == 2 * len(d.terms)
+    # one stacked pass over the A factors and one over the B factors
+    assert len(validations) == 2
     validations.clear()
     invsep.css_from_decomposition(d)
     d.state()
