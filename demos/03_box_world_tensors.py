@@ -41,7 +41,7 @@ def main():
     gb = gbit_model()
     omin = min_tensor(gb, gb)
     omax = enumerate_max_vertices(max_tensor_constraints(gb, gb))
-    outside = [v for v in omax.vertices if not hull_membership(v, omin, 1e-8)]
+    outside = omax.vertices[~hull_membership(omax.vertices, omin, 1e-8)]
     print(f"  minimal composite: {len(omin.vertices)} product vertices")
     print(f"  maximal composite: {len(omax.vertices)} vertices")
     print(f"  vertices outside the product hull: {len(outside)}")

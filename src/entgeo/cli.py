@@ -347,13 +347,10 @@ def cmd_tensor(args) -> int:
         omax = comgeo.enumerate_max_vertices(h, args.dim_cap)
         summary["max_vertices"] = len(omax.vertices)
         if omin is not None:
-            outside = [
-                list(v)
-                for v in omax.vertices
-                if not comgeo.hull_membership(v, omin, args.tol)
-            ]
-            summary["equal"] = not outside and all(
-                comgeo.hull_membership(v, omax, args.tol) for v in omin.vertices
+            inside = comgeo.hull_membership(omax.vertices, omin, args.tol)
+            outside = [list(v) for v in omax.vertices[~inside]]
+            summary["equal"] = not outside and bool(
+                comgeo.hull_membership(omin.vertices, omax, args.tol).all()
             )
             summary["max_vertices_outside_min"] = outside
     print(json.dumps(summary, indent=2))

@@ -4,14 +4,16 @@ States of a single model live in a real coordinate space; composite states
 of a model pair live in the flattened outer-product space, where a bilinear
 functional phi(a, b) on effect pairs evaluates as a^T M b with M the
 coordinate matrix.  Every separability question in this package is a hull
-question, and each is settled by the first of these that decides it: a
-vertex match, a strict-maximizer certificate (redundancy only), the
-Euclidean projection onto the hull (one NNLS solve, whose inner and outer
-bounds are each checked on their own), and only then an LP.  A reported
-distance is an LP unless a vertex match or the projection rebuilds the point
-within ``LP_TOL``, where it is 0; the largest of many distances solves the
-LP only where the bounds of those certificates leave it open; separating
-hyperplanes stay LPs.
+question, and each reads its answer off one certificate (``_certificate``):
+the nearest vertex and the Euclidean projection onto the hull (one NNLS
+solve) bound the point's distance s from the hull by lo <= s <= hi, and
+only a question those bounds leave open solves an LP.  Membership within
+tol is "in" at hi <= tol and "out" at lo > tol, for one point or a stack of
+rows, and a redundant row is one such question after a strict-maximizer
+certificate has kept the rows it can.  A reported distance is 0 at
+hi <= ``LP_TOL``, exact where lo = hi, and an LP otherwise; the largest of
+many distances solves the LP only where the bounds leave it open;
+separating hyperplanes stay LPs.
 """
 
 from __future__ import annotations
@@ -163,44 +165,29 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
     rows ``vertices``, with weights lam (lam >= 0, sum lam = 1) whose
     combination lam @ vertices is within s of x.
 
-    Settled by the first of: a vertex within ``LP_TOL``, a single vertex
-    (s is its exact distance), the projection (``_project``) when its lam
-    rebuilds x within ``LP_TOL``, and the LP of ``_lp_distance``.  A vertex
-    match or a rebuilt point gives s = 0: the LP runs at feasibility
-    tolerance ``LP_TOL``, so it cannot tell such a point from the hull.
+    Read off the bounds lo <= s <= hi of ``_certificate`` at ``LP_TOL``:
+    s = 0 where hi <= ``LP_TOL`` (the LP runs at feasibility tolerance
+    ``LP_TOL``, so it cannot tell such a point from the hull), s = hi where
+    lo = hi (as for a hull of one vertex), and otherwise the LP of
+    ``_lp_distance``.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
     if x.size != v.shape[1]:
         raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
-    _, s, lam = _distance_bounds(x, v)
-    return (s, lam) if lam is not None else _lp_distance(x, v)
+    return _distance(x, v, *_certificate(x, v, LP_TOL))
 
 
-def _distance_bounds(x: np.ndarray, v: np.ndarray) -> tuple[float, float, np.ndarray | None]:
-    """What the certificates of ``hull_distance`` know of the distance s
-    from x to the hull of the rows v: (s, s, lam) where they settle it, else
-    (lo, hi, None) with lo <= s <= hi.
-
-    hi is the smaller of the nearest vertex's gap and the projection's
-    |h|_inf, h = x - lam @ v, since both are points of the hull; lo is the
-    projection's gap over |h|_1 (see ``_projection_verdict``), or 0.
-    """
-    gaps = np.abs(v - x).max(axis=1)
-    i = int(gaps.argmin())
-    if gaps[i] <= LP_TOL or len(v) == 1:
-        lam = np.zeros(len(v))
-        lam[i] = 1.0
-        s = 0.0 if gaps[i] <= LP_TOL else float(gaps[i])
-        return s, s, lam
-    lam = _project(x, v)
-    if lam is None:
-        return 0.0, float(gaps[i]), None
-    h = x - lam @ v
-    if np.abs(h).max() <= LP_TOL:
-        return 0.0, 0.0, lam
-    lo = max(0.0, float(h @ x - np.max(v @ h)) / np.abs(h).sum())
-    return lo, min(float(gaps[i]), float(np.abs(h).max())), None
+def _distance(
+    x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """``hull_distance`` of x from the rows v, given the certificate
+    (lo, hi, lam) of x."""
+    if hi <= LP_TOL:
+        return 0.0, lam
+    if lo == hi:
+        return hi, lam
+    return _lp_distance(x, v)
 
 
 def max_hull_distance(questions) -> float:
@@ -208,26 +195,26 @@ def max_hull_distance(questions) -> float:
     ``questions`` and each row x of xs, with an LP only where it may be the
     largest.
 
-    The certificates settle or bound each distance (``_distance_bounds``).
-    The rows go in order of their upper bounds, largest first, and the LP
-    of ``hull_distance`` is solved at a row only while its upper bound
-    reaches the best lower bound so far: the largest of the rows' lower
-    bounds and of the distances found.  The LP answers within its
-    feasibility tolerance, so "reaches" allows 2 ``LP_TOL``.  A row below
-    cannot hold the maximum, so the result is the same LP on the same input
-    as a maximum over every row, and ties go to the first row as there.
+    The certificate of each row (``_certificate``) settles or bounds its
+    distance.  The rows go in order of their upper bounds, largest first,
+    and the distance of a row is found as ``hull_distance`` finds it only
+    while its upper bound reaches the best lower bound so far: the largest
+    of the rows' lower bounds and of the distances found.  The LP answers
+    within its feasibility tolerance, so "reaches" allows 2 ``LP_TOL``.  A
+    row below cannot hold the maximum, so the result is the same LP on the
+    same input as a maximum over every row, and ties go to the first row as
+    there.
     """
     found = []
     for xs, v in questions:
         v = np.atleast_2d(np.asarray(v, dtype=float))
-        found += [(x, v, *_distance_bounds(x, v)) for x in np.atleast_2d(xs)]
+        found += [(x, v, *_certificate(x, v, LP_TOL)) for x in np.atleast_2d(xs)]
     best = max(lo for _, _, lo, _, _ in found)
     dist = {}
     for i in sorted(range(len(found)), key=lambda i: -found[i][3]):
-        x, v, _, hi, lam = found[i]
-        if dist and hi < best - 2 * LP_TOL:
+        if dist and found[i][3] < best - 2 * LP_TOL:
             break
-        dist[i] = hi if lam is not None else _lp_distance(x, v)[0]
+        dist[i] = _distance(*found[i])[0]
         best = max(best, dist[i])
     return max(dist[i] for i in sorted(dist))
 
@@ -253,41 +240,38 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     return float(res.fun), res.x[:n]
 
 
-def hull_membership(x, p: VPolytope, tol: float) -> bool:
-    """True iff x is a convex combination of the vertices within tol.
+def hull_membership(x, p: VPolytope, tol: float):
+    """Whether x is within tol, in the infinity norm, of the convex hull of
+    the vertices: a bool array for the rows of a 2-D x, else a bool for x
+    as one point (raveled).
 
-    Decided by the first of these that settles it: the nearest vertex (an
-    upper bound on the hull distance, exact for a single vertex), the
-    Euclidean projection onto the hull (``_projection_verdict``), and the
-    hull-distance LP.
+    Each point is decided by the first of these that settles it: a vertex
+    within tol (every row in one pairwise comparison, ``_nearest_gaps``),
+    the bounds lo <= s <= hi of ``_certificate`` on its hull distance s
+    ("in" at hi <= tol, "out" at lo > tol), and the hull-distance LP.
     """
-    return _all_in_hull(_point(x, p)[None], p.vertices, tol)
+    xs = np.asarray(x, dtype=float)
+    stacked = xs.ndim == 2
+    xs = xs if stacked else xs.reshape(1, -1)
+    if xs.shape[1] != p.ambient_dim:
+        raise ValueError(f"point dim {xs.shape[1]} != polytope ambient dim {p.ambient_dim}")
+    inside = np.ones(len(xs), dtype=bool)
+    inside[list(_outside(xs, p.vertices, tol))] = False
+    return inside if stacked else bool(inside[0])
 
 
-def _point(x, p: VPolytope) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != p.ambient_dim:
-        raise ValueError(f"point dim {x.size} != polytope ambient dim {p.ambient_dim}")
-    return x
-
-
-def _all_in_hull(xs: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """Whether every row of xs is within tol of the hull of the rows v, each
-    decided as ``hull_membership`` decides one point.
+def _outside(xs: np.ndarray, v: np.ndarray, tol: float):
+    """Indices of the rows of xs farther than tol from the hull of the rows v,
+    in order and one at a time, so that a caller can stop at the first.
 
     The nearest vertices of all rows come from one pairwise comparison
-    (``_nearest_gaps``); the rows that match none go on, in order, to the
-    projection and the LP, and the first row outside ends the scan.
+    (``_nearest_gaps``); only the rows that match none go on to
+    ``_certificate`` and, where its bounds leave the question open, the LP.
     """
-    for x in xs[~(_nearest_gaps(xs, v) <= tol)]:
-        if len(v) == 1:
-            return False
-        verdict = _projection_verdict(x, v, tol)
-        if verdict is None:
-            verdict = _lp_distance(x, v)[0] <= tol
-        if not verdict:
-            return False
-    return True
+    for k in np.flatnonzero(~(_nearest_gaps(xs, v) <= tol)):
+        lo, hi, _ = _certificate(xs[k], v, tol)
+        if hi > tol and (lo > tol or _lp_distance(xs[k], v)[0] > tol):
+            yield int(k)
 
 
 def _nearest_gaps(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -297,6 +281,40 @@ def _nearest_gaps(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     if len(xs) <= step:
         return np.abs(xs[:, None] - v).max(axis=2).min(axis=1)
     return np.concatenate([_nearest_gaps(xs[i:i + step], v) for i in range(0, len(xs), step)])
+
+
+def _certificate(x: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float, np.ndarray]:
+    """Bounds lo <= s <= hi on the Chebyshev distance s from x to the hull of
+    the rows v, with weights lam of a point lam @ v of the hull within hi of
+    x, for a question asked at tol.  Every hull question reads its answer
+    off these three.
+
+    The nearest vertex is a point of the hull, and its gap is s itself when
+    the hull has no other point (lo = hi).  Otherwise, unless that gap is
+    within tol and so answers the question already, the Euclidean
+    projection y = lam @ v of x onto the hull (``_project``) gives h = x - y,
+    a second point within |h|_inf, and lo = (h.x - max_i h.v_i) / |h|_1,
+    since |h.(x - z)| <= |h|_1 |x - z|_inf for every z in the hull; hi and
+    lam are those of the nearer of the two points.  Both bounds are
+    recomputed from lam, so an inexact NNLS answer can weaken them but not
+    make them wrong.  Without the projection (skipped, or NNLS stopped at
+    its iteration limit) lo = 0.
+    """
+    gaps = np.abs(v - x).max(axis=1)
+    i = int(gaps.argmin())
+    gap = float(gaps[i])
+    vertex = np.zeros(len(v))
+    vertex[i] = 1.0
+    if len(v) == 1:
+        return gap, gap, vertex
+    lam = _project(x, v) if gap > tol else None
+    if lam is None:
+        return 0.0, gap, vertex
+    h = x - lam @ v
+    norm1 = float(np.abs(h).sum())
+    lo = max(0.0, float(h @ x - np.max(v @ h)) / norm1) if norm1 else 0.0
+    hi = float(np.abs(h).max())
+    return (lo, hi, lam) if hi < gap else (lo, gap, vertex)
 
 
 def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -318,27 +336,6 @@ def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
     except RuntimeError:  # the iteration limit
         return None
     return mu / mu.sum()
-
-
-def _projection_verdict(x: np.ndarray, v: np.ndarray, tol: float) -> bool | None:
-    """Membership of x in the hull of the rows v from the Euclidean
-    projection y = lam @ v of x onto that hull (``_project``); None if the
-    answer is open.
-
-    In: h = x - y has |h|_inf <= tol.  Out: h.x - max_i h.v_i > tol |h|_1,
-    since |h.(x - z)| <= |h|_1 |x - z|_inf for every z in the hull.  Both
-    bounds are recomputed from lam, so an inexact NNLS answer can leave the
-    question to the LP but cannot make a verdict wrong.
-    """
-    lam = _project(x, v)
-    if lam is None:
-        return None
-    h = x - lam @ v
-    if np.abs(h).max() <= tol:
-        return True
-    if h @ x - np.max(v @ h) > tol * np.abs(h).sum():
-        return False
-    return None
 
 
 def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
@@ -373,16 +370,16 @@ def _coords(rows: np.ndarray) -> np.ndarray:
 _DEDUP_ENTRIES = 2**20
 
 
-def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Drop each row (real or complex, any shape) within tol, in the infinity
-    norm, of an earlier kept row.
+def dedup_rows(points: np.ndarray) -> np.ndarray:
+    """Drop each row (real or complex, any shape) within ``DEDUP_TOL``, in
+    the infinity norm, of an earlier kept row.
 
     Rows go in blocks whose pairwise comparison fits ``_DEDUP_ENTRIES``.  A
-    row within tol of a row kept from an earlier block is dropped.  Among
-    the block's other rows, keep_i = "no earlier kept row of the block is
-    within tol" is iterated to its fixed point, which is unique because
-    keep_i depends only on the rows before i; it is reached in as many steps
-    as the longest chain of near rows.
+    row near a row kept from an earlier block is dropped.  Among the block's
+    other rows, keep_i = "no earlier kept row of the block is near" is
+    iterated to its fixed point, which is unique because keep_i depends only
+    on the rows before i; it is reached in as many steps as the longest
+    chain of near rows.
     """
     points = np.atleast_2d(np.asarray(points))
     points = points.astype(complex if np.iscomplexobj(points) else float)
@@ -394,10 +391,10 @@ def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
         if start:  # the first block has no kept row before it
             kept = coords[:start][keep[:start]]
             for k in range(0, len(kept), size):
-                rows = rows[~_near(coords[rows], kept[k:k + size], tol).any(axis=1)]
+                rows = rows[~_near(coords[rows], kept[k:k + size]).any(axis=1)]
         block = coords[rows]
         order = np.arange(len(rows))
-        earlier = _near(block, block, tol) & (order[:, None] > order)
+        earlier = _near(block, block) & (order[:, None] > order)
         ok = np.ones(len(rows), dtype=bool)
         if earlier.any():  # else every row of the block is kept
             while True:
@@ -409,9 +406,10 @@ def dedup_rows(points: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return points[keep]
 
 
-def _near(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """near[i, j]: rows a_i and b_j are within tol in the infinity norm."""
-    return (np.abs(a[:, None] - b[None]) <= tol).all(axis=2)
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """near[i, j]: rows a_i and b_j are within ``DEDUP_TOL`` in the infinity
+    norm."""
+    return (np.abs(a[:, None] - b[None]) <= DEDUP_TOL).all(axis=2)
 
 
 def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
@@ -420,18 +418,19 @@ def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
 
     A row that beats every other row on a direction h by more than
     tol * |h|_1 is certified, since |h.(x - y)| <= |h|_1 |x - y|_inf.  The
-    directions tried are +-e_i and each row minus the centroid (frame
-    finding as in Dula & Helgason 1996).
+    directions tried are +-e_i, whose scores are the columns of +-pts and
+    whose |h|_1 is 1, and each row minus the centroid (frame finding as in
+    Dula & Helgason 1996).
     """
     certified = np.zeros(len(pts), dtype=bool)
     if len(pts) < 2:
         return certified
-    eye = np.eye(pts.shape[1])
-    dirs = np.vstack([eye, -eye, pts - pts.mean(axis=0)])
-    scores = pts @ dirs.T
+    centred = pts - pts.mean(axis=0)
+    scores = np.hstack([pts, -pts, pts @ centred.T])
+    norms = np.concatenate([np.ones(2 * pts.shape[1]), np.abs(centred).sum(axis=1)])
     ranked = np.sort(scores, axis=0)
     gap = ranked[-1] - ranked[-2]
-    certified[scores.argmax(axis=0)[gap > tol * np.abs(dirs).sum(axis=1)]] = True
+    certified[scores.argmax(axis=0)[gap > tol * norms]] = True
     return certified
 
 
@@ -441,15 +440,14 @@ def reduce_rows(rows) -> np.ndarray:
 
     A row certified extreme by a strict maximizer is kept without an LP; the
     LP would keep it against any subset of the other rows.  Every other row
-    is tested against the rows still kept as ``hull_membership`` tests a
-    point (vertex match, projection, LP), so the result is that of the plain
-    sequential LP pass at ``DECISION_TOL``."""
+    is tested against the rows still kept by ``hull_membership``, so the
+    result is that of the plain sequential LP pass at ``DECISION_TOL``."""
     rows = dedup_rows(rows)
     pts = _coords(rows)
     keep = list(range(len(pts)))
     for k in np.flatnonzero(~_strict_maximizers(pts, DECISION_TOL)):
         others = [j for j in keep if j != k]
-        if others and _all_in_hull(pts[k:k + 1], pts[others], DECISION_TOL):
+        if others and hull_membership(pts[k], VPolytope(pts[others]), DECISION_TOL):
             keep.remove(k)
     return rows[keep]
 
@@ -457,14 +455,15 @@ def reduce_rows(rows) -> np.ndarray:
 def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
     """Hull equality by mutual vertex membership: the vertices of p in the
     hull of q, then those of q in the hull of p, each direction one pass of
-    ``_all_in_hull``, so the verdict and the LPs are those of
-    ``hull_membership`` called vertex by vertex."""
+    ``_outside`` that stops at the first vertex outside, so the verdict and
+    the LPs are those of ``hull_membership`` called vertex by vertex up to
+    that vertex."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError(
             f"ambient dims differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
-    return _all_in_hull(p.vertices, q.vertices, tol) and _all_in_hull(
-        q.vertices, p.vertices, tol
+    return all(
+        next(_outside(a.vertices, b.vertices, tol), None) is None for a, b in ((p, q), (q, p))
     )
 
 

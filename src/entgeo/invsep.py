@@ -269,7 +269,7 @@ def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     # every marginal lies in the hull of the reduced sets, so checking those suffices
     for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
         space = VPolytope(m.vertices)
-        if not all(comgeo.hull_membership(w, space, DECISION_TOL) for w in marg):
+        if not comgeo.hull_membership(marg, space, DECISION_TOL).all():
             raise ValueError(f"{side}-marginal left the model state space")
     return VPolytope(comgeo.product_composites(pa, pb))
 

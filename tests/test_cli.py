@@ -492,6 +492,18 @@ class TestTensor:
         assert summary["equal"]
         assert summary["max_vertices_outside_min"] == []
 
+    @pytest.mark.parametrize(
+        "model_a, model_b, calls",
+        [("gbit", "gbit", 1), ("classical:3", "classical:3", 2)],
+    )
+    def test_one_membership_call_per_direction(self, capsys, monkeypatch, model_a, model_b, calls):
+        # max vertices in min, then (only if none is outside) min vertices in
+        # max, each direction one stacked call rather than one per vertex
+        members = counting(monkeypatch, comgeo, "hull_membership")
+        code, _, _ = run(capsys, "tensor", model_a, model_b)
+        assert code == EXIT_OK
+        assert len(members) == calls
+
     def test_unbounded_constraints_are_numeric_error(self, capsys, monkeypatch):
         unbounded = comgeo.HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1])
         monkeypatch.setattr(comgeo, "max_tensor_constraints", lambda a, b: unbounded)

@@ -119,11 +119,27 @@ def hull_facets(verts):
     return normals, normals @ origin - eqs[:, -1]
 
 
+def certificate_verdict(x, verts, tol):
+    """Membership within tol as the certificate alone decides it: True where
+    its upper bound is at most tol, False where its lower bound exceeds tol,
+    None where it leaves the question to the LP."""
+    lo, hi, _ = comgeo._certificate(np.asarray(x, float), np.asarray(verts, float), tol)
+    return True if hi <= tol else False if lo > tol else None
+
+
 def assert_projection_agrees(x, verts, tol):
-    """The projection's verdict, when it gives one, and hull_membership both
-    equal the LP-only reference; returns the projection's verdict."""
-    expected = lp_member(x, verts, tol)
-    verdict = comgeo._projection_verdict(x, verts, tol)
+    """The certificate's verdict, when it gives one, and hull_membership both
+    equal the LP-only reference; returns the certificate's verdict.
+
+    The LP answers within its feasibility tolerance ``LP_TOL``, so below
+    ``LP_TOL`` the reference decides only the points whose LP distance is
+    more than ``LP_TOL`` from tol; at the others hull_membership follows
+    the certificate where it decides and the LP where it does not."""
+    dist = lp_distance(x, verts)[0]
+    verdict = certificate_verdict(x, verts, tol)
+    expected = dist <= tol
+    if tol < LP_TOL and abs(dist - tol) <= LP_TOL and verdict is not None:
+        expected = verdict
     assert verdict in (None, expected)
     assert hull_membership(x, VPolytope(verts), tol) == expected
     return verdict
@@ -321,6 +337,27 @@ class TestHullMembership:
             hull_membership([0.0, 0.0, 0.0], VPolytope([[0.0, 0.0]]), 1e-9)
 
     @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEEDS,
+        dim=st.integers(1, 5),
+        k=st.integers(1, 8),
+        kind=st.sampled_from(["interior", "near", "outside", "dropped"]),
+        tol=st.sampled_from([1e-9, 0.0]),
+    )
+    def test_rows_agree_with_one_point_at_a_time(self, seed, dim, k, kind, tol):
+        # each polytope's vertices against the other's hull: a stack of rows
+        # gets the verdicts and the LPs of one call per row
+        p, q = polytope_pair(np.random.default_rng(seed), dim, k, kind)
+        for xs, hull in ((q, VPolytope(p)), (p, VPolytope(q))):
+            with lp_count() as per_row:
+                want = [hull_membership(x, hull, tol) for x in xs]
+            with lp_count() as stacked:
+                got = hull_membership(xs, hull, tol)
+            assert got.dtype == bool
+            assert got.tolist() == want
+            assert len(stacked) == len(per_row)
+
+    @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, dim=st.integers(2, 4), extra=st.integers(0, 4))
     def test_agrees_with_hull_distance(self, seed, dim, extra):
         # vertices, interior points, points 1e-10 either side of a facet and
@@ -387,19 +424,23 @@ PRODUCT_PAIRS = {
 }
 
 
+# membership tolerances around LP_TOL: the CLI default, the LP's own
+# resolution, and below it
+TOLS = st.sampled_from([1e-9, 0.0, 1e-11])
+
+
 class TestProjectionCertificate:
     @settings(max_examples=40, deadline=None)
-    @given(seed=SEEDS, dim=st.integers(1, 32), drop=st.integers(0, 3))
-    def test_simplices_agree_with_lp(self, seed, dim, drop):
+    @given(seed=SEEDS, dim=st.integers(1, 32), drop=st.integers(0, 3), tol=TOLS)
+    def test_simplices_agree_with_lp(self, seed, dim, drop, tol):
         # a random simplex of dim + 1 - drop vertices in dim coordinates:
         # interior points, points 1e-10 either side of a face or half of tol
         # or 1e-3 outside it, and points off the affine hull by 1e-10, 0.8 tol
-        # or 1e-3 in the infinity norm
-        tol = 1e-9
+        # or 1e-3 in the infinity norm; at tol 0 the centroid may go to the LP
         rng = np.random.default_rng(seed)
         n = max(2, dim + 1 - drop)
         verts = rng.standard_normal((n, dim))
-        assert comgeo._projection_verdict(verts.mean(axis=0), verts, tol) is True
+        assert assert_projection_agrees(verts.mean(axis=0), verts, tol) is True or tol == 0
         probes = list(rng.dirichlet(np.ones(n), size=2) @ verts)
         for _ in range(2):
             i = rng.integers(n)
@@ -423,12 +464,18 @@ class TestProjectionCertificate:
             assert_projection_agrees(x, verts, tol)
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=SEEDS, dim=st.integers(3, 8), kind=st.sampled_from(["line", "repeat", "plane"]))
-    def test_flat_hulls_are_decided(self, seed, dim, kind):
+    @given(
+        seed=SEEDS,
+        dim=st.integers(3, 8),
+        kind=st.sampled_from(["line", "repeat", "plane"]),
+        tol=TOLS,
+    )
+    def test_flat_hulls_are_decided(self, seed, dim, kind, tol):
         # affinely dependent vertex sets of at most dim + 1 rows: three
         # points on a line, a repeated vertex, or a parallelogram; their
-        # convex combinations and points far off them need no LP
-        tol = 1e-9
+        # convex combinations and points far off them need no LP, except
+        # that at tol 0 a combination the projection rebuilds only within
+        # rounding goes to the LP
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((3, dim))
         verts = {
@@ -441,16 +488,15 @@ class TestProjectionCertificate:
             rng.standard_normal((2, dim)),
         ])
         for x in probes:
-            assert assert_projection_agrees(x, verts, tol) is not None
+            assert assert_projection_agrees(x, verts, tol) is not None or tol == 0
 
     @settings(max_examples=30, deadline=None)
-    @given(seed=SEEDS, pair=st.sampled_from(sorted(PRODUCT_PAIRS)))
-    def test_product_hulls_agree_with_lp(self, seed, pair):
+    @given(seed=SEEDS, pair=st.sampled_from(sorted(PRODUCT_PAIRS)), tol=TOLS)
+    def test_product_hulls_agree_with_lp(self, seed, pair, tol):
         # rays from the product of the centroids leave the product hull
         # through a positivity facet or, toward a PR-type maximal vertex, a
         # CHSH facet; probes sit 1e-10 and 1e-3 either side of the exit, and
         # half of tol outside it
-        tol = 1e-9
         rng = np.random.default_rng(seed)
         a, b = PRODUCT_PAIRS[pair]
         omin = min_tensor(a, b)
@@ -479,7 +525,7 @@ class TestProjectionCertificate:
         # about 1e-11 |h|_1, but the projection is the tip itself, 1e-8 away
         kite = np.array([[0.0, 0.0], [-1.0, 1e-3], [-1.0, -1e-3], [-2.0, 0.0]])
         x = np.array([1e-8, 0.0])
-        assert comgeo._projection_verdict(x, kite, 1e-9) is False
+        assert certificate_verdict(x, kite, 1e-9) is False
         assert not hull_membership(x, VPolytope(kite), 1e-9)
         assert hull_membership(x, VPolytope(kite), 1e-7)
 
@@ -490,7 +536,7 @@ class TestProjectionCertificate:
         uniform = v.mean(axis=0)
         for w, inside in ((0.3, True), (0.49, True), (0.51, False), (1.0, False)):
             x = w * pr_box().vector() + (1 - w) * uniform
-            assert comgeo._projection_verdict(x, v, 1e-9) is inside
+            assert certificate_verdict(x, v, 1e-9) is inside
 
     def test_nnls_failure_leaves_the_question_to_the_lp(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -501,7 +547,7 @@ class TestProjectionCertificate:
         monkeypatch.setattr(comgeo, "nnls", fail)
         monkeypatch.setattr(comgeo, "linprog", lambda *a, **k: lp_calls.append(1) or linprog(*a, **k))
         square = VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert comgeo._projection_verdict(np.array([0.5, 0.5]), square.vertices, 1e-9) is None
+        assert certificate_verdict([0.5, 0.5], square.vertices, 1e-9) is None
         assert hull_membership([0.5, 0.5], square, 1e-9)
         assert not hull_membership([1.5, 0.5], square, 1e-9)
         assert len(lp_calls) == 2
@@ -584,6 +630,34 @@ class TestReduceAndEqual:
         if as_complex:
             rows = rows.view(complex)
         np.testing.assert_array_equal(reduce_rows(rows), lp_reduce(rows))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS,
+        n=st.integers(1, 20),
+        dim=st.integers(1, 6),
+        kind=st.sampled_from(["normal", "grid", "tiny"]),
+        tol=st.sampled_from([1e-9, 0.0]),
+    )
+    def test_strict_maximizers_match_the_stacked_directions(self, seed, n, dim, kind, tol):
+        # the +-e_i scores read off +-pts certify exactly the rows that the
+        # product with a stacked [I; -I; centred rows] certifies; grid rows
+        # (small integers, with signed zeros) tie on many directions, and
+        # tiny rows put the score gaps near tol
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            pts = rng.integers(-2, 3, size=(n, dim)) * rng.choice([-1.0, 1.0], size=(n, dim))
+        else:
+            pts = rng.standard_normal((n, dim)) * (1e-9 if kind == "tiny" else 1.0)
+        eye = np.eye(dim)
+        dirs = np.vstack([eye, -eye, pts - pts.mean(axis=0)])
+        scores = pts @ dirs.T
+        ranked = np.sort(scores, axis=0)
+        want = np.zeros(n, dtype=bool)
+        if n >= 2:
+            gap = ranked[-1] - ranked[-2]
+            want[scores.argmax(axis=0)[gap > tol * np.abs(dirs).sum(axis=1)]] = True
+        np.testing.assert_array_equal(comgeo._strict_maximizers(pts, tol), want)
 
     def test_dedup_keeps_a_row_whose_only_near_row_was_dropped(self):
         # the rule is "no earlier kept row within tol": row 1 is dropped for
