@@ -17,10 +17,9 @@ exceeded.  The size caps are checked before anything is allocated:
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report computes
 pi(rho) - rho and the partial-transpose spectrum once per state and derives
-every measure and verdict from them.  ``sweep werner`` builds (and so
-validates) each grid state once, then computes those for blocks of
-``SWEEP_BLOCK`` states at once, one stacked pass of the ``matcore`` ops per
-block; each row is bit-identical to the per-state computation.
+every measure and verdict from them.  ``sweep werner`` calls the same
+functions once per block of ``SWEEP_BLOCK`` grid states, on one stack from
+``werner_state``; each row is bit-identical to the per-state computation.
 
 ``main`` parses with one parser per process, built on its first call
 (``build_parser`` is cached); argparse keeps no state between parses, so
@@ -53,7 +52,7 @@ import sys
 
 import numpy as np
 
-from . import comgeo, invsep, matcore, qstate
+from . import comgeo, invsep, qstate
 from .matcore import CSS_TOL, DECISION_TOL, DimSplit
 
 EXIT_OK = 0
@@ -305,25 +304,16 @@ def cmd_sweep(args) -> int:
 
 
 def _werner_rows(ps: list[float]) -> list[str]:
-    """The sweep's CSV rows for the Werner states at ps, in one stacked pass.
-
-    Each state is built, and so validated, by ``werner_state``.  Delta =
-    pi(rho) - rho, its measures and the partial-transpose spectra then come
-    from the matcore ops that ``pi_delta``, ``measure_of_delta`` and
-    ``ppt_min_eigenvalue`` apply to one state, applied once to the stack;
-    each row is bit-identical to what those functions give for its state.
-    """
-    rhos = [qstate.werner_state(p) for p in ps]
-    split = rhos[0].split
-    mats = np.array([rho.mat for rho in rhos])
-    marginal_a = matcore.partial_trace(mats, split, over="b")
-    marginal_b = matcore.partial_trace(mats, split, over="a")
-    sm = _measure_values(matcore.kron(marginal_a, marginal_b) - mats)
-    w, _ = matcore.hermitian_eig(matcore.partial_transpose(mats, split, on="b"))
+    """The sweep's CSV rows for the Werner states at ps, in one stacked pass:
+    one call each of ``werner_state``, ``pi_delta``, ``_measure_values`` and
+    ``ppt_min_eigenvalue`` on the stack of states."""
+    rho = qstate.werner_state(ps)
+    sm = _measure_values(invsep.pi_delta(rho))
     return [
-        f"{p!r},{fro!r},{tr!r},{ppt!r},{invsep.ppt_verdict_from_eigenvalue(ppt, split)}"
+        f"{p!r},{fro!r},{tr!r},{ppt!r},{invsep.ppt_verdict_from_eigenvalue(ppt, rho.split)}"
         for p, fro, tr, ppt in zip(
-            ps, sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(), w[:, 0].tolist()
+            ps, sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(),
+            invsep.ppt_min_eigenvalue(rho).tolist(),
         )
     ]
 

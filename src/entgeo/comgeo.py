@@ -26,7 +26,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection
 
-from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints, _kron
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints, _json_numbers, _kron
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -471,11 +471,6 @@ def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
 # Tensor products
 
 
-def marginal_sets(x, unit_a, unit_b) -> tuple[np.ndarray, np.ndarray]:
-    """Irredundant marginal sets x @ unit_b and unit_a @ x of composites x[n, a, b]."""
-    return reduce_rows(x @ unit_b), reduce_rows(unit_a @ x)
-
-
 def product_composites(xa, xb) -> np.ndarray:
     """Row-major rows of every product xa[i] (x) xb[j], i slowest.  Nothing is
     reduced: products of irredundant lists are exactly the vertices of their
@@ -522,20 +517,22 @@ def max_tensor_membership(phi, h: HPolytope, tol: float) -> bool:
 
 
 def gpt_marginals(
-    phi: BilinearState, a: ComModel, b: ComModel, tol: float = DECISION_TOL
+    phi, a: ComModel, b: ComModel, tol: float = DECISION_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal state vectors (omega_A, omega_B) via unit contraction.
+    """Marginal state vectors (omega_A, omega_B) via unit contraction; for a
+    2-D phi of flattened states, one row of each per state.
 
     omega_A is defined by omega_A(e) = phi(e, u_B) for every effect e, which
     in coordinates is M u_B; symmetrically for B.
     """
-    if not max_tensor_membership(phi, max_tensor_constraints(a, b), tol):
+    x = phi.vector() if isinstance(phi, BilinearState) else np.asarray(phi, float)
+    if not max_tensor_membership(x, max_tensor_constraints(a, b), tol):
         raise ValueError("state is outside the maximal tensor product")
-    omega_a = phi.coord @ b.unit
-    omega_b = phi.coord.T @ a.unit
-    if not hull_membership(omega_a, VPolytope(a.vertices), tol):
+    m = x.reshape(*x.shape[:-1], a.ambient_dim, b.ambient_dim)
+    omega_a, omega_b = m @ b.unit, a.unit @ m
+    if not np.all(hull_membership(omega_a, VPolytope(a.vertices), tol)):
         raise ValueError("A-marginal left the model state space")
-    if not hull_membership(omega_b, VPolytope(b.vertices), tol):
+    if not np.all(hull_membership(omega_b, VPolytope(b.vertices), tol)):
         raise ValueError("B-marginal left the model state space")
     return omega_a, omega_b
 
@@ -678,9 +675,9 @@ def model_to_json(m: ComModel) -> dict:
 def model_from_json(obj: dict) -> ComModel:
     return ComModel(
         *_json_ints(obj, "ambient_dim"),
-        np.asarray(obj["vertices"], float),
-        np.asarray(obj["effects"], float),
-        np.asarray(obj["unit"], float),
+        _json_numbers(obj.get("vertices"), 2, "vertices"),
+        _json_numbers(obj.get("effects"), 2, "effects"),
+        _json_numbers(obj.get("unit"), 1, "unit"),
     )
 
 
@@ -690,7 +687,7 @@ def polytope_to_json(p: VPolytope) -> dict:
 
 def polytope_from_json(obj: dict) -> VPolytope:
     (dim,) = _json_ints(obj, "ambient_dim")
-    p = VPolytope(np.asarray(obj["vertices"], float))
+    p = VPolytope(_json_numbers(obj.get("vertices"), 2, "vertices"))
     if p.ambient_dim != dim:
         raise ValueError("ambient_dim does not match vertex width")
     return p

@@ -6,17 +6,18 @@ their composition, whose fixed points ("convex separable subsets") are
 exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
-Both flavors run through one core in ``comgeo`` (``marginal_sets``,
+Both flavors run through one core in ``comgeo`` (unit contractions,
 ``reduce_rows`` and the broadcast multiply of ``product_composites``) on
-composites x[a, b] with units.  A density matrix rho[(i k), (j l)] is
-regrouped as x[(i j), (k l)] with unit vec(I), so partial traces are unit
-contractions and ``kron`` is an outer product; that only permutes the
-``flatten_matrix`` coordinates.  The quantum products are ``matcore.kron``
-of the two vertex stacks, the same multiply.
+composites x[a, b] with units; ``gpt_marginals`` contracts and checks a
+whole GPT vertex array.  A density matrix rho[(i k), (j l)] is regrouped as
+x[(i j), (k l)] with unit vec(I), so partial traces are unit contractions
+and ``kron`` is an outer product; that only permutes the ``flatten_matrix``
+coordinates.  The quantum products are ``matcore.kron`` of the two vertex
+stacks, the same multiply.
 
 A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
 the maps work on whole stacks.  Its vertices, when given as matrices, are
-validated in one ``DensityMatrix.validate`` call, and a ``Decomposition``'s
+validated in one ``qstate._validated`` call, and a ``Decomposition``'s
 factors in two, one per side; derived polytopes are not validated again.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import comgeo, matcore, qstate
 from .comgeo import BilinearState, ComModel, VPolytope
 from .matcore import CSS_TOL, DECISION_TOL, ROUND_TOL, VALID_TOL, DimSplit
-from .qstate import DensityMatrix, _derived
+from .qstate import DensityMatrix, _derived, _validated
 
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:
@@ -57,7 +58,7 @@ class StatePolytope:
         mats = _stack([v.mat if isinstance(v, DensityMatrix) else v for v in given], "vertices")
         object.__setattr__(self, "vertices", mats)
         if not valid:
-            _validate(mats, self.split, "vertex")
+            _validated(mats, self.split, "vertex")
         elif mats.shape[1:] != (self.split.dim,) * 2:
             raise ValueError("vertex dimension mismatch")
 
@@ -77,14 +78,6 @@ def _stack(mats, what: str) -> np.ndarray:
     return out
 
 
-def _validate(mats: np.ndarray, split: DimSplit, what: str) -> None:
-    """One ``DensityMatrix.validate`` pass over a stack; ValueError naming
-    the first invalid matrix."""
-    problems = _derived(DensityMatrix, mats, split).validate()
-    if problems:
-        raise ValueError(f"invalid {what} " + "; ".join(problems))
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Convex combination of product states: terms (p_i, a_i, b_i)."""
@@ -100,8 +93,8 @@ class Decomposition:
                 f"weights must be finite, nonnegative and sum to 1, got {weights.tolist()!r}"
             )
         qa, qb = DimSplit(self.split.dim_a, 1), DimSplit(1, self.split.dim_b)
-        _validate(_stack([a for _, a, _ in self.terms], "A factors"), qa, "A factor")
-        _validate(_stack([b for _, _, b in self.terms], "B factors"), qb, "B factor")
+        _validated(_stack([a for _, a, _ in self.terms], "A factors"), qa, "A factor")
+        _validated(_stack([b for _, _, b in self.terms], "B factors"), qb, "B factor")
 
     def state(self) -> DensityMatrix:
         """The decomposed state, sum_i p_i a_i (x) b_i."""
@@ -137,10 +130,9 @@ def _rebuild(mats_a: np.ndarray, mats_b: np.ndarray, split: DimSplit) -> StatePo
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
     """Lift of the partial traces to convex sets: vertexwise marginals, reduced."""
     da, db = c.split.dim_a, c.split.dim_b
-    x = c.vertices.reshape(-1, da, db, da, db).swapaxes(2, 3)
-    ma, mb = comgeo.marginal_sets(
-        x.reshape(-1, da * da, db * db), np.eye(da).ravel(), np.eye(db).ravel()
-    )
+    x = c.vertices.reshape(-1, da, db, da, db).swapaxes(2, 3).reshape(-1, da * da, db * db)
+    ma = comgeo.reduce_rows(x @ np.eye(db).ravel())
+    mb = comgeo.reduce_rows(np.eye(da).ravel() @ x)
     return (
         _derived(StatePolytope, ma.reshape(-1, da, da), DimSplit(da, 1)),
         _derived(StatePolytope, mb.reshape(-1, db, db), DimSplit(1, db)),
@@ -180,11 +172,11 @@ def is_product(rho: DensityMatrix, tol: float = VALID_TOL) -> bool:
     return measure_of_delta(pi_delta(rho)) <= tol
 
 
-def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
-    """Smallest eigenvalue of the partial transpose."""
+def ppt_min_eigenvalue(rho: DensityMatrix):
+    """Smallest eigenvalue of the partial transpose; an array over the axes of a stack."""
     pt = matcore.partial_transpose(rho.mat, rho.split, on="b")
     w, _ = matcore.hermitian_eig(pt)
-    return float(w[0])
+    return matcore._per_matrix(w[..., 0], pt)
 
 
 def ppt_verdict(rho: DensityMatrix) -> str:
@@ -232,12 +224,13 @@ def pi_delta(rho: DensityMatrix) -> np.ndarray:
     return qstate.pi_map(rho).mat - rho.mat
 
 
-def measure_of_delta(delta: np.ndarray, cfg: MeasureConfig = MeasureConfig()) -> float:
-    """||F(delta)|| for delta = ``pi_delta(rho)``; one delta serves every cfg."""
+def measure_of_delta(delta: np.ndarray, cfg: MeasureConfig = MeasureConfig()):
+    """||F(delta)|| for delta = ``pi_delta(rho)``; one delta serves every cfg.
+    A float for one matrix, an array over the axes of a stack."""
     if cfg.f_kind == "abs":
         delta = np.abs(delta)
     elif cfg.f_kind == "square":
-        delta = delta.conj().T @ delta
+        delta = matcore._adjoint(delta) @ delta
     return matcore.norm(delta, cfg.norm_kind)
 
 
@@ -259,19 +252,11 @@ def gpt_separable(
 
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
-    """GPT flavor of marginalize-and-rebuild on a composite-state polytope."""
-    if not comgeo.max_tensor_membership(
-        c.vertices, comgeo.max_tensor_constraints(a, b), DECISION_TOL
-    ):
-        raise ValueError("state is outside the maximal tensor product")
-    x = c.vertices.reshape(-1, a.ambient_dim, b.ambient_dim)
-    pa, pb = comgeo.marginal_sets(x, a.unit, b.unit)
-    # every marginal lies in the hull of the reduced sets, so checking those suffices
-    for marg, m, side in ((pa, a, "A"), (pb, b, "B")):
-        space = VPolytope(m.vertices)
-        if not comgeo.hull_membership(marg, space, DECISION_TOL).all():
-            raise ValueError(f"{side}-marginal left the model state space")
-    return VPolytope(comgeo.product_composites(pa, pb))
+    """GPT flavor of marginalize-and-rebuild on a composite-state polytope:
+    the vertices' marginals (``gpt_marginals``, which checks them), reduced
+    on each side, and all their products."""
+    oa, ob = comgeo.gpt_marginals(c.vertices, a, b)
+    return VPolytope(comgeo.product_composites(comgeo.reduce_rows(oa), comgeo.reduce_rows(ob)))
 
 
 def classical_invariance_check(n_a: int, n_b: int, tol: float = CSS_TOL) -> bool:
@@ -353,7 +338,7 @@ def decomposition_from_json(obj: dict) -> Decomposition:
     split = matcore.split_from_json(obj)
     terms = tuple(
         (
-            float(t["p"]),
+            float(matcore._json_numbers(t["p"], 0, "p")),
             matcore.matrix_from_json(t["a"]),
             matcore.matrix_from_json(t["b"]),
         )

@@ -236,6 +236,21 @@ def _json_ints(obj, *keys) -> list[int]:
     return [obj[key] for key in keys]
 
 
+def _json_numbers(value, depth: int, key: str) -> np.ndarray:
+    """``value`` as a float array; TypeError unless it is lists nested
+    ``depth`` deep of JSON numbers (true is not 1, "1" is not 1)."""
+    if not _is_json_numbers(value, depth):
+        what = ("a JSON number", "a flat list of JSON numbers", "a list of lists of JSON numbers")
+        raise TypeError(f'"{key}" must be {what[depth]}')
+    return np.array(value, dtype=float)
+
+
+def _is_json_numbers(value, depth: int) -> bool:
+    if depth == 0:
+        return type(value) in (int, float)
+    return isinstance(value, list) and all(_is_json_numbers(v, depth - 1) for v in value)
+
+
 def split_from_json(obj) -> DimSplit:
     """The split of a JSON state object, from its integer "dim_a" and "dim_b"."""
     return DimSplit(*_json_ints(obj, "dim_a", "dim_b"))
@@ -245,13 +260,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Inverse of ``matrix_to_json``; TypeError unless "re" and "im" are flat
     lists of rows * cols JSON numbers."""
     rows, cols = _json_ints(obj, "rows", "cols")
-    parts = [obj.get("re"), obj.get("im")]
-    for key, vals in zip(("re", "im"), parts):
-        if not isinstance(vals, list) or any(type(x) not in (int, float) for x in vals):
-            raise TypeError(f'"{key}" must be a flat list of JSON numbers')
-    if len(parts[0]) != rows * cols or len(parts[1]) != rows * cols:
-        raise TypeError(
-            f"matrix payload length {len(parts[0])}/{len(parts[1])} does not match {rows}x{cols}"
-        )
-    re, im = np.array(parts, dtype=float)
+    re, im = (_json_numbers(obj.get(key), 1, key) for key in ("re", "im"))
+    if len(re) != rows * cols or len(im) != rows * cols:
+        raise TypeError(f"matrix payload length {len(re)}/{len(im)} does not match {rows}x{cols}")
     return (re + 1j * im).reshape(rows, cols)

@@ -4,11 +4,12 @@ A state is validated once, where its matrix enters: the ``DensityMatrix``
 constructor, the JSON reader, and the ``werner_state``/``random_mixed``
 families (``invsep`` adds ``StatePolytope`` vertices and ``Decomposition``
 factors).  ``DensityMatrix.validate`` is the one rule set; it acts on the
-last two axes, so ``invsep`` checks a stack of vertices or of factors in
-one call.  A state that a validity-preserving map derives from valid states
-(a partial trace, a product, the projector of a normalized vector, a convex
-combination) is not validated again: those maps build it with
-``_derived(cls, *fields)``, which is ``cls(*fields)`` minus the validation.
+last two axes, so ``_validated`` checks a stack in one call (the Werner
+states of an array of p, ``invsep``'s vertices and factors).  A state that
+a validity-preserving map derives from valid states (a partial trace, a
+product, the projector of a normalized vector, a convex combination) is not
+validated again: those maps build it with ``_derived(cls, *fields)``, which
+is ``cls(*fields)`` minus the validation.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64,
 so every ensemble is bit-reproducible from its seed.
@@ -121,6 +122,16 @@ def _derived(cls, *fields):
     return obj
 
 
+def _validated(mats: np.ndarray, split: DimSplit, what: str) -> DensityMatrix:
+    """A stack of matrices as one ``DensityMatrix``, after one ``validate``
+    pass over it; ValueError naming the first invalid matrix."""
+    rho = _derived(DensityMatrix, mats, split)
+    problems = rho.validate()
+    if problems:
+        raise ValueError(f"invalid {what} " + "; ".join(problems))
+    return rho
+
+
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
     return _derived(DensityMatrix, np.outer(psi.amps, psi.amps.conj()), psi.split)
@@ -164,11 +175,18 @@ def bell_state(kind: str) -> DensityMatrix:
     return density_from_pure(PureState(np.array(table[kind]), DimSplit(2, 2)))
 
 
-def werner_state(p: float) -> DensityMatrix:
-    """p |phi+><phi+| + (1-p) I/4 for p in [0, 1]."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"werner parameter must lie in [0, 1], got {p}")
-    return DensityMatrix(p * bell_state("phi+").mat + (1.0 - p) * np.eye(4) / 4.0, DimSplit(2, 2))
+_PHI_PLUS = bell_state("phi+").mat
+
+
+def werner_state(p) -> DensityMatrix:
+    """p |phi+><phi+| + (1-p) I/4 for p in [0, 1]; for an array of p, one
+    ``DensityMatrix`` whose ``mat`` is the stack of those states."""
+    q = np.asarray(p, dtype=float)[..., None, None]
+    bad = ~((0.0 <= q) & (q <= 1.0))  # phrased so that a NaN fails it
+    if bad.any():
+        raise ValueError(f"werner parameter must lie in [0, 1], got {q[bad][0]}")
+    mats = q * _PHI_PLUS + (1.0 - q) * np.eye(4) / 4.0
+    return _validated(mats, DimSplit(2, 2), "werner state")
 
 
 def random_pure(split: DimSplit, seed: int) -> PureState:

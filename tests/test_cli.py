@@ -24,7 +24,8 @@ GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
 # splits under several --f-kind/--norm/--tol choices, recorded when every
 # measure and verdict recomputed pi(rho) and the PPT spectrum on its own;
 # the 1x4 and 4x1 entries were recorded again when their PPT verdict went
-# from "inconclusive" to "separable"
+# from "inconclusive" to "separable"; the two PR-box entries, the only GPT
+# report here, were recorded before gpt_marginals took stacks of states
 GOLDEN_ANALYZE = json.loads(
     (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
 )
@@ -413,16 +414,21 @@ class TestSweep:
     @pytest.mark.parametrize("block, passes", [(cli.SWEEP_BLOCK, 1), (3, 3), (7, 1)])
     def test_one_stacked_pass_per_block(self, capsys, monkeypatch, block, passes):
         monkeypatch.setattr(cli, "SWEEP_BLOCK", block)
-        states = counting(monkeypatch, qstate, "werner_state")
+        blocks = []
+        werner_state = qstate.werner_state
+        monkeypatch.setattr(
+            qstate, "werner_state", lambda ps: blocks.append(len(ps)) or werner_state(ps)
+        )
+        validations = counting(monkeypatch, qstate.DensityMatrix, "validate")
         pi_calls = counting(monkeypatch, qstate, "pi_map")
         pt_calls = counting(monkeypatch, matcore, "partial_transpose")
         eig_calls = counting(monkeypatch, np.linalg, "eigh")
         code, _, _ = run(capsys, "sweep", "werner", "--steps", "7")
         assert code == EXIT_OK
-        # each point is built and validated once; delta and the PPT spectra per block
-        assert len(states) == 7
-        assert not pi_calls
-        assert len(pt_calls) == passes
+        # each block of the grid is one stack of states, built and validated
+        # by one werner_state call; its deltas and PPT spectra are one call each
+        assert blocks == [min(block, 7 - lo) for lo in range(0, 7, block)]
+        assert len(blocks) == len(validations) == len(pi_calls) == len(pt_calls) == passes
         # one eigh for the trace norms of the deltas, one for the PPT spectra
         assert len(eig_calls) == passes * 2
 

@@ -946,18 +946,34 @@ class TestGptMarginals:
             ob, (b.vertices[1] + b.vertices[2]) / 2, atol=1e-12
         )
 
+    def test_a_stack_of_rows_equals_row_by_row(self, rng):
+        # the 24 vertices of the gbit pair's maximal product, and mixtures of them
+        gb = gbit_model()
+        verts = enumerate_max_vertices(max_tensor_constraints(gb, gb)).vertices
+        rows = np.vstack([verts, rng.dirichlet(np.ones(len(verts)), size=40) @ verts])
+        oa, ob = gpt_marginals(rows, gb, gb)
+        assert oa.shape == ob.shape == (len(rows), 3)
+        for x, row_a, row_b in zip(rows, oa, ob):
+            one_a, one_b = gpt_marginals(BilinearState(x.reshape(3, 3)), gb, gb)
+            assert row_a.tobytes() == one_a.tobytes() and row_b.tobytes() == one_b.tobytes()
+
     def test_rejects_non_member(self):
         gb = gbit_model()
-        with pytest.raises(ValueError, match="maximal tensor"):
-            gpt_marginals(BilinearState(2.0 * pr_box().coord), gb, gb)
+        bad = BilinearState(2.0 * pr_box().coord)
+        # alone, and as a row after a good one
+        for phi in (bad, np.vstack([pr_box().vector(), bad.vector()])):
+            with pytest.raises(ValueError, match="maximal tensor"):
+                gpt_marginals(phi, gb, gb)
 
     def test_rejects_marginal_outside_state_space(self):
         # the one effect of this model does not cut out its state space, so
         # phi lies in the maximal tensor product with A-marginal (2, -1)
         m = ComModel(2, np.eye(2), [[0.5, 0.5]], np.ones(2))
         phi = BilinearState([[2.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(ValueError, match="A-marginal left the model state space"):
-            gpt_marginals(phi, m, m)
+        # alone, and as a row after a product state
+        for x in (phi, np.vstack([np.outer(m.vertices[0], m.vertices[1]).ravel(), phi.vector()])):
+            with pytest.raises(ValueError, match="A-marginal left the model state space"):
+                gpt_marginals(x, m, m)
 
 
 class TestBilinearTable:
@@ -986,6 +1002,27 @@ class TestJsonBoundary:
     def test_model_ambient_dim_must_be_a_json_integer(self, value):
         obj = dict(comgeo.model_to_json(gbit_model()), ambient_dim=value)
         with pytest.raises(TypeError, match="ambient_dim"):
+            comgeo.model_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "vertices", [[["1", True], [0, 1]], [[0, 0], [1, True]], [[0, 0], "01"], [0, 1], None]
+    )
+    def test_polytope_vertices_must_be_json_numbers(self, vertices):
+        with pytest.raises(TypeError, match="vertices"):
+            comgeo.polytope_from_json({"ambient_dim": 2, "vertices": vertices})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("unit", ["0", "0", "1"]),
+            ("unit", [0, 0, True]),
+            ("vertices", [[0, 0, 1], [0, "1", 1], [1, 0, 1], [1, 1, 1]]),
+            ("effects", [[1, 0, 0], [-1, 0, True], [0, 1, 0], [0, -1, 1]]),
+        ],
+    )
+    def test_model_entries_must_be_json_numbers(self, field, value):
+        obj = dict(comgeo.model_to_json(gbit_model()), **{field: value})
+        with pytest.raises(TypeError, match=field):
             comgeo.model_from_json(obj)
 
     @pytest.mark.parametrize("field", ["ambient_dim", "vertices", "effects", "unit"])

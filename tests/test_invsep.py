@@ -48,6 +48,29 @@ def random_product(seed):
     return mats[0], mats[1]
 
 
+def random_stack(dims, shape, seed) -> DensityMatrix:
+    """A stack of random states of every rank, with some products among them,
+    as one validated ``DensityMatrix`` of the given stack shape."""
+    split = DimSplit(*dims)
+    rng = np.random.default_rng(seed)
+    mats = []
+    for s in rng.integers(0, 2**32, size=int(np.prod(shape))).tolist():
+        if s % 4 == 0:
+            qa, qb = DimSplit(split.dim_a, 1), DimSplit(1, split.dim_b)
+            a, b = qstate.random_mixed(qa, 2, s).mat, qstate.random_mixed(qb, 2, s + 1).mat
+            mats.append(matcore.kron(a, b))
+        else:
+            mats.append(qstate.random_mixed(split, 1 + s % split.dim, s).mat)
+    return qstate._validated(np.reshape(mats, (*shape, split.dim, split.dim)), split, "state")
+
+
+STACKS = dict(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    shape=st.sampled_from([(1,), (4,), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestStatePolytope:
     def test_vertices_are_one_complex_array(self):
         mats = [qstate.random_mixed(TWO_QUBITS, 4, seed=j).mat for j in range(3)]
@@ -310,6 +333,17 @@ class TestPpt:
         if ppt_min_eigenvalue(rho) >= -matcore.VALID_TOL:
             assert ppt_verdict(rho) == "inconclusive"
 
+    @settings(max_examples=30, deadline=None)
+    @given(**STACKS)
+    def test_a_stack_gives_the_value_of_each_state(self, dims, shape, seed):
+        rho = random_stack(dims, shape, seed)
+        got = ppt_min_eigenvalue(rho)
+        assert got.shape == shape
+        slices = rho.mat.reshape(-1, *rho.mat.shape[-2:])
+        per_state = [ppt_min_eigenvalue(DensityMatrix(m, rho.split)) for m in slices]
+        assert all(type(x) is float for x in per_state)
+        assert got.tobytes() == np.array(per_state).tobytes()
+
     def test_maximally_mixed_3x3_is_inconclusive(self):
         # PPT, but on a 3x3 split that does not prove separability
         assert ppt_verdict(DensityMatrix(np.eye(9) / 9, DimSplit(3, 3))) == "inconclusive"
@@ -374,6 +408,20 @@ class TestGMeasure:
         for norm_kind in ("frobenius", "trace"):
             cfg = MeasureConfig("identity", norm_kind)
             assert abs(g_measure(rho, cfg) - g_measure(rot, cfg)) <= 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(**STACKS)
+    def test_a_stack_of_deltas_gives_the_measure_of_each(self, dims, shape, seed):
+        deltas = invsep.pi_delta(random_stack(dims, shape, seed))
+        slices = deltas.reshape(-1, *deltas.shape[-2:])
+        for f_kind in ("identity", "abs", "square"):
+            for norm_kind in ("frobenius", "trace", "max_abs"):
+                cfg = MeasureConfig(f_kind, norm_kind)
+                got = invsep.measure_of_delta(deltas, cfg)
+                assert got.shape == shape
+                per_slice = [invsep.measure_of_delta(d, cfg) for d in slices]
+                assert all(type(x) is float for x in per_slice)
+                assert got.tobytes() == np.array(per_slice).tobytes()
 
     def test_calibration_zero_iff_product(self):
         for seed in range(20):
@@ -519,6 +567,14 @@ class TestJson:
         assert back.split == split and len(back.terms) == k
         for (p, a, b), (p2, a2, b2) in zip(d.terms, back.terms):
             assert p2 == p and np.array_equal(a2, a) and np.array_equal(b2, b)
+
+    @pytest.mark.parametrize("p", ["0.1", True, None, [0.1]])
+    def test_weight_must_be_a_json_number(self, p):
+        obj = invsep.decomposition_to_json(werner_product_decomposition(0.2))
+        assert obj["terms"][0]["p"] == 0.1
+        obj["terms"][0]["p"] = p
+        with pytest.raises(TypeError, match='"p"'):
+            invsep.decomposition_from_json(obj)
 
     def test_state_polytope_round_trip(self):
         s = css_from_decomposition(werner_product_decomposition(0.25))

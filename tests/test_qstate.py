@@ -122,9 +122,18 @@ class TestWerner:
         pt = matcore.partial_transpose(rho.mat, rho.split, on="b")
         assert abs(np.linalg.eigvalsh(pt)[0]) < 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(ps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_an_array_of_p_is_the_stack_of_the_states(self, ps):
+        rho = qstate.werner_state(np.array(ps))
+        assert rho.split == TWO_QUBITS
+        assert rho.mat.tobytes() == np.array([qstate.werner_state(p).mat for p in ps]).tobytes()
+
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            qstate.werner_state(1.5)
+        # a NaN fails the range check too, and so does an array holding one bad p
+        for p in (1.5, -0.1, np.nan, [0.2, np.nan], [0.0, 1.0 + 1e-12, 0.5]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                qstate.werner_state(p)
 
 
 class TestRandomStates:
