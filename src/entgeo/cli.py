@@ -3,7 +3,9 @@ products, check fixed-point witnesses.
 
 Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
 is negative or not finite), 3 numerical validation failure, 4 size cap
-exceeded.  The size caps are checked before anything is allocated:
+exceeded.  ``analyze file:`` and ``css-check`` read JSON through one
+``_read_json``, so an unreadable file, invalid JSON and a malformed object
+exit 2 under both.  The size caps are checked before anything is allocated:
 
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
 - ``analyze random:AxB`` with A*B at most ``RANDOM_DIM_CAP`` and
@@ -33,9 +35,10 @@ The tolerance behind each verdict (the table is in ``matcore``):
   state whose delta is 2e-16 reads ``"product": false, "css_singleton": true``;
 - ``ppt``: the least eigenvalue of the partial transpose against
   ``VALID_TOL``, whatever ``--tol`` is;
-- ``max_tensor_member``, ``gpt_membership``, the ``tensor`` membership
-  checks and ``css-check``: ``--tol``.  A verdict an LP decides at a
-  ``--tol`` below 10 * ``LP_TOL`` is at the solver's resolution.
+- ``max_tensor_member`` and its marginals, ``gpt_membership``, the
+  ``tensor`` membership checks and ``css-check``: ``--tol``.  A verdict an
+  LP decides at a ``--tol`` below 10 * ``LP_TOL`` is at the solver's
+  resolution.
 
 ``css-check`` reports the largest hull distance between a polytope and its
 image under ``lambda_tau``, both ways; ``comgeo.max_hull_distance`` solves
@@ -113,17 +116,7 @@ def parse_state_expr(text: str):
         path = text[len("file:"):]
         if not path:
             raise ExprError("empty path in file: expression")
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ExprError(f"cannot read state file {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ExprError(f"invalid JSON in {path!r}: {exc}") from None
-        try:
-            state = qstate.state_from_json(obj)
-        except (TypeError, KeyError) as exc:
-            raise ExprError(f"malformed state in {path!r}: {exc}") from None
+        state = _read_json(path, "state", qstate.state_from_json)
         if isinstance(state, qstate.PureState):
             state = qstate.density_from_pure(state)
         return state
@@ -131,6 +124,22 @@ def parse_state_expr(text: str):
         gbit = comgeo.gbit_model()
         return (comgeo.pr_box(), gbit, gbit)
     raise ExprError(f"unknown state expression {text!r}")
+
+
+def _read_json(path: str, what: str, parse):
+    """``parse`` of the JSON value in the file at ``path``; an unreadable file,
+    invalid JSON and a TypeError or KeyError of ``parse`` exit 2."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ExprError(f"cannot read {what} file {path!r}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ExprError(f"invalid JSON in {path!r}: {exc}") from None
+    try:
+        return parse(obj)
+    except (TypeError, KeyError) as exc:
+        raise ExprError(f"malformed {what} in {path!r}: {exc}") from None
 
 
 def _parse_random(text: str, parts: list[str]):
@@ -253,7 +262,7 @@ def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
     }
     if not in_max:
         return report
-    oa, ob = comgeo.gpt_marginals(phi, a, b)
+    oa, ob = comgeo.gpt_marginals(phi, a, b, tol)
     omin = comgeo.min_tensor(a, b)
     dist, _ = comgeo.hull_distance(phi.vector(), omin.vertices)
     separable = dist <= tol
@@ -305,17 +314,14 @@ def cmd_sweep(args) -> int:
 
 def _werner_rows(ps: list[float]) -> list[str]:
     """The sweep's CSV rows for the Werner states at ps, in one stacked pass:
-    one call each of ``werner_state``, ``pi_delta``, ``_measure_values`` and
-    ``ppt_min_eigenvalue`` on the stack of states."""
+    one call each of ``werner_state``, ``pi_delta``, ``_measure_values``,
+    ``ppt_min_eigenvalue`` and ``ppt_verdict_from_eigenvalue`` on the stack."""
     rho = qstate.werner_state(ps)
     sm = _measure_values(invsep.pi_delta(rho))
-    return [
-        f"{p!r},{fro!r},{tr!r},{ppt!r},{invsep.ppt_verdict_from_eigenvalue(ppt, rho.split)}"
-        for p, fro, tr, ppt in zip(
-            ps, sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(),
-            invsep.ppt_min_eigenvalue(rho).tolist(),
-        )
-    ]
+    ppt = invsep.ppt_min_eigenvalue(rho)
+    cols = sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(), ppt.tolist()
+    verdicts = invsep.ppt_verdict_from_eigenvalue(ppt, rho.split).tolist()
+    return [f"{p!r},{fro!r},{tr!r},{eig!r},{v}" for p, fro, tr, eig, v in zip(ps, *cols, verdicts)]
 
 
 def cmd_tensor(args) -> int:
@@ -347,23 +353,18 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-def cmd_css_check(args) -> int:
-    try:
-        with open(args.polytope_file) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ExprError(f"cannot read {args.polytope_file!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ExprError(f"invalid JSON in {args.polytope_file!r}: {exc}") from None
+def _capped_polytope(obj) -> invsep.StatePolytope:
+    """The state polytope of a JSON value, its vertex cap checked first."""
     verts = obj.get("vertices") if isinstance(obj, dict) else None
     if isinstance(verts, list) and len(verts) > CSS_VERTEX_CAP:
         raise CapError(
             f"state polytope has {len(verts)} vertices, over the cap of {CSS_VERTEX_CAP}"
         )
-    try:
-        c = invsep.state_polytope_from_json(obj)
-    except (TypeError, KeyError) as exc:
-        raise ExprError(f"malformed state polytope in {args.polytope_file!r}: {exc}") from None
+    return invsep.state_polytope_from_json(obj)
+
+
+def cmd_css_check(args) -> int:
+    c = _read_json(args.polytope_file, "state polytope", _capped_polytope)
     image = invsep.lambda_tau(c)
     cf, imf = c.flat(), image.flat()
     worst = comgeo.max_hull_distance([(imf, cf), (cf, imf)])

@@ -275,11 +275,16 @@ def _outside(xs: np.ndarray, v: np.ndarray, tol: float):
 
 
 def _nearest_gaps(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """min_j |xs_i - v_j|_inf for each row xs_i, compared in chunks of rows
-    whose temporaries hold at most ``_DEDUP_ENTRIES`` floats."""
-    step = max(1, _DEDUP_ENTRIES // max(1, v.size))
-    if len(xs) <= step:
-        return np.abs(xs[:, None] - v).max(axis=2).min(axis=1)
+    """min_j |xs_i - v_j|_inf for each row xs_i, from pairwise comparisons
+    whose temporaries hold at most ``_DEDUP_ENTRIES`` floats each (bar one
+    pair of wider rows): chunks of v, each against chunks of xs.  ``np.fmin``
+    skips a NaN gap, so gap <= tol iff some row of v is near."""
+    if len(xs) * v.size <= _DEDUP_ENTRIES or len(xs) == len(v) == 1:
+        return np.fmin.reduce(np.abs(xs[:, None] - v).max(axis=2), axis=1)
+    if v.size > _DEDUP_ENTRIES and len(v) > 1:
+        step = max(1, _DEDUP_ENTRIES // v.shape[1])
+        return np.fmin.reduce([_nearest_gaps(xs, v[j:j + step]) for j in range(0, len(v), step)])
+    step = max(1, _DEDUP_ENTRIES // v.size)
     return np.concatenate([_nearest_gaps(xs[i:i + step], v) for i in range(0, len(xs), step)])
 
 
@@ -366,7 +371,7 @@ def _coords(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(len(rows), -1)).view(float)
 
 
-# entries in one float temporary of dedup_rows (8 MB)
+# entries in one float temporary of a pairwise comparison (8 MB)
 _DEDUP_ENTRIES = 2**20
 
 
@@ -375,11 +380,11 @@ def dedup_rows(points: np.ndarray) -> np.ndarray:
     the infinity norm, of an earlier kept row.
 
     Rows go in blocks whose pairwise comparison fits ``_DEDUP_ENTRIES``.  A
-    row near a row kept from an earlier block is dropped.  Among the block's
-    other rows, keep_i = "no earlier kept row of the block is near" is
-    iterated to its fixed point, which is unique because keep_i depends only
-    on the rows before i; it is reached in as many steps as the longest
-    chain of near rows.
+    row near a row kept from an earlier block is dropped
+    (``_nearest_gaps``).  Among the block's other rows, keep_i = "no earlier
+    kept row of the block is near" is iterated to its fixed point, which is
+    unique because keep_i depends only on the rows before i; it is reached
+    in as many steps as the longest chain of near rows.
     """
     points = np.atleast_2d(np.asarray(points))
     points = points.astype(complex if np.iscomplexobj(points) else float)
@@ -389,12 +394,12 @@ def dedup_rows(points: np.ndarray) -> np.ndarray:
     for start in range(0, len(coords), size):
         rows = np.arange(start, min(start + size, len(coords)))
         if start:  # the first block has no kept row before it
-            kept = coords[:start][keep[:start]]
-            for k in range(0, len(kept), size):
-                rows = rows[~_near(coords[rows], kept[k:k + size]).any(axis=1)]
-        block = coords[rows]
-        order = np.arange(len(rows))
-        earlier = _near(block, block) & (order[:, None] > order)
+            rows = rows[~(_nearest_gaps(coords[rows], coords[:start][keep[:start]]) <= DEDUP_TOL)]
+        block, order = coords[rows], np.arange(len(rows))
+        # every pair of the block at once, as booleans: on the small blocks of
+        # reduce_rows this is faster than the float gaps of _nearest_gaps
+        near = (np.abs(block[:, None] - block) <= DEDUP_TOL).all(axis=2)
+        earlier = near & (order[:, None] > order)
         ok = np.ones(len(rows), dtype=bool)
         if earlier.any():  # else every row of the block is kept
             while True:
@@ -404,12 +409,6 @@ def dedup_rows(points: np.ndarray) -> np.ndarray:
                 ok = new
         keep[rows[ok]] = True
     return points[keep]
-
-
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """near[i, j]: rows a_i and b_j are within ``DEDUP_TOL`` in the infinity
-    norm."""
-    return (np.abs(a[:, None] - b[None]) <= DEDUP_TOL).all(axis=2)
 
 
 def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:

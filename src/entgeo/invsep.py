@@ -34,8 +34,9 @@ from .qstate import DensityMatrix, _derived, _validated
 
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:
-    """Complex matrix -> real coordinate vector (re/im interleaved)."""
-    return np.array(m, dtype=complex).ravel().view(float)
+    """Complex matrix -> real coordinate vector (re/im interleaved): the row
+    that ``comgeo._coords`` makes of it."""
+    return comgeo._coords(np.array(m, dtype=complex)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -179,36 +180,34 @@ def ppt_min_eigenvalue(rho: DensityMatrix):
     return matcore._per_matrix(w[..., 0], pt)
 
 
-def ppt_verdict(rho: DensityMatrix) -> str:
+def ppt_verdict(rho: DensityMatrix):
     """Partial-transpose criterion; conclusive only on 2x2 and 2x3 splits
-    and on splits with a one-dimensional factor."""
+    and on splits with a one-dimensional factor.  A str for one state, an
+    array over the axes of a stack."""
     return ppt_verdict_from_eigenvalue(ppt_min_eigenvalue(rho), rho.split)
 
 
-def ppt_verdict_from_eigenvalue(min_eig: float, split: DimSplit) -> str:
-    """The PPT verdict given ``ppt_min_eigenvalue`` of a state on ``split``."""
-    if min(split.dim_a, split.dim_b) == 1:
-        return "separable"  # every state with a one-dimensional factor is a product
-    if min_eig < -VALID_TOL:
-        return "entangled"
-    if tuple(sorted((split.dim_a, split.dim_b))) in ((2, 2), (2, 3)):
-        return "separable"
-    return "inconclusive"
+def ppt_verdict_from_eigenvalue(min_eig, split: DimSplit):
+    """The PPT verdict given ``ppt_min_eigenvalue`` of a state on ``split``: a
+    str for one eigenvalue, an array over the axes of an array of them."""
+    dims = tuple(sorted((split.dim_a, split.dim_b)))
+    # every state with a one-dimensional factor is a product
+    positive = "separable" if dims[0] == 1 or dims in ((2, 2), (2, 3)) else "inconclusive"
+    entangled = (np.asarray(min_eig) < -VALID_TOL) & (dims[0] > 1)
+    return np.array([positive, "entangled"], dtype=object)[entangled.astype(np.intp)]
 
 
 def psi_preimage_member(
     sigma: DensityMatrix, c1: StatePolytope, c2: StatePolytope, tol: float = CSS_TOL
-) -> bool:
+):
     """Membership in the preimage-intersection up-map: both marginals of
-    sigma must lie in the respective sets.  Entangled states can pass."""
-    ma, mb = qstate.marginals(sigma)
-    in_a = comgeo.hull_membership(
-        flatten_matrix(ma.mat), VPolytope(c1.flat()), tol
-    )
-    in_b = comgeo.hull_membership(
-        flatten_matrix(mb.mat), VPolytope(c2.flat()), tol
-    )
-    return in_a and in_b
+    sigma must lie in the respective sets.  Entangled states can pass.  A
+    bool for one state, an array over the axes of a stack."""
+    inside = True
+    for m, c in zip(qstate.marginals(sigma), (c1, c2)):
+        rows = comgeo._coords(matcore._slices(m.mat))
+        inside &= comgeo.hull_membership(rows, VPolytope(c.flat()), tol).reshape(m.mat.shape[:-2])
+    return matcore._per_matrix(inside, sigma.mat)
 
 
 def g_measure(rho: DensityMatrix, cfg: MeasureConfig = MeasureConfig()) -> float:

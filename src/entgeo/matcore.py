@@ -182,7 +182,7 @@ def hermitian_eig(m):
 
 
 def norm(m, kind: str = "frobenius"):
-    """Matrix norm, of one matrix or of each of a stack.
+    """Matrix norm: a float for one matrix, an array over the axes of a stack.
 
     kind:
         "frobenius" -- sqrt of the sum of squared entry moduli
@@ -191,10 +191,9 @@ def norm(m, kind: str = "frobenius"):
     """
     m = _as_matrix(m)
     if kind == "frobenius":
-        if m.ndim == 2:
-            return float(np.linalg.norm(m))
         # np.linalg.norm of each slice: its axis=(-2, -1) form rounds differently
-        return np.array([np.linalg.norm(s) for s in _slices(m)]).reshape(m.shape[:-2])
+        norms = np.array([np.linalg.norm(s) for s in _slices(m)])
+        return _per_matrix(norms.reshape(m.shape[:-2]), m)
     if kind == "max_abs":
         return _per_matrix(np.max(np.abs(m), axis=(-2, -1)), m)
     if kind == "trace":

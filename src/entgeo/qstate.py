@@ -156,9 +156,10 @@ def pi_map(rho: DensityMatrix) -> DensityMatrix:
     return _derived(DensityMatrix, matcore.kron(a.mat, b.mat), rho.split)
 
 
-def purity(rho: DensityMatrix) -> float:
-    """tr(rho^2); 1 exactly on pure states, 1/dim on the maximally mixed."""
-    return float(np.trace(rho.mat @ rho.mat).real)
+def purity(rho: DensityMatrix):
+    """tr(rho^2); 1 exactly on pure states, 1/dim on the maximally mixed.  A
+    float for one state, an array over the axes of a stack."""
+    return matcore._per_matrix(np.trace(rho.mat @ rho.mat, axis1=-2, axis2=-1).real, rho.mat)
 
 
 def bell_state(kind: str) -> DensityMatrix:

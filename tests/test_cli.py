@@ -329,6 +329,19 @@ class TestTolerance:
         assert code == EXIT_OK
         assert json.loads(out)["verdicts"]["css_singleton"]
 
+    def test_gpt_report_checks_the_marginals_at_tol(self, capsys, monkeypatch):
+        # the max-tensor check and the state-space checks use the one --tol
+        seen = []
+        original = comgeo.gpt_marginals
+
+        def recorded(phi, a, b, tol=matcore.DECISION_TOL):
+            seen.append(tol)
+            return original(phi, a, b, tol)
+
+        monkeypatch.setattr(comgeo, "gpt_marginals", recorded)
+        assert run(capsys, "--tol", "0", "analyze", "prbox")[0] == EXIT_OK
+        assert seen == [0.0]
+
 
 class TestSweep:
     def test_golden_file(self, capsys):
@@ -623,6 +636,7 @@ PARSE_ERRORS = [
     (["analyze", "werner:2"], "must lie in [0, 1]"),
     (["analyze", "file:"], "empty path"),
     (["analyze", "file:{tmp}/junk.json"], "invalid JSON"),
+    (["analyze", "file:{tmp}/missing.json"], "cannot read"),
     (["analyze", "foo"], "unknown state expression"),
     (["analyze", "random:2x2"], "bad random expression"),
     (["analyze", "random:2x2:seed"], "bad option"),
@@ -636,6 +650,7 @@ PARSE_ERRORS = [
     (["tensor", "gbit", "foo"], "unknown model expression"),
     (["sweep", "bogus"], "unknown sweep family"),
     (["css-check", "{tmp}/missing.json"], "cannot read"),
+    (["css-check", "{tmp}/junk.json"], "invalid JSON"),
 ]
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import null_space
@@ -672,6 +672,8 @@ class TestReduceAndEqual:
         dim=st.integers(1, 4),
         entries=st.sampled_from([1, 8, 60, 2**20]),
     )
+    # 14 kept rows of width 2: up to 28 floats of earlier kept rows against a budget of 8
+    @example(seed=0, n=40, dim=2, entries=8)
     def test_dedup_matches_the_sequential_rule(self, seed, n, dim, entries):
         # clusters of rows jittered by up to 1.5 tol, so chains of near rows
         # form; small comparison budgets split the rows into many blocks
@@ -733,6 +735,31 @@ class TestReduceAndEqual:
         got = [polytope_equal(VPolytope(a), VPolytope(b), 1e-9) for a, b in pairs]
         assert got == want == [True, False, True]
         assert 2 in rows
+
+    def test_nearest_gaps_splits_a_v_over_the_budget(self, rng, monkeypatch):
+        # v holds 120 floats against a budget of 40, so it goes in chunks of
+        # 10 rows, each against one row of xs at a time; a NaN gap in one
+        # chunk hides no near row of another
+        xs, v = rng.standard_normal((5, 4)), rng.standard_normal((30, 4))
+        v[3, 1] = np.nan
+        v[25] = xs[2] + 0.5 * DEDUP_TOL
+        want = np.fmin.reduce(np.abs(xs[:, None] - v).max(axis=2), axis=1)
+        monkeypatch.setattr(comgeo, "_DEDUP_ENTRIES", 40)
+        calls, leaves = [], []
+        original = comgeo._nearest_gaps
+
+        def recorded(xs, v):
+            calls.append(len(xs))
+            before = len(calls)
+            out = original(xs, v)
+            if len(calls) == before:  # no smaller comparison ran inside: a leaf
+                leaves.append(len(xs) * v.size)
+            return out
+
+        monkeypatch.setattr(comgeo, "_nearest_gaps", recorded)
+        np.testing.assert_array_equal(comgeo._nearest_gaps(xs, v), want)
+        assert want[2] <= DEDUP_TOL
+        assert leaves and max(leaves) <= 40
 
 
 class TestMaxHullDistance:

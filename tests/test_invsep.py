@@ -450,6 +450,40 @@ class TestPsiPreimage:
         assert not psi_preimage_member(qstate.bell_state("phi+"), c1, c2)
 
 
+class TestStacks:
+    @settings(max_examples=30, deadline=None)
+    @given(**STACKS)
+    def test_purity_ppt_verdict_and_preimage_give_the_result_of_each_state(
+        self, dims, shape, seed
+    ):
+        rho = random_stack(dims, shape, seed)
+        states = [DensityMatrix(m, rho.split) for m in rho.mat.reshape(-1, *rho.mat.shape[-2:])]
+        # hulls of the first two states' marginals: they hold those two
+        # states' marginals and, in general, not the others'
+        c1, c2 = (
+            StatePolytope(tuple(qstate.marginals(s)[side] for s in states[:2]), split)
+            for side, split in enumerate((DimSplit(dims[0], 1), DimSplit(1, dims[1])))
+        )
+        for f, kind in (
+            (qstate.purity, float),
+            (ppt_verdict, str),
+            (lambda r: psi_preimage_member(r, c1, c2), bool),
+        ):
+            per_state = [f(s) for s in states]
+            assert all(type(x) is kind for x in per_state)
+            got = f(rho)
+            assert np.shape(got) == shape
+            assert np.ravel(got).tolist() == per_state
+
+    def test_werner_pair(self):
+        rho = qstate.werner_state([0.1, 0.9])
+        c1, c2 = (StatePolytope((np.eye(2) / 2,), split) for split in (QUBIT, DimSplit(1, 2)))
+        one_by_one = [qstate.purity(qstate.werner_state(p)) for p in (0.1, 0.9)]
+        assert qstate.purity(rho).tolist() == one_by_one
+        assert ppt_verdict(rho).tolist() == ["separable", "entangled"]
+        assert psi_preimage_member(rho, c1, c2).tolist() == [True, True]
+
+
 class TestClassicalInvariance:
     def test_2x2(self):
         assert classical_invariance_check(2, 2)

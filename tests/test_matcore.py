@@ -304,6 +304,9 @@ class TestStacks:
         assert matcore.is_hermitian(m) is True
         assert matcore.is_hermitian(np.ones((2, 3))) is False
         assert all(type(matcore.norm(m, kind)) is float for kind in ("frobenius", "trace", "max_abs"))
+        # the Frobenius norm of one matrix is numpy's, bit for bit
+        z = np.array([[1 + 2j, 3e-9], [-0.5j, 7.25], [np.pi, 1j / 3]])
+        assert matcore.norm(z, "frobenius").hex() == float(np.linalg.norm(z)).hex()
 
     def test_a_stack_does_not_serialize(self):
         with pytest.raises(ValueError, match="one matrix"):
