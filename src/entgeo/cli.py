@@ -4,8 +4,11 @@ products, check fixed-point witnesses.
 Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
 is negative or not finite), 3 numerical validation failure, 4 size cap
 exceeded.  ``analyze file:`` and ``css-check`` read JSON through one
-``_read_json``, so an unreadable file, invalid JSON and a malformed object
-exit 2 under both.  The size caps are checked before anything is allocated:
+``_read_json``, so an unreadable file, invalid JSON or UTF-8 and a
+malformed object exit 2 under both.  A GPT state outside the maximal tensor
+product exits 3 (``comgeo.gpt_marginals`` checks it), so the GPT report of
+``analyze prbox`` prints ``"max_tensor_member": true`` whenever it runs.
+The size caps are checked before anything is allocated:
 
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
 - ``analyze random:AxB`` with A*B at most ``RANDOM_DIM_CAP`` and
@@ -128,13 +131,13 @@ def parse_state_expr(text: str):
 
 def _read_json(path: str, what: str, parse):
     """``parse`` of the JSON value in the file at ``path``; an unreadable file,
-    invalid JSON and a TypeError or KeyError of ``parse`` exit 2."""
+    invalid JSON or UTF-8 and a TypeError or KeyError of ``parse`` exit 2."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ExprError(f"cannot read {what} file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ExprError(f"invalid JSON in {path!r}: {exc}") from None
     try:
         return parse(obj)
@@ -254,26 +257,18 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
 
 
 def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
-    h = comgeo.max_tensor_constraints(a, b)
-    in_max = comgeo.max_tensor_membership(phi, h, tol)
-    report = {
-        "input": expr,
-        "max_tensor_member": in_max,
-    }
-    if not in_max:
-        return report
     oa, ob = comgeo.gpt_marginals(phi, a, b, tol)
     omin = comgeo.min_tensor(a, b)
     dist, _ = comgeo.hull_distance(phi.vector(), omin.vertices)
     separable = dist <= tol
-    report.update(
-        {
-            "marginal_a": list(oa),
-            "marginal_b": list(ob),
-            "min_tensor_distance": dist,
-            "verdicts": {"gpt_membership": "separable" if separable else "entangled"},
-        }
-    )
+    report = {
+        "input": expr,
+        "max_tensor_member": True,
+        "marginal_a": list(oa),
+        "marginal_b": list(ob),
+        "min_tensor_distance": dist,
+        "verdicts": {"gpt_membership": "separable" if separable else "entangled"},
+    }
     if not separable:
         hvec, c, gap = comgeo.separating_hyperplane(phi.vector(), omin)
         report["infeasibility_certificate"] = {

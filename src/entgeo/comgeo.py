@@ -93,11 +93,12 @@ class ComModel:
             raise ValueError(
                 f"ambient_dim {self.ambient_dim} != widths {widths} of vertices, effects, unit"
             )
+        # phrased so that a NaN or inf entry fails them
         norm_err = float(np.max(np.abs(v @ u - 1.0)))
-        if norm_err > VALID_TOL:
+        if not norm_err <= VALID_TOL:
             raise ValueError(f"unit functional off by {norm_err:.3e} on some vertex")
         vals = v @ e.T
-        if vals.min() < -VALID_TOL or vals.max() > 1.0 + VALID_TOL:
+        if not (vals.min() >= -VALID_TOL and vals.max() <= 1.0 + VALID_TOL):
             raise ValueError("an extreme effect leaves [0, 1] on some vertex")
 
 
@@ -248,7 +249,8 @@ def hull_membership(x, p: VPolytope, tol: float):
     Each point is decided by the first of these that settles it: a vertex
     within tol (every row in one pairwise comparison, ``_nearest_gaps``),
     the bounds lo <= s <= hi of ``_certificate`` on its hull distance s
-    ("in" at hi <= tol, "out" at lo > tol), and the hull-distance LP.
+    ("in" at hi <= tol, "out" at lo > tol), and the hull-distance LP.  A
+    point with a NaN or inf entry raises ValueError.
     """
     xs = np.asarray(x, dtype=float)
     stacked = xs.ndim == 2
@@ -303,8 +305,10 @@ def _certificate(x: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float
     lam are those of the nearer of the two points.  Both bounds are
     recomputed from lam, so an inexact NNLS answer can weaken them but not
     make them wrong.  Without the projection (skipped, or NNLS stopped at
-    its iteration limit) lo = 0.
+    its iteration limit) lo = 0.  A NaN or inf in x raises ValueError.
     """
+    if not np.isfinite(x).all():
+        raise ValueError("point has a NaN or inf entry")
     gaps = np.abs(v - x).max(axis=1)
     i = int(gaps.argmin())
     gap = float(gaps[i])
@@ -471,19 +475,26 @@ def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
 
 
 def product_composites(xa, xb) -> np.ndarray:
-    """Row-major rows of every product xa[i] (x) xb[j], i slowest.  Nothing is
-    reduced: products of irredundant lists are exactly the vertices of their
-    hull (Namioka & Phelps, Pacific J. Math. 1969)."""
-    ka, kb = len(xa), len(xb)
-    # rows as 1 x d matrices, in stacks that broadcast to (ka, kb)
-    prods = _kron(np.reshape(xa, (ka, 1, 1, -1)), np.reshape(xb, (1, kb, 1, -1)))
-    return prods.reshape(ka * kb, -1)
+    """Every product xa[i] (x) xb[j], i slowest, of two stacks of rows (as rows)
+    or of matrices (as ``matcore.kron`` matrices), in one ``_kron`` call.
+    Nothing is reduced: products of irredundant lists are exactly the
+    vertices of their hull (Namioka & Phelps, Pacific J. Math. 1969)."""
+    xa, xb = np.asarray(xa), np.asarray(xb)
+    rows = xa.ndim == 2
+    if rows:  # a row as a 1 x d matrix
+        xa, xb = xa[:, None], xb[:, None]
+    prods = _kron(xa[:, None], xb[None])  # stacks that broadcast to (ka, kb)
+    return prods.reshape(len(xa) * len(xb), *prods.shape[-1 if rows else -2:])
+
+
+def product_hull(xa, xb) -> np.ndarray:
+    """Vertices of the hull of all products: ``product_composites`` after ``reduce_rows``."""
+    return product_composites(reduce_rows(xa), reduce_rows(xb))
 
 
 def min_tensor(a: ComModel, b: ComModel) -> VPolytope:
     """Minimal tensor product: hull of all product states, as a V-polytope."""
-    prods = product_composites(reduce_rows(a.vertices), reduce_rows(b.vertices))
-    return VPolytope(prods)
+    return VPolytope(product_hull(a.vertices, b.vertices))
 
 
 def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
@@ -503,14 +514,14 @@ def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
 
 def max_tensor_membership(phi, h: HPolytope, tol: float) -> bool:
     """True iff the bilinear state (or every row of a 2-D array of flattened
-    states) satisfies every constraint within tol."""
+    states) satisfies every constraint within tol; a NaN or inf entry fails."""
     x = phi.vector() if isinstance(phi, BilinearState) else np.asarray(phi, float)
     if x.shape[-1] != h.ambient_dim:
         raise ValueError(f"state dim {x.shape[-1]} != constraint dim {h.ambient_dim}")
     x = np.atleast_2d(x)
-    if len(h.ineq_normals) and np.min(x @ h.ineq_normals.T - h.ineq_offsets) < -tol:
+    if len(h.ineq_normals) and not np.min(x @ h.ineq_normals.T - h.ineq_offsets) >= -tol:
         return False
-    if len(h.eq_normals) and np.max(np.abs(x @ h.eq_normals.T - h.eq_values)) > tol:
+    if len(h.eq_normals) and not np.max(np.abs(x @ h.eq_normals.T - h.eq_values)) <= tol:
         return False
     return True
 
@@ -522,7 +533,8 @@ def gpt_marginals(
     2-D phi of flattened states, one row of each per state.
 
     omega_A is defined by omega_A(e) = phi(e, u_B) for every effect e, which
-    in coordinates is M u_B; symmetrically for B.
+    in coordinates is M u_B; symmetrically for B.  ValueError unless phi is
+    in the maximal tensor product and each marginal in its model, within tol.
     """
     x = phi.vector() if isinstance(phi, BilinearState) else np.asarray(phi, float)
     if not max_tensor_membership(x, max_tensor_constraints(a, b), tol):

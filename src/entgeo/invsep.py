@@ -7,13 +7,13 @@ exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
 Both flavors run through one core in ``comgeo`` (unit contractions,
-``reduce_rows`` and the broadcast multiply of ``product_composites``) on
-composites x[a, b] with units; ``gpt_marginals`` contracts and checks a
-whole GPT vertex array.  A density matrix rho[(i k), (j l)] is regrouped as
-x[(i j), (k l)] with unit vec(I), so partial traces are unit contractions
-and ``kron`` is an outer product; that only permutes the ``flatten_matrix``
-coordinates.  The quantum products are ``matcore.kron`` of the two vertex
-stacks, the same multiply.
+``reduce_rows`` and the broadcast multiply of ``product_composites``, the
+two joined in ``product_hull``) on composites x[a, b] with units;
+``gpt_marginals`` contracts and checks a whole GPT vertex array.  A density
+matrix rho[(i k), (j l)] is regrouped as x[(i j), (k l)] with unit vec(I),
+so partial traces are unit contractions and ``kron`` is an outer product;
+that only permutes the ``flatten_matrix`` coordinates.  The quantum
+products are ``product_composites`` of the two stacks of matrices.
 
 A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
 the maps work on whole stacks.  Its vertices, when given as matrices, are
@@ -121,13 +121,6 @@ class MeasureConfig:
 # Convex-set maps (quantum flavor)
 
 
-def _rebuild(mats_a: np.ndarray, mats_b: np.ndarray, split: DimSplit) -> StatePolytope:
-    """Hull of all products of two irredundant stacks of matrices, a_i (x) b_j
-    with i slowest."""
-    prods = matcore.kron(mats_a[:, None], mats_b[None])
-    return _derived(StatePolytope, prods.reshape(-1, split.dim, split.dim), split)
-
-
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
     """Lift of the partial traces to convex sets: vertexwise marginals, reduced."""
     da, db = c.split.dim_a, c.split.dim_b
@@ -142,14 +135,14 @@ def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
 
 def lambda_map(c1: StatePolytope, c2: StatePolytope) -> StatePolytope:
     """Hull of all pairwise products of the two vertex sets."""
-    mats_a, mats_b = comgeo.reduce_rows(c1.vertices), comgeo.reduce_rows(c2.vertices)
-    return _rebuild(mats_a, mats_b, DimSplit(c1.split.dim, c2.split.dim))
+    prods = comgeo.product_hull(c1.vertices, c2.vertices)
+    return _derived(StatePolytope, prods, DimSplit(c1.split.dim, c2.split.dim))
 
 
 def lambda_tau(c: StatePolytope) -> StatePolytope:
     """Marginalize, then product-and-mix; idempotent on all inputs."""
-    c1, c2 = tau(c)
-    return _rebuild(c1.vertices, c2.vertices, c.split)
+    c1, c2 = tau(c)  # reduced already, so their products are the vertices
+    return _derived(StatePolytope, comgeo.product_composites(c1.vertices, c2.vertices), c.split)
 
 
 def is_css(c: StatePolytope, tol: float = CSS_TOL) -> bool:
@@ -165,7 +158,7 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
     """
     mats_a = _stack([a for _, a, _ in d.terms], "A factors")
     mats_b = _stack([b for _, _, b in d.terms], "B factors")
-    return _rebuild(comgeo.reduce_rows(mats_a), comgeo.reduce_rows(mats_b), d.split)
+    return _derived(StatePolytope, comgeo.product_hull(mats_a, mats_b), d.split)
 
 
 def is_product(rho: DensityMatrix, tol: float = VALID_TOL) -> bool:
@@ -252,10 +245,9 @@ def gpt_separable(
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     """GPT flavor of marginalize-and-rebuild on a composite-state polytope:
-    the vertices' marginals (``gpt_marginals``, which checks them), reduced
-    on each side, and all their products."""
-    oa, ob = comgeo.gpt_marginals(c.vertices, a, b)
-    return VPolytope(comgeo.product_composites(comgeo.reduce_rows(oa), comgeo.reduce_rows(ob)))
+    the hull of the products of the vertices' marginals (``gpt_marginals``,
+    which checks them)."""
+    return VPolytope(comgeo.product_hull(*comgeo.gpt_marginals(c.vertices, a, b)))
 
 
 def classical_invariance_check(n_a: int, n_b: int, tol: float = CSS_TOL) -> bool:

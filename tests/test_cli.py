@@ -112,6 +112,21 @@ class TestAnalyze:
         assert report["verdicts"]["gpt_membership"] == "entangled"
         assert report["infeasibility_certificate"]["gap"] > 1e-3
 
+    def test_prbox_builds_the_max_tensor_constraints_once(self, capsys, monkeypatch):
+        # gpt_marginals is the one check of a GPT state
+        built = counting(monkeypatch, comgeo, "max_tensor_constraints")
+        assert run(capsys, "analyze", "prbox")[0] == EXIT_OK
+        assert len(built) == 1
+
+    def test_gpt_state_outside_the_max_tensor_product_exits_3(self, capsys, monkeypatch):
+        # no state expression names such a state, so the PR box is scaled out
+        outside = comgeo.BilinearState(2 * comgeo.pr_box().coord)
+        monkeypatch.setattr(comgeo, "pr_box", lambda: outside)
+        code, out, err = run(capsys, "analyze", "prbox")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "maximal tensor product" in err
+
     def test_random_state_expr(self, capsys):
         code, out, _ = run(capsys, "analyze", "random:2x2:rank=2:seed=7")
         assert code == EXIT_OK
@@ -637,6 +652,7 @@ PARSE_ERRORS = [
     (["analyze", "file:"], "empty path"),
     (["analyze", "file:{tmp}/junk.json"], "invalid JSON"),
     (["analyze", "file:{tmp}/missing.json"], "cannot read"),
+    (["analyze", "file:{tmp}/not_utf8.json"], "invalid JSON"),
     (["analyze", "foo"], "unknown state expression"),
     (["analyze", "random:2x2"], "bad random expression"),
     (["analyze", "random:2x2:seed"], "bad option"),
@@ -651,6 +667,7 @@ PARSE_ERRORS = [
     (["sweep", "bogus"], "unknown sweep family"),
     (["css-check", "{tmp}/missing.json"], "cannot read"),
     (["css-check", "{tmp}/junk.json"], "invalid JSON"),
+    (["css-check", "{tmp}/not_utf8.json"], "invalid JSON"),
 ]
 
 
@@ -660,6 +677,7 @@ class TestParseErrors:
     )
     def test_exits_2_with_message(self, capsys, tmp_path, argv, what):
         (tmp_path / "junk.json").write_text("{not json")
+        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{")
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == EXIT_PARSE
         assert out == ""

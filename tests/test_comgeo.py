@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import itertools
+import json
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from entgeo import comgeo
+from entgeo import comgeo, matcore
 from entgeo.comgeo import (
     BilinearState,
     ComModel,
@@ -335,6 +336,15 @@ class TestHullMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dim"):
             hull_membership([0.0, 0.0, 0.0], VPolytope([[0.0, 0.0]]), 1e-9)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[np.nan, 0.5, 1.0], [np.inf, 0.5, 1.0], [[0.5, 0.5, 1.0], [0.5, np.nan, 1.0]]],
+        ids=["nan", "inf", "nan row"],
+    )
+    def test_a_non_finite_point_raises(self, x):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            hull_membership(np.array(x), VPolytope(gbit_model().vertices), 1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -794,20 +804,38 @@ class TestMaxHullDistance:
         assert got == max(hull_distance(x, p)[0] for x in q) == pytest.approx(3.0)
 
 
+def complex_pair(shape_a, shape_b):
+    """Two complex arrays of the given shapes, entries up to 1e6 in modulus."""
+    entries = st.complex_numbers(max_magnitude=1e6)
+    return st.tuples(
+        arrays(complex, shape_a, elements=entries), arrays(complex, shape_b, elements=entries)
+    )
+
+
 class TestProductComposites:
     @settings(max_examples=60, deadline=None)
     @given(
-        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
-        .flatmap(lambda s: st.tuples(
-            arrays(complex, s[:2], elements=st.complex_numbers(max_magnitude=1e6)),
-            arrays(complex, s[2:], elements=st.complex_numbers(max_magnitude=1e6)),
-        ))
+        st.tuples(*[st.integers(1, 4)] * 4).flatmap(lambda s: complex_pair(s[:2], s[2:])),
+        # stacks of 1 to 3 matrices of any shapes up to 3x3
+        st.tuples(*[st.integers(1, 3)] * 6).flatmap(lambda s: complex_pair(s[:3], s[3:])),
     )
-    def test_bit_identical_to_numpy_kron(self, pair):
+    # one entry each: a broadcast one-entry product once took numpy's scalar
+    # complex multiply, one bit off np.kron's fused multiply-add
+    @example(
+        (np.array([[3 + 1j]]), np.array([[349525.8712729345 + 2j]])),
+        (np.array([[[3 + 1j]]]), np.array([[[349525.8712729345 + 2j]]])),
+    )
+    def test_bit_identical_to_numpy_kron(self, pair, stacks):
         xa, xb = pair
         for a, b in ((xa, xb), (xa.real, xb.real)):
             got, want = product_composites(a, b), np.kron(a, b)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # of two stacks of matrices, one kron per pair (a_i, b_j), i slowest
+        ma, mb = stacks
+        got, pairs = product_composites(ma, mb), list(itertools.product(ma, mb))
+        assert got.shape == (len(pairs), *np.kron(ma[0], mb[0]).shape)
+        for one, (a, b) in zip(got, pairs):
+            assert one.tobytes() == matcore.kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 class TestMinTensor:
@@ -856,6 +884,16 @@ class TestMaxTensor:
         assert not max_tensor_membership(
             BilinearState(1.1 * pr_box().coord), h, 1e-10
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    # an infinite entry times a zero coefficient is NaN, with numpy's warning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+    def test_a_non_finite_entry_fails(self, k, bad):
+        h = max_tensor_constraints(gbit_model(), gbit_model())
+        x = pr_box().vector().copy()
+        x[k] = bad
+        assert not max_tensor_membership(x, h, 1e-9)
 
     def test_gbit_pair_strictly_contains_products(self):
         gb = gbit_model()
@@ -992,6 +1030,13 @@ class TestGptMarginals:
             with pytest.raises(ValueError, match="maximal tensor"):
                 gpt_marginals(phi, gb, gb)
 
+    def test_rejects_a_non_finite_state(self):
+        gb = gbit_model()
+        x = pr_box().vector().copy()
+        x[4] = np.nan
+        with pytest.raises(ValueError, match="maximal tensor"):
+            gpt_marginals(x, gb, gb)
+
     def test_rejects_marginal_outside_state_space(self):
         # the one effect of this model does not cut out its state space, so
         # phi lies in the maximal tensor product with A-marginal (2, -1)
@@ -1051,6 +1096,17 @@ class TestJsonBoundary:
         obj = dict(comgeo.model_to_json(gbit_model()), **{field: value})
         with pytest.raises(TypeError, match=field):
             comgeo.model_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, what",
+        [("vertices", "unit functional"), ("effects", "extreme effect"), ("unit", "unit functional")],
+    )
+    def test_model_entries_must_not_be_nan(self, field, what):
+        # json reads the NaN literal
+        obj = comgeo.model_to_json(classical_model(2))
+        (obj["unit"] if field == "unit" else obj[field][0])[0] = float("nan")
+        with pytest.raises(ValueError, match=what):
+            comgeo.model_from_json(json.loads(json.dumps(obj)))
 
     @pytest.mark.parametrize("field", ["ambient_dim", "vertices", "effects", "unit"])
     def test_model_widths_must_match_ambient_dim(self, field):

@@ -211,6 +211,22 @@ class TestLambdaTau:
             lt = lambda_tau(StatePolytope(verts, TWO_QUBITS))
             assert is_css(lt, 1e-8)
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3)]),
+        ranks=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_idempotent_on_generated_polytopes(self, dims, ranks, seed):
+        split = DimSplit(*dims)
+        verts = tuple(
+            qstate.random_mixed(split, min(r, split.dim), seed=seed + j)
+            for j, r in enumerate(ranks)
+        )
+        once = lambda_tau(StatePolytope(verts, split))
+        twice = lambda_tau(once)
+        assert comgeo.polytope_equal(VPolytope(twice.flat()), VPolytope(once.flat()), 1e-8)
+
 
 class TestIsCss:
     def test_product_singleton(self):
@@ -376,6 +392,13 @@ class TestGptSeparable:
         gb = gbit_model()
         with pytest.raises(ValueError, match="maximal tensor"):
             gpt_separable(BilinearState(1.5 * pr_box().coord), gb, gb)
+
+    def test_rejects_a_non_finite_state(self):
+        gb = gbit_model()
+        coord = pr_box().coord.copy()
+        coord[1, 1] = np.nan
+        with pytest.raises(ValueError, match="maximal tensor"):
+            gpt_separable(BilinearState(coord), gb, gb)
 
 
 class TestGMeasure:

@@ -79,6 +79,18 @@ class TestPiMap:
             twice = qstate.pi_map(once)
             assert matcore.norm(twice.mat - once.mat, "frobenius") <= 1e-12
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_idempotent_on_generated_states(self, dims, rank, seed):
+        split = DimSplit(*dims)
+        once = qstate.pi_map(qstate.random_mixed(split, min(rank, split.dim), seed=seed))
+        twice = qstate.pi_map(once)
+        assert matcore.norm(twice.mat - once.mat, "frobenius") <= 1e-12
+
     def test_degenerate_split_is_identity(self):
         rho = qstate.random_mixed(DimSplit(3, 1), 2, seed=9)
         np.testing.assert_allclose(qstate.pi_map(rho).mat, rho.mat, atol=1e-12)
