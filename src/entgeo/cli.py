@@ -258,9 +258,8 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
 
 def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
     oa, ob = comgeo.gpt_marginals(phi, a, b, tol)
-    omin = comgeo.min_tensor(a, b)
-    dist, _ = comgeo.hull_distance(phi.vector(), omin.vertices)
-    separable = dist <= tol
+    dist, cert = comgeo.distance_and_hyperplane(phi.vector(), comgeo.min_tensor(a, b), tol)
+    separable = cert is None
     report = {
         "input": expr,
         "max_tensor_member": True,
@@ -270,7 +269,7 @@ def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
         "verdicts": {"gpt_membership": "separable" if separable else "entangled"},
     }
     if not separable:
-        hvec, c, gap = comgeo.separating_hyperplane(phi.vector(), omin)
+        hvec, c, gap = cert
         report["infeasibility_certificate"] = {
             "hyperplane": list(hvec),
             "offset": c,

@@ -11,22 +11,26 @@ only a question those bounds leave open solves an LP.  Membership within
 tol is "in" at hi <= tol and "out" at lo > tol, for one point or a stack of
 rows, and a redundant row is one such question after a strict-maximizer
 certificate has kept the rows it can.  A reported distance is 0 at
-hi <= ``LP_TOL``, exact where lo = hi, and an LP otherwise; the largest of
-many distances solves the LP only where the bounds leave it open;
-separating hyperplanes stay LPs.
+hi <= ``LP_TOL``, exact where lo = hi or where an exact proof closes
+bounds that meet up to rounding (``_prove``), and an LP otherwise; the
+largest of many distances solves the LP only where the bounds leave it
+open.  The same proof gives an optimal separating hyperplane, so the PR
+box's distance and hyperplane solve no LP.  Every LP answer that remains is
+checked on its own before it is used.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection
 
-from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, VALID_TOL, _json_ints, _json_numbers, _kron
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL, _json_ints, _json_numbers, _kron
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -41,6 +45,8 @@ class VPolytope:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         if v.size == 0:
             raise ValueError("polytope needs at least one vertex")
+        if not np.isfinite(v).all():
+            raise ValueError("polytope has a NaN or inf vertex entry")
         object.__setattr__(self, "vertices", v)
 
     @property
@@ -169,25 +175,35 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
     Read off the bounds lo <= s <= hi of ``_certificate`` at ``LP_TOL``:
     s = 0 where hi <= ``LP_TOL`` (the LP runs at feasibility tolerance
     ``LP_TOL``, so it cannot tell such a point from the hull), s = hi where
-    lo = hi (as for a hull of one vertex), and otherwise the LP of
-    ``_lp_distance``.
+    lo = hi (as for a hull of one vertex), the float nearest to s where the
+    exact proof of ``_prove`` closes bounds that meet up to rounding (for
+    the PR box, 1/12), and otherwise the LP of ``_lp_distance``.
     """
+    x, v = _question(x, vertices)
+    cert = _certificate(x, v, LP_TOL)
+    return _distance(x, v, *cert, _prove(x, v, *cert))
+
+
+def _question(x, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """x raveled and the rows ``vertices``, as floats of matching width."""
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     x = np.asarray(x, dtype=float).ravel()
     if x.size != v.shape[1]:
         raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
-    return _distance(x, v, *_certificate(x, v, LP_TOL))
+    return x, v
 
 
 def _distance(
-    x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray
+    x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray, proof
 ) -> tuple[float, np.ndarray]:
     """``hull_distance`` of x from the rows v, given the certificate
-    (lo, hi, lam) of x."""
+    (lo, hi, lam) of x and its ``_prove`` result."""
     if hi <= LP_TOL:
         return 0.0, lam
     if lo == hi:
         return hi, lam
+    if proof is not None:
+        return proof.distance, proof.weights
     return _lp_distance(x, v)
 
 
@@ -215,14 +231,16 @@ def max_hull_distance(questions) -> float:
     for i in sorted(range(len(found)), key=lambda i: -found[i][3]):
         if dist and found[i][3] < best - 2 * LP_TOL:
             break
-        dist[i] = _distance(*found[i])[0]
+        dist[i] = _distance(*found[i], _prove(*found[i]))[0]
         best = max(best, dist[i])
     return max(dist[i] for i in sorted(dist))
 
 
 def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Solves  min s  s.t.  |V^T lam - x| <= s,  sum lam = 1,  lam >= 0
-    and returns (s, lam)."""
+    and returns (s, lam), after checking the answer on its own: lam >= 0,
+    sum lam = 1 and |lam @ v - x|_inf = s, each within ``_lp_slack``, else
+    RuntimeError."""
     n, d = v.shape
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -238,7 +256,24 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     )
     if res.status != 0:
         raise RuntimeError(f"hull-distance LP failed: {res.message}")
-    return float(res.fun), res.x[:n]
+    s, lam = float(res.fun), res.x[:n]
+    resid = float(np.abs(lam @ v - x).max())
+    slack = _lp_slack(x, v)
+    # phrased so that a NaN fails them
+    if not (lam.min() >= -slack and abs(lam.sum() - 1.0) <= slack):
+        raise RuntimeError("hull-distance LP answer is not a probability vector")
+    if not abs(resid - s) <= slack:
+        raise RuntimeError(f"hull-distance LP answer {s!r} is off its residual {resid!r}")
+    return s, lam
+
+
+def _lp_slack(x: np.ndarray, v: np.ndarray) -> float:
+    """How far an LP answer at feasibility tolerance ``LP_TOL`` may miss a
+    constraint, recomputed: ``LP_TOL`` per unit of the largest entry of x
+    and of the rows v, since HiGHS scales the problem by its entries (at
+    entries near 1000 a hyperplane misses h.v <= c by up to 50 ``LP_TOL``
+    and a weight sum misses 1 by up to ``LP_TOL``)."""
+    return LP_TOL * (1.0 + max(float(np.abs(v).max()), float(np.abs(x).max())))
 
 
 def hull_membership(x, p: VPolytope, tol: float):
@@ -348,13 +383,42 @@ def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
 
 
 def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
-    """Infeasibility certificate for a point outside the hull.
+    """Infeasibility certificate for a point outside the hull: an optimal
+    solution of the LP  max h.x - c  s.t.  h.v <= c on every vertex,
+    |h|_inf <= 1.  Returns (h, c, gap); gap > 0 certifies x is not in the
+    hull.
 
-    Maximizes h.x - c subject to h.v <= c on every vertex and |h|_inf <= 1.
-    Returns (h, c, gap); gap > 0 certifies x is not in the hull.
+    Where ``_prove`` proves the hull distance exactly from weights lam~, it
+    returns h = (x - lam~ @ v) / |x - lam~ @ v|_inf and c = max_i h.v_i
+    without an LP: h is feasible, and its gap |x - lam~ @ v|_1 is at least
+    the l1 distance from x to the hull, which is the LP's optimum by
+    duality, so it is optimal.  Otherwise the LP (``_lp_hyperplane``).
     """
-    v = p.vertices
-    x = np.asarray(x, dtype=float).ravel()
+    x, v = _question(x, p.vertices)
+    proof = _prove(x, v, *_certificate(x, v, LP_TOL))
+    return proof.hyperplane if proof is not None else _lp_hyperplane(x, v)
+
+
+def distance_and_hyperplane(
+    x, p: VPolytope, tol: float
+) -> tuple[float, tuple[np.ndarray, float, float] | None]:
+    """(``hull_distance`` of x from the hull of p, ``separating_hyperplane``
+    of x if that distance exceeds tol, else None), from one certificate and
+    at most one exact proof."""
+    x, v = _question(x, p.vertices)
+    cert = _certificate(x, v, LP_TOL)
+    proof = _prove(x, v, *cert)
+    dist = _distance(x, v, *cert, proof)[0]
+    if dist <= tol:
+        return dist, None
+    return dist, proof.hyperplane if proof is not None else _lp_hyperplane(x, v)
+
+
+def _lp_hyperplane(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The LP of ``separating_hyperplane``, with its answer checked on its
+    own: |h|_inf <= 1, max_i h.v_i <= c and the gap h.x - c, recomputed,
+    equal to the LP's optimum, each within ``_lp_slack``, else
+    RuntimeError."""
     n, d = v.shape
     # variables: h (d entries, in [-1, 1]) and c (free)
     cvec = np.concatenate([-x, [1.0]])
@@ -367,7 +431,87 @@ def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
     if res.status != 0:
         raise RuntimeError(f"separating-hyperplane LP failed: {res.message}")
     h, c = res.x[:d], float(res.x[d])
-    return h, c, float(h @ x - c)
+    gap = float(h @ x - c)
+    slack = _lp_slack(x, v)
+    # phrased so that a NaN fails them
+    if not (np.abs(h).max() <= 1.0 + slack and np.max(v @ h) <= c + slack):
+        raise RuntimeError("separating-hyperplane LP answer is infeasible")
+    if not abs(gap + float(res.fun)) <= slack:
+        raise RuntimeError(f"separating-hyperplane LP gap {-res.fun!r} is off its recomputed {gap!r}")
+    return h, c, gap
+
+
+# largest denominator of a weight snapped by _prove; the weights of a
+# projection onto a face whose vertices are small integer points are
+# rationals of small denominator
+_SNAP_DENOMINATOR = 4096
+
+
+@dataclass(frozen=True)
+class _Proof:
+    """What ``_prove`` proves: the hull distance (the float nearest to it),
+    the snapped weights that attain it, and an optimal separating
+    hyperplane (h, c, gap)."""
+
+    distance: float
+    weights: np.ndarray
+    hyperplane: tuple[np.ndarray, float, float]
+
+
+def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Proof | None:
+    """An exact proof of the Chebyshev distance s from x to the hull of the
+    rows v, where the certificate's float bounds lo <= s <= hi meet up to
+    rounding (hi - lo <= ``ROUND_TOL``, hi > ``LP_TOL``); None where they do
+    not, or where the proof fails.
+
+    Each weight of lam is snapped to the nearest rational of denominator at
+    most ``_SNAP_DENOMINATOR``.  Every float is a dyadic rational, so x and
+    v are integers times one power of two, and in integer arithmetic the
+    proof checks that the snapped weights lam~ are >= 0 and sum to 1, forms
+    h = x - lam~ @ v (a point of the hull is within |h|_inf of x), and
+    accepts iff (h.x - max_i h.v_i) / |h|_1 = |h|_inf, the lower bound of
+    ``_certificate`` for this h.  Then s = |h|_inf exactly.
+    """
+    if not LP_TOL < hi <= lo + ROUND_TOL:
+        return None
+    snapped = [Fraction(w).limit_denominator(_SNAP_DENOMINATOR) for w in lam.tolist()]
+    if min(snapped) < 0 or sum(snapped) != 1:
+        return None
+    den = math.lcm(*(f.denominator for f in snapped))
+    weights = np.array([f.numerator * (den // f.denominator) for f in snapped], dtype=object)
+    ints, exp = _dyadic(np.vstack([x, v]))
+    # x = xi 2^exp, v = vi 2^exp and h = x - lam~ @ v = hn 2^exp / den
+    xi, vi = ints[0], ints[1:]
+    support = np.flatnonzero(weights)
+    hn = den * xi - weights[support] @ vi[support]
+    scores = vi @ hn
+    norm1, norminf = sum(abs(k) for k in hn), max(abs(k) for k in hn)
+    top = max(scores)
+    if norminf == 0 or den * (hn @ xi - top) != norm1 * norminf:
+        return None
+    h = np.array([k / norminf for k in hn], dtype=float)
+    return _Proof(
+        distance=_nearest_float(norminf, den, exp),
+        weights=np.array([float(f) for f in snapped]),
+        hyperplane=(h, _nearest_float(top, norminf, exp), _nearest_float(norm1, den, exp)),
+    )
+
+
+def _nearest_float(num: int, den: int, exp: int) -> float:
+    """The float nearest to num 2^exp / den (Python's int division rounds
+    correctly at any size)."""
+    return (num << exp) / den if exp >= 0 else num / (den << -exp)
+
+
+def _dyadic(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Integers n (an object array shaped as a) and one exponent e with
+    a = n 2^e exactly, for a finite float array a."""
+    mant, exps = np.frexp(a)
+    n = (mant * 2.0**53).astype(np.int64)  # exact: |mant| < 1
+    exps = exps.astype(np.int64) - 53
+    live = n != 0
+    e = int(exps[live].min()) if live.any() else 0
+    return n.astype(object) << np.where(live, exps - e, 0).astype(object), e
 
 
 def _coords(rows: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ import numpy as np
 
 # how far a quantity that vanishes on every valid input may be off (states, effects, PPT)
 VALID_TOL = 1e-10
-# rounding slack on a value that is known exactly (|psi|^2 = 1, Im tr rho = 0, p <= 1/3)
+# rounding slack on a value that is known exactly (|psi|^2 = 1, Im tr rho = 0, p <= 1/3,
+# hull-distance bounds that an exact proof may close)
 ROUND_TOL = 1e-12
 # the default geometric decision tolerance (--tol, membership, redundancy, tightness)
 DECISION_TOL = 1e-9

@@ -25,7 +25,9 @@ GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
 # measure and verdict recomputed pi(rho) and the PPT spectrum on its own;
 # the 1x4 and 4x1 entries were recorded again when their PPT verdict went
 # from "inconclusive" to "separable"; the two PR-box entries, the only GPT
-# report here, were recorded before gpt_marginals took stacks of states
+# report here, were recorded again when the exact proof replaced the LPs of
+# their distance and hyperplane, which changed only the hyperplane's unit
+# coordinate, its zero signs and its offset
 GOLDEN_ANALYZE = json.loads(
     (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
 )
@@ -51,6 +53,14 @@ def run_quiet(argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue()
+
+
+def generic_polytope_file(tmp_path) -> str:
+    """A state polytope file whose css-check solves an LP."""
+    verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=400 + j) for j in range(3))
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(invsep.state_polytope_to_json(StatePolytope(verts, TWO_QUBITS))))
+    return str(path)
 
 
 def counting(monkeypatch, module, name):
@@ -194,13 +204,30 @@ class TestAnalyze:
         assert pure[0] == EXIT_OK
         assert run(capsys, "analyze", f"file:{path}") == pure
 
-    def test_lp_failure_is_numeric_error(self, capsys, monkeypatch):
+    def test_lp_failure_is_numeric_error(self, capsys, monkeypatch, tmp_path):
+        # the PR-box report solves no LP; the largest distance of a generic
+        # polytope from its image does
         failed = SimpleNamespace(status=4, message="numerical difficulties")
         monkeypatch.setattr(comgeo, "linprog", lambda *args, **kwargs: failed)
-        code, out, err = run(capsys, "analyze", "prbox")
+        code, out, err = run(capsys, "css-check", generic_polytope_file(tmp_path))
         assert code == EXIT_NUMERIC
         assert out == ""
         assert "LP failed" in err
+
+    def test_corrupted_lp_answer_is_numeric_error(self, capsys, monkeypatch, tmp_path):
+        # an answer whose weights do not rebuild the reported distance
+        original = comgeo.linprog
+
+        def corrupted(*args, **kwargs):
+            res = original(*args, **kwargs)
+            res.fun += 0.25
+            return res
+
+        monkeypatch.setattr(comgeo, "linprog", corrupted)
+        code, out, err = run(capsys, "css-check", generic_polytope_file(tmp_path))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "off its residual" in err
 
     @pytest.mark.parametrize("expr", ["bell:phi+", "werner:0.5"])
     def test_singleton_report_needs_no_lp(self, capsys, monkeypatch, expr):

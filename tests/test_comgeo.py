@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -391,6 +392,19 @@ class TestHullMembership:
             expected = lp_member(x, one.vertices, tol)
             assert hull_membership(x, one, tol) == expected == (off <= tol)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(1, 8), k=st.integers(1, 10), tol=st.sampled_from([1e-9, LP_TOL]))
+    def test_convex_combinations_are_members(self, seed, dim, k, tol):
+        # random weights, some of them zero, on random vertices
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((k, dim))
+        w = rng.dirichlet(np.ones(k), size=4) * (rng.random((4, k)) < 0.7)
+        w = w[w.sum(axis=1) > 0]
+        xs = (w / w.sum(axis=1, keepdims=True)) @ v
+        assert hull_membership(xs, VPolytope(v), tol).all()
+        for x in xs:
+            assert lp_distance(x, v)[0] <= LP_TOL
+
 
 class TestHullDistance:
     @settings(max_examples=30, deadline=None)
@@ -424,6 +438,143 @@ class TestHullDistance:
         assert hull_distance(x, verts)[0] == 0.0
         assert hull_distance(verts[2] + 0.5 * LP_TOL, verts)[0] == 0.0
         assert hull_distance(verts[2] + 0.5, verts[2:3])[0] == pytest.approx(0.5, abs=1e-15)
+
+
+GBIT_PRODUCTS = min_tensor(gbit_model(), gbit_model()).vertices
+# the vertices of the gbit pair's maximal tensor product outside the
+# product hull: the PR box and its relabelings
+PR_TYPE = np.array([
+    x for x in enumerate_max_vertices(max_tensor_constraints(gbit_model(), gbit_model())).vertices
+    if not hull_membership(x, VPolytope(GBIT_PRODUCTS), 1e-9)
+])
+
+
+class TestExactProof:
+    def test_pr_box_solves_no_lp(self, monkeypatch):
+        # the distance is the float nearest to 1/12, the hyperplane the sign
+        # pattern of x - lam~ @ v with c = 0, and its gap |x - lam~ @ v|_1
+        monkeypatch.setattr(comgeo, "linprog", None)
+        x = pr_box().vector()
+        dist, lam = hull_distance(x, GBIT_PRODUCTS)
+        assert dist == 0.08333333333333333 == float(Fraction(1, 12))
+        assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-15)
+        h, c, gap = comgeo.separating_hyperplane(x, VPolytope(GBIT_PRODUCTS))
+        assert h.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 0.0, -1.0, 0.0, 0.0]
+        assert (c, gap) == (0.0, 0.5) and np.max(GBIT_PRODUCTS @ h) == c
+        assert comgeo.distance_and_hyperplane(x, VPolytope(GBIT_PRODUCTS), 1e-9)[1][2] == gap
+        assert comgeo.distance_and_hyperplane(x, VPolytope(GBIT_PRODUCTS), 0.1) == (dist, None)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_every_pr_type_vertex_solves_no_lp(self, monkeypatch, k):
+        monkeypatch.setattr(comgeo, "linprog", None)
+        assert hull_distance(PR_TYPE[k], GBIT_PRODUCTS)[0] == float(Fraction(1, 12))
+        h, c, gap = comgeo.separating_hyperplane(PR_TYPE[k], VPolytope(GBIT_PRODUCTS))
+        assert gap == 0.5 and np.max(GBIT_PRODUCTS @ h) <= c
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 7), w=st.floats(0.5, 1.0, exclude_min=True))
+    @example(k=0, w=1.0)
+    @example(k=0, w=0.7)
+    def test_noisy_pr_boxes_agree_with_the_lp(self, k, w):
+        # w P + (1 - w) uniform for a PR-type vertex P, whether the proof
+        # or the LP answers: the distance and the gap are the LP's, and the
+        # hyperplane holds every product vertex
+        x = w * PR_TYPE[k] + (1 - w) * GBIT_PRODUCTS.mean(axis=0)
+        assert hull_distance(x, GBIT_PRODUCTS)[0] == pytest.approx(
+            comgeo._lp_distance(x, GBIT_PRODUCTS)[0], abs=LP_TOL
+        )
+        h, c, gap = comgeo.separating_hyperplane(x, VPolytope(GBIT_PRODUCTS))
+        assert gap == pytest.approx(comgeo._lp_hyperplane(x, GBIT_PRODUCTS)[2], abs=LP_TOL)
+        assert np.max(GBIT_PRODUCTS @ h) <= c + LP_TOL
+        assert np.abs(h).max() <= 1.0 + LP_TOL
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, dim=st.integers(1, 6), k=st.integers(1, 8), den=st.integers(1, 12))
+    def test_a_proof_is_the_exact_distance(self, seed, dim, k, den):
+        # small-integer vertices and a point at rational offsets from them,
+        # so that the bounds may meet: whatever answers, the distance is
+        # the LP's, and a proof's distance is the float of an exact
+        # rational, recomputed here with Fraction
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-2, 3, size=(k, dim)).astype(float)
+        x = v[0] + rng.integers(-den, den + 1, size=dim) / den
+        cert = comgeo._certificate(x, v, LP_TOL)
+        proof = comgeo._prove(x, v, *cert)
+        assert hull_distance(x, v)[0] == pytest.approx(lp_distance(x, v)[0], abs=LP_TOL)
+        if proof is not None:
+            lam = [Fraction(w).limit_denominator(comgeo._SNAP_DENOMINATOR) for w in proof.weights]
+            assert min(lam) >= 0 and sum(lam) == 1
+            h = [Fraction(xi) - sum(w * Fraction(vj[i]) for w, vj in zip(lam, v)) for i, xi in enumerate(x)]
+            assert proof.distance == float(max(abs(e) for e in h))
+            assert proof.hyperplane[2] == float(sum(abs(e) for e in h))
+
+    @pytest.mark.parametrize("lam", [[0.3, 1.0], [-0.25, 1.0]], ids=["sum", "negative"])
+    def test_weights_off_the_simplex_are_refused(self, lam):
+        # 3 is 1 from the hull of {0, 2}, and lam @ v = 2 makes the bounds
+        # meet at 1, but lam is no probability vector, so nothing is proved
+        v, x = np.array([[0.0], [2.0]]), np.array([3.0])
+        assert comgeo._prove(x, v, 1.0, 1.0, np.array(lam)) is None
+        assert comgeo._prove(x, v, 1.0, 1.0, np.array([0.0, 1.0])).distance == 1.0
+
+    def test_bounds_that_do_not_meet_are_not_proved(self):
+        # a point beyond one corner of a square: lo < hi by far more than
+        # rounding, so no proof is tried
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        x = np.array([1.5, 1.25])
+        lo, hi, lam = comgeo._certificate(x, square, LP_TOL)
+        assert hi - lo > matcore.ROUND_TOL
+        assert comgeo._prove(x, square, lo, hi, lam) is None
+
+
+class TestCheckedLps:
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    OUTSIDE = np.array([1.5, 0.25])
+
+    @staticmethod
+    def corrupt(monkeypatch, change):
+        """Let comgeo.linprog return its answer after change(res)."""
+        original = comgeo.linprog
+
+        def corrupted(*args, **kwargs):
+            res = original(*args, **kwargs)
+            res.x = res.x.copy()
+            change(res)
+            return res
+
+        monkeypatch.setattr(comgeo, "linprog", corrupted)
+
+    def test_the_checks_pass_on_the_answers(self):
+        assert comgeo._lp_distance(self.OUTSIDE, self.SQUARE)[0] == pytest.approx(0.5)
+        assert comgeo._lp_hyperplane(self.OUTSIDE, self.SQUARE)[2] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda res: setattr(res, "fun", res.fun + 0.25), "off its residual"),
+            (lambda res: res.x.__setitem__(slice(0, 2), res.x[:2] + [-0.75, 0.75]), "probability"),
+            (lambda res: res.x.__setitem__(slice(0, 4), 1.5 * res.x[:4]), "probability"),
+            (lambda res: res.x.__setitem__(0, np.nan), "probability"),
+        ],
+        ids=["objective", "negative", "sum", "nan"],
+    )
+    def test_a_corrupted_distance_raises(self, monkeypatch, change, match):
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(RuntimeError, match=match):
+            comgeo._lp_distance(self.OUTSIDE, self.SQUARE)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (lambda res: setattr(res, "fun", res.fun + 0.25), "gap"),
+            (lambda res: res.x.__setitem__(-1, res.x[-1] - 0.25), "infeasible"),
+            (lambda res: res.x.__setitem__(slice(0, 2), 2 * res.x[:2]), "infeasible"),
+        ],
+        ids=["objective", "offset", "norm"],
+    )
+    def test_a_corrupted_hyperplane_raises(self, monkeypatch, change, match):
+        self.corrupt(monkeypatch, change)
+        with pytest.raises(RuntimeError, match=match):
+            comgeo.separating_hyperplane(self.OUTSIDE, VPolytope(self.SQUARE))
 
 
 PRODUCT_PAIRS = {
@@ -1107,6 +1258,16 @@ class TestJsonBoundary:
         (obj["unit"] if field == "unit" else obj[field][0])[0] = float("nan")
         with pytest.raises(ValueError, match=what):
             comgeo.model_from_json(json.loads(json.dumps(obj)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_polytope_vertices_must_be_finite(self, bad):
+        # json reads the NaN and Infinity literals; a NaN vertex used to
+        # answer every membership question "in"
+        obj = json.loads(json.dumps({"ambient_dim": 2, "vertices": [[0, 0], [bad, 0], [1, 1]]}))
+        with pytest.raises(ValueError, match="NaN or inf"):
+            comgeo.polytope_from_json(obj)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            VPolytope(np.array([[0.0, 0.0], [1.0, bad]]))
 
     @pytest.mark.parametrize("field", ["ambient_dim", "vertices", "effects", "unit"])
     def test_model_widths_must_match_ambient_dim(self, field):

@@ -1,9 +1,10 @@
 """LP solves per operation, counted through ``comgeo.linprog``.
 
 The counts are deterministic: every hull question that a vertex match, a
-strict maximizer or the projection onto the hull settles solves no LP, so
-only the distances of points outside the hull and the hyperplanes whose
-numbers are reported do.
+strict maximizer or the projection onto the hull settles solves no LP, and
+neither does a reported distance or hyperplane that the exact proof of
+``comgeo._prove`` settles, so only the other distances of points outside
+the hull and their hyperplanes do.
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from entgeo import cli, comgeo, invsep, qstate
 from entgeo.invsep import Decomposition, StatePolytope
-from entgeo.matcore import DimSplit
+from entgeo.matcore import LP_TOL, DimSplit
 
 from conftest import TWO_QUBITS
 
@@ -51,12 +52,36 @@ def test_tensor_solves_none(capsys, lp_calls, model_a, model_b):
     assert len(lp_calls) == 0
 
 
-def test_prbox_report_solves_its_distance_and_hyperplane(capsys, lp_calls):
-    # the marginals are decided by the projection onto the gbit square; the two LPs
-    # left give min_tensor_distance and the infeasibility certificate
+def test_prbox_report_solves_none(capsys, lp_calls):
+    # the marginals are decided by the projection onto the gbit square, and
+    # min_tensor_distance and the infeasibility certificate by one exact proof
     assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
     capsys.readouterr()
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize("corrupt", ["sum", "off the face", "denominator"])
+def test_prbox_report_with_corrupted_weights_solves_both(capsys, lp_calls, monkeypatch, corrupt):
+    # the proof refuses weights that sum past 1, weights that sum to 1 but
+    # rebuild a point off the nearest face, and weights that a denominator
+    # bound of 11 snaps away from 1/12; the two LPs answer instead, with
+    # the proof's numbers
+    certificate = comgeo._certificate
+
+    def corrupted(x, v, tol):
+        lo, hi, lam = certificate(x, v, tol)
+        lam = lam * (1 + 1 / 64) if corrupt == "sum" else (lam + 1 / len(lam)) / 2
+        return lo, hi, lam
+
+    if corrupt == "denominator":
+        monkeypatch.setattr(comgeo, "_SNAP_DENOMINATOR", 11)
+    else:
+        monkeypatch.setattr(comgeo, "_certificate", corrupted)
+    assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
     assert len(lp_calls) == 2
+    assert report["min_tensor_distance"] == pytest.approx(1 / 12, abs=LP_TOL)
+    assert report["infeasibility_certificate"]["gap"] == pytest.approx(0.5, abs=LP_TOL)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
