@@ -47,8 +47,7 @@ def main():
     c = StatePolytope(verts, SPLIT)
     once = invsep.lambda_tau(c)
     print(f"  random 3-vertex polytope -> {len(once.vertices)} product vertices")
-    print(f"  applying the map again changes nothing: "
-          f"{invsep.is_css(once, 1e-8)}")
+    print(f"  applying the map again changes nothing: {invsep.is_css(once)}")
 
     print("\n=== No fixed-point set can hold a Bell state ===")
     bell = qstate.bell_state("phi+")

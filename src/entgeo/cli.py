@@ -391,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--f-kind",
-        choices=("identity", "abs", "square"),
+        choices=invsep.F_KINDS,
         default="identity",
         help="entrywise/matrix function applied before the norm",
     )
     ap.add_argument(
         "--norm",
-        choices=("frobenius", "trace", "max_abs"),
+        choices=invsep.NORM_KINDS,
         default="frobenius",
         help="norm used by the measure",
     )

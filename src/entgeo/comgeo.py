@@ -14,9 +14,11 @@ certificate has kept the rows it can.  A reported distance is 0 at
 hi <= ``LP_TOL``, exact where lo = hi or where an exact proof closes
 bounds that meet up to rounding (``_prove``), and an LP otherwise; the
 largest of many distances solves the LP only where the bounds leave it
-open.  The same proof gives an optimal separating hyperplane, so the PR
-box's distance and hyperplane solve no LP.  Every LP answer that remains is
-checked on its own before it is used.
+open.  A distance and its optimal separating hyperplane are the primal and
+the dual of one problem, so each comes with the other: from the same
+proof, so that the PR box's distance and hyperplane solve no LP, or from
+one LP, the hyperplane being the dual optimum of the distance LP.  Every
+LP answer, the dual included, is checked on its own before it is used.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
     the PR box, 1/12), and otherwise the LP of ``_lp_distance``.
     """
     x, v = _question(x, vertices)
-    cert = _certificate(x, v, LP_TOL)
-    return _distance(x, v, *cert, _prove(x, v, *cert))
+    answer = _distance(x, v, *_certificate(x, v, LP_TOL))
+    return answer.distance, answer.weights
 
 
 def _question(x, vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -193,18 +195,28 @@ def _question(x, vertices) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
-def _distance(
-    x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray, proof
-) -> tuple[float, np.ndarray]:
+@dataclass(frozen=True)
+class _Answer:
+    """A hull distance (``distance``), weights that attain it, and an
+    optimal separating hyperplane (h, c, gap): |h|_inf = 1, h.v <= c on
+    every vertex and gap = h.x - c = |h|_1 distance, or h = 0, c = gap = 0
+    for a point in the hull.  The hyperplane is None where the
+    certificate's bounds alone gave the distance."""
+
+    distance: float
+    weights: np.ndarray
+    hyperplane: tuple[np.ndarray, float, float] | None
+
+
+def _distance(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Answer:
     """``hull_distance`` of x from the rows v, given the certificate
-    (lo, hi, lam) of x and its ``_prove`` result."""
+    (lo, hi, lam) of x, as the answer of the step that settles it."""
     if hi <= LP_TOL:
-        return 0.0, lam
+        return _Answer(0.0, lam, (np.zeros(len(x)), 0.0, 0.0))
     if lo == hi:
-        return hi, lam
-    if proof is not None:
-        return proof.distance, proof.weights
-    return _lp_distance(x, v)
+        return _Answer(hi, lam, None)
+    proof = _prove(x, v, lo, hi, lam)
+    return proof if proof is not None else _lp_distance(x, v)
 
 
 def max_hull_distance(questions) -> float:
@@ -231,16 +243,24 @@ def max_hull_distance(questions) -> float:
     for i in sorted(range(len(found)), key=lambda i: -found[i][3]):
         if dist and found[i][3] < best - 2 * LP_TOL:
             break
-        dist[i] = _distance(*found[i], _prove(*found[i]))[0]
+        dist[i] = _distance(*found[i]).distance
         best = max(best, dist[i])
     return max(dist[i] for i in sorted(dist))
 
 
-def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+def _lp_distance(x: np.ndarray, v: np.ndarray) -> _Answer:
     """Solves  min s  s.t.  |V^T lam - x| <= s,  sum lam = 1,  lam >= 0
-    and returns (s, lam), after checking the answer on its own: lam >= 0,
-    sum lam = 1 and |lam @ v - x|_inf = s, each within ``_lp_slack``, else
-    RuntimeError."""
+    and returns s, lam and the hyperplane of its dual optimum, after
+    checking each on its own, within ``_lp_slack``, else RuntimeError.
+
+    lam must be a probability vector with |lam @ v - x|_inf = s.  The dual
+    (Boyd & Vandenberghe 2004, sec. 8.1) is  max h.x - max_i h.v_i  s.t.
+    |h|_1 <= 1, and h is the difference of the multipliers of the rows
+    V^T lam - x <= s and x - V^T lam <= s; it must have |h|_1 <= 1 and
+    h.x - max_i h.v_i = s.  Scaled to |h|_inf = 1 it separates x from the
+    hull by gap = |h|_1 s; where s is within ``_lp_slack`` of 0 the LP
+    cannot separate x, and the hyperplane is h = 0, c = gap = 0.
+    """
     n, d = v.shape
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -257,6 +277,8 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     if res.status != 0:
         raise RuntimeError(f"hull-distance LP failed: {res.message}")
     s, lam = float(res.fun), res.x[:n]
+    # HiGHS's marginals are d fun / d b_ub, so <= 0 in a minimization
+    h = res.ineqlin.marginals[:d] - res.ineqlin.marginals[d:]
     resid = float(np.abs(lam @ v - x).max())
     slack = _lp_slack(x, v)
     # phrased so that a NaN fails them
@@ -264,15 +286,20 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
         raise RuntimeError("hull-distance LP answer is not a probability vector")
     if not abs(resid - s) <= slack:
         raise RuntimeError(f"hull-distance LP answer {s!r} is off its residual {resid!r}")
-    return s, lam
+    if not (np.abs(h).sum() <= 1.0 + slack and abs(h @ x - np.max(v @ h) - s) <= slack):
+        raise RuntimeError(f"hull-distance LP dual is not a hyperplane at distance {s!r}")
+    if not s > slack:  # then h may be 0, and x is in the hull at the LP's resolution
+        return _Answer(s, lam, (np.zeros(d), 0.0, 0.0))
+    h = h / np.abs(h).max()
+    top = float(np.max(v @ h))
+    return _Answer(s, lam, (h, top, float(h @ x) - top))
 
 
 def _lp_slack(x: np.ndarray, v: np.ndarray) -> float:
     """How far an LP answer at feasibility tolerance ``LP_TOL`` may miss a
     constraint, recomputed: ``LP_TOL`` per unit of the largest entry of x
     and of the rows v, since HiGHS scales the problem by its entries (at
-    entries near 1000 a hyperplane misses h.v <= c by up to 50 ``LP_TOL``
-    and a weight sum misses 1 by up to ``LP_TOL``)."""
+    entries near 1000 a weight sum misses 1 by up to ``LP_TOL``)."""
     return LP_TOL * (1.0 + max(float(np.abs(v).max()), float(np.abs(x).max())))
 
 
@@ -307,7 +334,7 @@ def _outside(xs: np.ndarray, v: np.ndarray, tol: float):
     """
     for k in np.flatnonzero(~(_nearest_gaps(xs, v) <= tol)):
         lo, hi, _ = _certificate(xs[k], v, tol)
-        if hi > tol and (lo > tol or _lp_distance(xs[k], v)[0] > tol):
+        if hi > tol and (lo > tol or _lp_distance(xs[k], v).distance > tol):
             yield int(k)
 
 
@@ -383,20 +410,20 @@ def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
 
 
 def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
-    """Infeasibility certificate for a point outside the hull: an optimal
-    solution of the LP  max h.x - c  s.t.  h.v <= c on every vertex,
-    |h|_inf <= 1.  Returns (h, c, gap); gap > 0 certifies x is not in the
-    hull.
+    """An optimal hyperplane separating x from the hull of p: (h, c, gap)
+    with |h|_inf = 1, h.v <= c on every vertex and gap = h.x - c, where
+    gap / |h|_1 is the ``hull_distance`` s of x, so gap > 0 certifies that x
+    is not in the hull.  A point in the hull (s = 0 within ``LP_TOL``, or
+    within ``_lp_slack`` for the LP) gets h = 0, c = gap = 0.
 
-    Where ``_prove`` proves the hull distance exactly from weights lam~, it
-    returns h = (x - lam~ @ v) / |x - lam~ @ v|_inf and c = max_i h.v_i
-    without an LP: h is feasible, and its gap |x - lam~ @ v|_1 is at least
-    the l1 distance from x to the hull, which is the LP's optimum by
-    duality, so it is optimal.  Otherwise the LP (``_lp_hyperplane``).
+    h / |h|_1 maximizes h.x - max_i h.v_i over |h|_1 <= 1, the dual of s.
+    Where ``_prove`` proves s exactly from weights lam~, h is
+    (x - lam~ @ v) / |x - lam~ @ v|_inf and c = max_i h.v_i, with no LP;
+    otherwise h is the dual optimum of the distance LP (``_lp_distance``).
+    That is ``distance_and_hyperplane`` at tol = -inf, which every distance
+    exceeds.
     """
-    x, v = _question(x, p.vertices)
-    proof = _prove(x, v, *_certificate(x, v, LP_TOL))
-    return proof.hyperplane if proof is not None else _lp_hyperplane(x, v)
+    return distance_and_hyperplane(x, p, -math.inf)[1]
 
 
 def distance_and_hyperplane(
@@ -404,41 +431,12 @@ def distance_and_hyperplane(
 ) -> tuple[float, tuple[np.ndarray, float, float] | None]:
     """(``hull_distance`` of x from the hull of p, ``separating_hyperplane``
     of x if that distance exceeds tol, else None), from one certificate and
-    at most one exact proof."""
+    at most one exact proof or one LP."""
     x, v = _question(x, p.vertices)
-    cert = _certificate(x, v, LP_TOL)
-    proof = _prove(x, v, *cert)
-    dist = _distance(x, v, *cert, proof)[0]
-    if dist <= tol:
-        return dist, None
-    return dist, proof.hyperplane if proof is not None else _lp_hyperplane(x, v)
-
-
-def _lp_hyperplane(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """The LP of ``separating_hyperplane``, with its answer checked on its
-    own: |h|_inf <= 1, max_i h.v_i <= c and the gap h.x - c, recomputed,
-    equal to the LP's optimum, each within ``_lp_slack``, else
-    RuntimeError."""
-    n, d = v.shape
-    # variables: h (d entries, in [-1, 1]) and c (free)
-    cvec = np.concatenate([-x, [1.0]])
-    a_ub = np.hstack([v, -np.ones((n, 1))])
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
-    res = linprog(
-        cvec, A_ub=a_ub, b_ub=np.zeros(n), bounds=bounds, method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status != 0:
-        raise RuntimeError(f"separating-hyperplane LP failed: {res.message}")
-    h, c = res.x[:d], float(res.x[d])
-    gap = float(h @ x - c)
-    slack = _lp_slack(x, v)
-    # phrased so that a NaN fails them
-    if not (np.abs(h).max() <= 1.0 + slack and np.max(v @ h) <= c + slack):
-        raise RuntimeError("separating-hyperplane LP answer is infeasible")
-    if not abs(gap + float(res.fun)) <= slack:
-        raise RuntimeError(f"separating-hyperplane LP gap {-res.fun!r} is off its recomputed {gap!r}")
-    return h, c, gap
+    answer = _distance(x, v, *_certificate(x, v, LP_TOL))
+    if answer.distance <= tol:
+        return answer.distance, None
+    return answer.distance, (answer if answer.hyperplane is not None else _lp_distance(x, v)).hyperplane
 
 
 # largest denominator of a weight snapped by _prove; the weights of a
@@ -447,18 +445,7 @@ def _lp_hyperplane(x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float, flo
 _SNAP_DENOMINATOR = 4096
 
 
-@dataclass(frozen=True)
-class _Proof:
-    """What ``_prove`` proves: the hull distance (the float nearest to it),
-    the snapped weights that attain it, and an optimal separating
-    hyperplane (h, c, gap)."""
-
-    distance: float
-    weights: np.ndarray
-    hyperplane: tuple[np.ndarray, float, float]
-
-
-def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Proof | None:
+def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Answer | None:
     """An exact proof of the Chebyshev distance s from x to the hull of the
     rows v, where the certificate's float bounds lo <= s <= hi meet up to
     rounding (hi - lo <= ``ROUND_TOL``, hi > ``LP_TOL``); None where they do
@@ -470,7 +457,8 @@ def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) 
     proof checks that the snapped weights lam~ are >= 0 and sum to 1, forms
     h = x - lam~ @ v (a point of the hull is within |h|_inf of x), and
     accepts iff (h.x - max_i h.v_i) / |h|_1 = |h|_inf, the lower bound of
-    ``_certificate`` for this h.  Then s = |h|_inf exactly.
+    ``_certificate`` for this h.  Then s = |h|_inf exactly, and
+    h / |h|_inf is an optimal separating hyperplane.
     """
     if not LP_TOL < hi <= lo + ROUND_TOL:
         return None
@@ -490,7 +478,7 @@ def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) 
     if norminf == 0 or den * (hn @ xi - top) != norm1 * norminf:
         return None
     h = np.array([k / norminf for k in hn], dtype=float)
-    return _Proof(
+    return _Answer(
         distance=_nearest_float(norminf, den, exp),
         weights=np.array([float(f) for f in snapped]),
         hyperplane=(h, _nearest_float(top, norminf, exp), _nearest_float(norm1, den, exp)),

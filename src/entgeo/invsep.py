@@ -103,17 +103,23 @@ class Decomposition:
         return _derived(DensityMatrix, acc, self.split)
 
 
+# the functions F and the norms of the measure family, as MeasureConfig
+# and the command line accept them
+F_KINDS = ("identity", "abs", "square")
+NORM_KINDS = ("frobenius", "trace", "max_abs")
+
+
 @dataclass(frozen=True)
 class MeasureConfig:
     """Knobs of the generalized correlation measure family."""
 
-    f_kind: str = "identity"   # identity | abs | square
-    norm_kind: str = "frobenius"  # frobenius | trace | max_abs
+    f_kind: str = "identity"   # one of F_KINDS
+    norm_kind: str = "frobenius"  # one of NORM_KINDS
 
     def __post_init__(self):
-        if self.f_kind not in ("identity", "abs", "square"):
+        if self.f_kind not in F_KINDS:
             raise ValueError(f"unknown f_kind {self.f_kind!r}")
-        if self.norm_kind not in ("frobenius", "trace", "max_abs"):
+        if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"unknown norm_kind {self.norm_kind!r}")
 
 
@@ -145,9 +151,10 @@ def lambda_tau(c: StatePolytope) -> StatePolytope:
     return _derived(StatePolytope, comgeo.product_composites(c1.vertices, c2.vertices), c.split)
 
 
-def is_css(c: StatePolytope, tol: float = CSS_TOL) -> bool:
-    """Fixed-point test: is the set invariant under marginalize-and-rebuild?"""
-    return comgeo.polytope_equal(VPolytope(lambda_tau(c).flat()), VPolytope(c.flat()), tol)
+def is_css(c: StatePolytope) -> bool:
+    """Fixed-point test: is the set invariant under marginalize-and-rebuild,
+    within ``CSS_TOL``?"""
+    return comgeo.polytope_equal(VPolytope(lambda_tau(c).flat()), VPolytope(c.flat()), CSS_TOL)
 
 
 def css_from_decomposition(d: Decomposition) -> StatePolytope:
@@ -190,16 +197,15 @@ def ppt_verdict_from_eigenvalue(min_eig, split: DimSplit):
     return np.array([positive, "entangled"], dtype=object)[entangled.astype(np.intp)]
 
 
-def psi_preimage_member(
-    sigma: DensityMatrix, c1: StatePolytope, c2: StatePolytope, tol: float = CSS_TOL
-):
+def psi_preimage_member(sigma: DensityMatrix, c1: StatePolytope, c2: StatePolytope):
     """Membership in the preimage-intersection up-map: both marginals of
-    sigma must lie in the respective sets.  Entangled states can pass.  A
-    bool for one state, an array over the axes of a stack."""
+    sigma must lie in the respective sets, within ``CSS_TOL``.  Entangled
+    states can pass.  A bool for one state, an array over the axes of a
+    stack."""
     inside = True
     for m, c in zip(qstate.marginals(sigma), (c1, c2)):
         rows = comgeo._coords(matcore._slices(m.mat))
-        inside &= comgeo.hull_membership(rows, VPolytope(c.flat()), tol).reshape(m.mat.shape[:-2])
+        inside &= comgeo.hull_membership(rows, VPolytope(c.flat()), CSS_TOL).reshape(m.mat.shape[:-2])
     return matcore._per_matrix(inside, sigma.mat)
 
 
@@ -230,17 +236,13 @@ def measure_of_delta(delta: np.ndarray, cfg: MeasureConfig = MeasureConfig()):
 # GPT flavor
 
 
-def gpt_separable(
-    phi: BilinearState, a: ComModel, b: ComModel, tol: float = DECISION_TOL
-) -> bool:
+def gpt_separable(phi: BilinearState, a: ComModel, b: ComModel) -> bool:
     """Separability of a composite GPT state: membership in the hull of
-    product states, decided by the projection onto that hull and only in a
-    narrow band around its boundary by an LP."""
-    if not comgeo.max_tensor_membership(
-        phi, comgeo.max_tensor_constraints(a, b), tol
-    ):
+    product states within ``DECISION_TOL``, decided by the projection onto
+    that hull and only in a narrow band around its boundary by an LP."""
+    if not comgeo.max_tensor_membership(phi, comgeo.max_tensor_constraints(a, b), DECISION_TOL):
         raise ValueError("state is outside the maximal tensor product")
-    return comgeo.hull_membership(phi.vector(), comgeo.min_tensor(a, b), tol)
+    return comgeo.hull_membership(phi.vector(), comgeo.min_tensor(a, b), DECISION_TOL)
 
 
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
@@ -250,13 +252,14 @@ def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     return VPolytope(comgeo.product_hull(*comgeo.gpt_marginals(c.vertices, a, b)))
 
 
-def classical_invariance_check(n_a: int, n_b: int, tol: float = CSS_TOL) -> bool:
+def classical_invariance_check(n_a: int, n_b: int) -> bool:
     """Whole-state-space invariance for a classical composite.
 
     Builds the composite simplex of two classical systems, applies the GPT
-    marginalize-and-rebuild map, and compares hulls.  True is the expected
-    outcome for every classical pair; non-classical models (box-world) fail
-    the analogous check on their maximal tensor product.
+    marginalize-and-rebuild map, and compares hulls within ``CSS_TOL``.
+    True is the expected outcome for every classical pair; non-classical
+    models (box-world) fail the analogous check on their maximal tensor
+    product.
     """
     if n_a < 2 or n_b < 2:
         raise ValueError("classical factors need n >= 2")
@@ -264,7 +267,7 @@ def classical_invariance_check(n_a: int, n_b: int, tol: float = CSS_TOL) -> bool
         raise ValueError(f"composite size {n_a * n_b} exceeds the cap of 32")
     a, b = comgeo.classical_model(n_a), comgeo.classical_model(n_b)
     omega = comgeo.min_tensor(a, b)
-    return comgeo.polytope_equal(gpt_lambda_tau(omega, a, b), omega, tol)
+    return comgeo.polytope_equal(gpt_lambda_tau(omega, a, b), omega, CSS_TOL)
 
 
 # ---------------------------------------------------------------------------

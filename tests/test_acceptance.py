@@ -127,7 +127,7 @@ def test_06_lambda_tau_idempotence():
             for j in range(k)
         )
         lt = invsep.lambda_tau(StatePolytope(verts, TWO_QUBITS))
-        if not invsep.is_css(lt, 1e-8):
+        if not invsep.is_css(lt):
             failures += 1
     report(
         "6 marginalize-and-rebuild idempotent on 200 random polytopes",

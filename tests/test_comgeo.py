@@ -57,6 +57,24 @@ def lp_distance(x, verts):
     return float(res.fun), res.x[:n]
 
 
+def lp_hyperplane(x, verts):
+    """Pure LP oracle for the best separating hyperplane in the box
+    |h|_inf <= 1: max h.x - c s.t. h.v <= c on every vertex, at the
+    package's LP tolerances; returns (h, c, gap).  Its optimum is the l1
+    distance from x to the hull, and so the gap of any optimal
+    hyperplane scaled to |h|_inf = 1."""
+    v = np.atleast_2d(np.asarray(verts, dtype=float))
+    x = np.asarray(x, dtype=float).ravel()
+    n, d = v.shape
+    res = linprog(
+        np.r_[-x, 1.0], A_ub=np.hstack([v, -np.ones((n, 1))]), b_ub=np.zeros(n),
+        bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs",
+        options={"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL},
+    )
+    assert res.status == 0
+    return res.x[:d], float(res.x[d]), float(-res.fun)
+
+
 def is_irredundant(vertices, tol=1e-9):
     """LP oracle: no vertex lies in the hull of the others."""
     v = np.atleast_2d(vertices)
@@ -477,16 +495,21 @@ class TestExactProof:
     @example(k=0, w=0.7)
     def test_noisy_pr_boxes_agree_with_the_lp(self, k, w):
         # w P + (1 - w) uniform for a PR-type vertex P, whether the proof
-        # or the LP answers: the distance and the gap are the LP's, and the
-        # hyperplane holds every product vertex
+        # or the LP answers: the distance is the LP's, the gap is the
+        # optimum of the box LP and |h|_1 times the distance, and the
+        # hyperplane holds every product vertex; near w = 0.5 the point
+        # is in the hull at the LP's resolution, and h = 0
         x = w * PR_TYPE[k] + (1 - w) * GBIT_PRODUCTS.mean(axis=0)
-        assert hull_distance(x, GBIT_PRODUCTS)[0] == pytest.approx(
-            comgeo._lp_distance(x, GBIT_PRODUCTS)[0], abs=LP_TOL
-        )
+        dist = comgeo._lp_distance(x, GBIT_PRODUCTS).distance
+        assert hull_distance(x, GBIT_PRODUCTS)[0] == pytest.approx(dist, abs=LP_TOL)
         h, c, gap = comgeo.separating_hyperplane(x, VPolytope(GBIT_PRODUCTS))
-        assert gap == pytest.approx(comgeo._lp_hyperplane(x, GBIT_PRODUCTS)[2], abs=LP_TOL)
+        assert gap == pytest.approx(lp_hyperplane(x, GBIT_PRODUCTS)[2], abs=LP_TOL)
         assert np.max(GBIT_PRODUCTS @ h) <= c + LP_TOL
-        assert np.abs(h).max() <= 1.0 + LP_TOL
+        if h.any():
+            assert np.abs(h).max() == 1.0
+            assert gap / np.abs(h).sum() == pytest.approx(dist, abs=LP_TOL)
+        else:
+            assert (c, gap) == (0.0, 0.0) and dist <= 2 * LP_TOL
 
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, dim=st.integers(1, 6), k=st.integers(1, 8), den=st.integers(1, 12))
@@ -538,14 +561,19 @@ class TestCheckedLps:
         def corrupted(*args, **kwargs):
             res = original(*args, **kwargs)
             res.x = res.x.copy()
+            res.ineqlin.marginals = res.ineqlin.marginals.copy()
             change(res)
             return res
 
         monkeypatch.setattr(comgeo, "linprog", corrupted)
 
     def test_the_checks_pass_on_the_answers(self):
-        assert comgeo._lp_distance(self.OUTSIDE, self.SQUARE)[0] == pytest.approx(0.5)
-        assert comgeo._lp_hyperplane(self.OUTSIDE, self.SQUARE)[2] == pytest.approx(0.5)
+        # the dual hyperplane is x_1 <= 1, at gap 0.5 from (1.5, 0.25)
+        answer = comgeo._lp_distance(self.OUTSIDE, self.SQUARE)
+        assert answer.distance == pytest.approx(0.5)
+        h, c, gap = answer.hyperplane
+        assert h.tolist() == pytest.approx([1.0, 0.0])
+        assert (c, gap) == pytest.approx((1.0, 0.5))
 
     @pytest.mark.parametrize(
         "change, match",
@@ -563,19 +591,48 @@ class TestCheckedLps:
             comgeo._lp_distance(self.OUTSIDE, self.SQUARE)
 
     @pytest.mark.parametrize(
-        "change, match",
+        "change",
         [
-            (lambda res: setattr(res, "fun", res.fun + 0.25), "gap"),
-            (lambda res: res.x.__setitem__(-1, res.x[-1] - 0.25), "infeasible"),
-            (lambda res: res.x.__setitem__(slice(0, 2), 2 * res.x[:2]), "infeasible"),
+            lambda res: res.ineqlin.marginals.__imul__(2.0),
+            lambda res: setattr(res.ineqlin, "marginals", np.roll(res.ineqlin.marginals, 2)),
+            lambda res: res.ineqlin.marginals.__setitem__(0, np.nan),
         ],
-        ids=["objective", "offset", "norm"],
+        ids=["norm", "swapped", "nan"],
     )
-    def test_a_corrupted_hyperplane_raises(self, monkeypatch, change, match):
+    def test_a_corrupted_hyperplane_raises(self, monkeypatch, change):
+        # the multipliers of the rows lam @ v - x <= s come first and those
+        # of x - lam @ v <= s second; swapping the two blocks negates h
         self.corrupt(monkeypatch, change)
-        with pytest.raises(RuntimeError, match=match):
+        with pytest.raises(RuntimeError, match="dual"):
             comgeo.separating_hyperplane(self.OUTSIDE, VPolytope(self.SQUARE))
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEEDS, dim=st.integers(1, 32), k=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]), shape=st.sampled_from(["inside", "outside", "near"]),
+    )
+    # two problems on which the box LP max h.x - c, h.v <= c, |h|_inf <= 1
+    # stops with HiGHS status 15: Gaussian vertices times 1000, the point
+    # a convex combination of them plus Gaussian noise times 1e-5
+    @example(seed=2492049616, dim=17, k=2, scale=1e3, shape="near")
+    @example(seed=3850806629, dim=11, k=3, scale=1e3, shape="near")
+    def test_the_hyperplane_is_the_dual_of_the_distance(self, seed, dim, k, scale, shape):
+        # random hulls and points in them, near them or away from them: the
+        # hyperplane holds every vertex, and gap / |h|_1 is the distance,
+        # or h = 0 and the distance is 0 at the LP's resolution
+        rng = np.random.default_rng(seed)
+        v = scale * rng.standard_normal((k, dim))
+        x = rng.dirichlet(np.ones(k)) @ v
+        x += {"inside": 0.0, "outside": scale, "near": 1e-5}[shape] * rng.standard_normal(dim)
+        h, c, gap = comgeo.separating_hyperplane(x, VPolytope(v))
+        dist, slack = hull_distance(x, v)[0], comgeo._lp_slack(x, v)
+        assert np.max(v @ h) <= c + slack
+        if h.any():
+            assert np.abs(h).max() == 1.0
+            assert gap / np.abs(h).sum() == pytest.approx(dist, abs=slack)
+        else:
+            assert (c, gap) == (0.0, 0.0) and dist <= slack
 
 PRODUCT_PAIRS = {
     "gbit-gbit": (gbit_model(), gbit_model()),
@@ -1126,6 +1183,13 @@ class TestMaxTensor:
             # x_1 >= 0 and -x_1 >= 0 on the line x_2 = 1: a single point
             (HPolytope(2, [[1, 0], [-1, 0]], [0, 0], [[0, 1]], [1]), "flat"),
             (HPolytope(2, [[1, 0], [-1, 0]], [1, 0], [[0, 1]], [1]), "empty"),
+            # x_1 >= 0 alone on the line x_2 = 1, a ray
+            (HPolytope(2, [[1, 0]], [0], [[0, 1]], [1]), "unbounded"),
+            # x_1, x_2 >= 0 and x_1 + x_2 >= 1 on the plane x_3 = 1: the dual
+            # points span the plane, but Qhull finds the origin outside them
+            (HPolytope(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1], [[0, 0, 1]], [1]), "unbounded"),
+            # 2 x_2 >= 3 is constant on the line x_2 = 1, and false there
+            (HPolytope(2, [[1, 0], [-1, 0], [0, 2]], [-1, -1, 3], [[0, 1]], [1]), "empty"),
         ],
     )
     def test_rejects_with_named_reason(self, h, kind):
@@ -1197,6 +1261,33 @@ class TestGptMarginals:
         for x in (phi, np.vstack([np.outer(m.vertices[0], m.vertices[1]).ravel(), phi.vector()])):
             with pytest.raises(ValueError, match="A-marginal left the model state space"):
                 gpt_marginals(x, m, m)
+
+
+    def test_rejects_b_marginal_outside_state_space(self):
+        # the same model on B: phi(e, f) = 0.25 on the one effect pair, and
+        # the B-marginal is (2, -1)
+        m = ComModel(2, np.eye(2), [[0.5, 0.5]], np.ones(2))
+        phi = BilinearState([[1.0, -0.5], [1.0, -0.5]])
+        with pytest.raises(ValueError, match="B-marginal left the model state space"):
+            gpt_marginals(phi, classical_model(2), m)
+
+
+class TestInputWidths:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: hull_distance(np.zeros(3), np.zeros((2, 2))), "point dim 3"),
+            (lambda: polytope_equal(VPolytope(np.eye(2)), VPolytope(np.eye(3)), 1e-9), "ambient dims differ"),
+            (
+                lambda: max_tensor_membership(np.zeros(4), max_tensor_constraints(gbit_model(), gbit_model()), 1e-9),
+                "state dim 4",
+            ),
+        ],
+        ids=["hull_distance", "polytope_equal", "max_tensor_membership"],
+    )
+    def test_a_width_mismatch_raises(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestBilinearTable:

@@ -198,7 +198,8 @@ class TestLambdaTau:
     def test_product_singleton_fixed(self):
         r1, r2 = random_product(7)
         c = StatePolytope((matcore.kron(r1, r2),), TWO_QUBITS)
-        assert is_css(c, 1e-10)
+        assert is_css(c)
+        np.testing.assert_allclose(lambda_tau(c).vertices, c.vertices, rtol=0, atol=1e-10)
 
     def test_idempotent_on_random_polytopes(self):
         for seed in range(10):
@@ -209,7 +210,7 @@ class TestLambdaTau:
                 for j in range(k)
             )
             lt = lambda_tau(StatePolytope(verts, TWO_QUBITS))
-            assert is_css(lt, 1e-8)
+            assert is_css(lt)
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -4,7 +4,7 @@ The counts are deterministic: every hull question that a vertex match, a
 strict maximizer or the projection onto the hull settles solves no LP, and
 neither does a reported distance or hyperplane that the exact proof of
 ``comgeo._prove`` settles, so only the other distances of points outside
-the hull and their hyperplanes do.
+the hull do, one LP each, whose dual gives the hyperplane.
 """
 
 import json
@@ -61,11 +61,11 @@ def test_prbox_report_solves_none(capsys, lp_calls):
 
 
 @pytest.mark.parametrize("corrupt", ["sum", "off the face", "denominator"])
-def test_prbox_report_with_corrupted_weights_solves_both(capsys, lp_calls, monkeypatch, corrupt):
+def test_prbox_report_with_corrupted_weights_solves_one(capsys, lp_calls, monkeypatch, corrupt):
     # the proof refuses weights that sum past 1, weights that sum to 1 but
     # rebuild a point off the nearest face, and weights that a denominator
-    # bound of 11 snaps away from 1/12; the two LPs answer instead, with
-    # the proof's numbers
+    # bound of 11 snaps away from 1/12; the distance LP answers instead,
+    # its dual giving the hyperplane, with the proof's numbers
     certificate = comgeo._certificate
 
     def corrupted(x, v, tol):
@@ -79,7 +79,7 @@ def test_prbox_report_with_corrupted_weights_solves_both(capsys, lp_calls, monke
         monkeypatch.setattr(comgeo, "_certificate", corrupted)
     assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
     report = json.loads(capsys.readouterr().out)
-    assert len(lp_calls) == 2
+    assert len(lp_calls) == 1
     assert report["min_tensor_distance"] == pytest.approx(1 / 12, abs=LP_TOL)
     assert report["infeasibility_certificate"]["gap"] == pytest.approx(0.5, abs=LP_TOL)
 

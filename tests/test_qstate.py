@@ -247,6 +247,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             PureState(np.array([bad, 0, 0, 0]), TWO_QUBITS)
 
+    def test_rejects_a_state_vector_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="length 3 != dim 4"):
+            PureState(np.array([1.0, 0, 0]), TWO_QUBITS)
+
 
 # ways to break one matrix of a stack, each at 10 tol (breaks the rule) or
 # at tol / 10 (does not)
