@@ -258,8 +258,8 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
 
 def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
     oa, ob = comgeo.gpt_marginals(phi, a, b, tol)
-    dist, cert = comgeo.distance_and_hyperplane(phi.vector(), comgeo.min_tensor(a, b), tol)
-    separable = cert is None
+    dist, cert = comgeo.distance_and_hyperplane(phi.vector(), comgeo.min_tensor(a, b))
+    separable = dist <= tol
     report = {
         "input": expr,
         "max_tensor_member": True,

@@ -4,21 +4,17 @@ States of a single model live in a real coordinate space; composite states
 of a model pair live in the flattened outer-product space, where a bilinear
 functional phi(a, b) on effect pairs evaluates as a^T M b with M the
 coordinate matrix.  Every separability question in this package is a hull
-question, and each reads its answer off one certificate (``_certificate``):
-the nearest vertex and the Euclidean projection onto the hull (one NNLS
-solve) bound the point's distance s from the hull by lo <= s <= hi, and
-only a question those bounds leave open solves an LP.  Membership within
-tol is "in" at hi <= tol and "out" at lo > tol, for one point or a stack of
-rows, and a redundant row is one such question after a strict-maximizer
-certificate has kept the rows it can.  A reported distance is 0 at
-hi <= ``LP_TOL``, exact where lo = hi or where an exact proof closes
-bounds that meet up to rounding (``_prove``), and an LP otherwise; the
-largest of many distances solves the LP only where the bounds leave it
-open.  A distance and its optimal separating hyperplane are the primal and
-the dual of one problem, so each comes with the other: from the same
-proof, so that the PR box's distance and hyperplane solve no LP, or from
-one LP, the hyperplane being the dual optimum of the distance LP.  Every
-LP answer, the dual included, is checked on its own before it is used.
+question, and every hull question takes one path.  Its certificate
+(``_certificate``), from the nearest vertex and the Euclidean projection
+onto the hull (one NNLS solve), bounds the point's distance s from the hull
+by lo <= s <= hi, and a question those bounds leave open goes to one settle
+step (``_settle``): the exact proof of ``_prove``, else the checked LP.
+Membership within tol is "in" at hi <= tol and "out" at lo > tol, for one
+point or a stack of rows; a reported distance is 0 at hi <= ``LP_TOL`` and
+hi at lo = hi.  A distance and its optimal separating hyperplane are the
+primal and the dual of one problem, so every answer carries both: the
+direction of the certificate's lower bound, the proof's residual or the
+LP's dual optimum, each LP answer checked on its own before it is used.
 """
 
 from __future__ import annotations
@@ -177,22 +173,10 @@ def hull_distance(x, vertices) -> tuple[float, np.ndarray]:
     Read off the bounds lo <= s <= hi of ``_certificate`` at ``LP_TOL``:
     s = 0 where hi <= ``LP_TOL`` (the LP runs at feasibility tolerance
     ``LP_TOL``, so it cannot tell such a point from the hull), s = hi where
-    lo = hi (as for a hull of one vertex), the float nearest to s where the
-    exact proof of ``_prove`` closes bounds that meet up to rounding (for
-    the PR box, 1/12), and otherwise the LP of ``_lp_distance``.
+    lo = hi (as for a hull of one vertex), and otherwise that of ``_settle``.
     """
-    x, v = _question(x, vertices)
-    answer = _distance(x, v, *_certificate(x, v, LP_TOL))
+    answer = _answer(x, VPolytope(vertices))
     return answer.distance, answer.weights
-
-
-def _question(x, vertices) -> tuple[np.ndarray, np.ndarray]:
-    """x raveled and the rows ``vertices``, as floats of matching width."""
-    v = np.atleast_2d(np.asarray(vertices, dtype=float))
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != v.shape[1]:
-        raise ValueError(f"point dim {x.size} != polytope ambient dim {v.shape[1]}")
-    return x, v
 
 
 @dataclass(frozen=True)
@@ -200,23 +184,41 @@ class _Answer:
     """A hull distance (``distance``), weights that attain it, and an
     optimal separating hyperplane (h, c, gap): |h|_inf = 1, h.v <= c on
     every vertex and gap = h.x - c = |h|_1 distance, or h = 0, c = gap = 0
-    for a point in the hull.  The hyperplane is None where the
-    certificate's bounds alone gave the distance."""
+    for a point in the hull."""
 
     distance: float
     weights: np.ndarray
-    hyperplane: tuple[np.ndarray, float, float] | None
+    hyperplane: tuple[np.ndarray, float, float]
 
 
-def _distance(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Answer:
+def _answer(x, p: VPolytope) -> _Answer:
+    """The answer on the distance of x (raveled) from the hull of p."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != p.ambient_dim:
+        raise ValueError(f"point dim {x.size} != polytope ambient dim {p.ambient_dim}")
+    return _distance(x, p.vertices, *_certificate(x, p.vertices, LP_TOL))
+
+
+def _distance(x, v, lo, hi, lam, h) -> _Answer:
     """``hull_distance`` of x from the rows v, given the certificate
-    (lo, hi, lam) of x, as the answer of the step that settles it."""
+    (lo, hi, lam, h) of x, as the answer of the step that settles it."""
     if hi <= LP_TOL:
         return _Answer(0.0, lam, (np.zeros(len(x)), 0.0, 0.0))
     if lo == hi:
-        return _Answer(hi, lam, None)
-    proof = _prove(x, v, lo, hi, lam)
-    return proof if proof is not None else _lp_distance(x, v)
+        return _Answer(hi, lam, _hyperplane(x, v, h))
+    return _settle(x, v, lo, hi, lam)
+
+
+def _settle(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Answer:
+    """The answer of ``_prove`` on a question left open, else the checked LP's."""
+    return _prove(x, v, lo, hi, lam) or _lp_distance(x, v)
+
+
+def _hyperplane(x: np.ndarray, v: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(h, c, gap) of a direction h != 0 scaled to |h|_inf = 1: c = max_i h.v_i."""
+    h = h / np.abs(h).max()
+    top = float(np.max(v @ h))
+    return h, top, float(h @ x) - top
 
 
 def max_hull_distance(questions) -> float:
@@ -236,9 +238,9 @@ def max_hull_distance(questions) -> float:
     """
     found = []
     for xs, v in questions:
-        v = np.atleast_2d(np.asarray(v, dtype=float))
+        v = VPolytope(v).vertices
         found += [(x, v, *_certificate(x, v, LP_TOL)) for x in np.atleast_2d(xs)]
-    best = max(lo for _, _, lo, _, _ in found)
+    best = max(lo for _, _, lo, *_ in found)
     dist = {}
     for i in sorted(range(len(found)), key=lambda i: -found[i][3]):
         if dist and found[i][3] < best - 2 * LP_TOL:
@@ -290,9 +292,7 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> _Answer:
         raise RuntimeError(f"hull-distance LP dual is not a hyperplane at distance {s!r}")
     if not s > slack:  # then h may be 0, and x is in the hull at the LP's resolution
         return _Answer(s, lam, (np.zeros(d), 0.0, 0.0))
-    h = h / np.abs(h).max()
-    top = float(np.max(v @ h))
-    return _Answer(s, lam, (h, top, float(h @ x) - top))
+    return _Answer(s, lam, _hyperplane(x, v, h))
 
 
 def _lp_slack(x: np.ndarray, v: np.ndarray) -> float:
@@ -311,8 +311,8 @@ def hull_membership(x, p: VPolytope, tol: float):
     Each point is decided by the first of these that settles it: a vertex
     within tol (every row in one pairwise comparison, ``_nearest_gaps``),
     the bounds lo <= s <= hi of ``_certificate`` on its hull distance s
-    ("in" at hi <= tol, "out" at lo > tol), and the hull-distance LP.  A
-    point with a NaN or inf entry raises ValueError.
+    ("in" at hi <= tol, "out" at lo > tol), and the settle step
+    (``_settle``).  A point with a NaN or inf entry raises ValueError.
     """
     xs = np.asarray(x, dtype=float)
     stacked = xs.ndim == 2
@@ -330,11 +330,12 @@ def _outside(xs: np.ndarray, v: np.ndarray, tol: float):
 
     The nearest vertices of all rows come from one pairwise comparison
     (``_nearest_gaps``); only the rows that match none go on to
-    ``_certificate`` and, where its bounds leave the question open, the LP.
+    ``_certificate`` and, where its bounds leave the question open, to
+    ``_settle``, whose answer is compared with tol as it is.
     """
     for k in np.flatnonzero(~(_nearest_gaps(xs, v) <= tol)):
-        lo, hi, _ = _certificate(xs[k], v, tol)
-        if hi > tol and (lo > tol or _lp_distance(xs[k], v).distance > tol):
+        lo, hi, lam, _ = _certificate(xs[k], v, tol)
+        if hi > tol and (lo > tol or _settle(xs[k], v, lo, hi, lam).distance > tol):
             yield int(k)
 
 
@@ -352,14 +353,15 @@ def _nearest_gaps(xs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([_nearest_gaps(xs[i:i + step], v) for i in range(0, len(xs), step)])
 
 
-def _certificate(x: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float, np.ndarray]:
+def _certificate(x: np.ndarray, v: np.ndarray, tol: float) -> tuple:
     """Bounds lo <= s <= hi on the Chebyshev distance s from x to the hull of
-    the rows v, with weights lam of a point lam @ v of the hull within hi of
-    x, for a question asked at tol.  Every hull question reads its answer
-    off these three.
+    the rows v, weights lam of a point lam @ v of the hull within hi of x,
+    and a direction h whose dual value (h.x - max_i h.v_i) / |h|_1 is lo
+    where lo > 0, for a question asked at tol.
 
     The nearest vertex is a point of the hull, and its gap is s itself when
-    the hull has no other point (lo = hi).  Otherwise, unless that gap is
+    the hull has no other point (lo = hi, with h = sign(x_j - v_j) e_j at
+    the largest |x_j - v_j|).  Otherwise, unless that gap is
     within tol and so answers the question already, the Euclidean
     projection y = lam @ v of x onto the hull (``_project``) gives h = x - y,
     a second point within |h|_inf, and lo = (h.x - max_i h.v_i) / |h|_1,
@@ -377,15 +379,18 @@ def _certificate(x: np.ndarray, v: np.ndarray, tol: float) -> tuple[float, float
     vertex = np.zeros(len(v))
     vertex[i] = 1.0
     if len(v) == 1:
-        return gap, gap, vertex
+        h = np.zeros(len(x))
+        j = int(np.abs(x - v[0]).argmax())
+        h[j] = np.sign(x[j] - v[0, j])
+        return gap, gap, vertex, h
     lam = _project(x, v) if gap > tol else None
     if lam is None:
-        return 0.0, gap, vertex
+        return 0.0, gap, vertex, np.zeros(len(x))
     h = x - lam @ v
     norm1 = float(np.abs(h).sum())
     lo = max(0.0, float(h @ x - np.max(v @ h)) / norm1) if norm1 else 0.0
     hi = float(np.abs(h).max())
-    return (lo, hi, lam) if hi < gap else (lo, gap, vertex)
+    return (lo, hi, lam, h) if hi < gap else (lo, gap, vertex, h)
 
 
 def _project(x: np.ndarray, v: np.ndarray) -> np.ndarray | None:
@@ -417,26 +422,19 @@ def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
     within ``_lp_slack`` for the LP) gets h = 0, c = gap = 0.
 
     h / |h|_1 maximizes h.x - max_i h.v_i over |h|_1 <= 1, the dual of s.
-    Where ``_prove`` proves s exactly from weights lam~, h is
+    Where the certificate's bounds meet, h is the direction of its lower
+    bound; where ``_prove`` proves s exactly from weights lam~, h is
     (x - lam~ @ v) / |x - lam~ @ v|_inf and c = max_i h.v_i, with no LP;
     otherwise h is the dual optimum of the distance LP (``_lp_distance``).
-    That is ``distance_and_hyperplane`` at tol = -inf, which every distance
-    exceeds.
     """
-    return distance_and_hyperplane(x, p, -math.inf)[1]
+    return _answer(x, p).hyperplane
 
 
-def distance_and_hyperplane(
-    x, p: VPolytope, tol: float
-) -> tuple[float, tuple[np.ndarray, float, float] | None]:
+def distance_and_hyperplane(x, p: VPolytope) -> tuple[float, tuple[np.ndarray, float, float]]:
     """(``hull_distance`` of x from the hull of p, ``separating_hyperplane``
-    of x if that distance exceeds tol, else None), from one certificate and
-    at most one exact proof or one LP."""
-    x, v = _question(x, p.vertices)
-    answer = _distance(x, v, *_certificate(x, v, LP_TOL))
-    if answer.distance <= tol:
-        return answer.distance, None
-    return answer.distance, (answer if answer.hyperplane is not None else _lp_distance(x, v)).hyperplane
+    of x), one answer: a certificate, then at most one proof or one LP."""
+    answer = _answer(x, p)
+    return answer.distance, answer.hyperplane
 
 
 # largest denominator of a weight snapped by _prove; the weights of a
@@ -448,8 +446,8 @@ _SNAP_DENOMINATOR = 4096
 def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) -> _Answer | None:
     """An exact proof of the Chebyshev distance s from x to the hull of the
     rows v, where the certificate's float bounds lo <= s <= hi meet up to
-    rounding (hi - lo <= ``ROUND_TOL``, hi > ``LP_TOL``); None where they do
-    not, or where the proof fails.
+    rounding (hi - lo <= ``ROUND_TOL``); None where they do not, or where
+    the proof fails.
 
     Each weight of lam is snapped to the nearest rational of denominator at
     most ``_SNAP_DENOMINATOR``.  Every float is a dyadic rational, so x and
@@ -458,9 +456,10 @@ def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) 
     h = x - lam~ @ v (a point of the hull is within |h|_inf of x), and
     accepts iff (h.x - max_i h.v_i) / |h|_1 = |h|_inf, the lower bound of
     ``_certificate`` for this h.  Then s = |h|_inf exactly, and
-    h / |h|_inf is an optimal separating hyperplane.
+    h / |h|_inf is an optimal separating hyperplane; h = 0 proves x a
+    member (s = 0, with h = 0, c = gap = 0).
     """
-    if not LP_TOL < hi <= lo + ROUND_TOL:
+    if not hi <= lo + ROUND_TOL:
         return None
     snapped = [Fraction(w).limit_denominator(_SNAP_DENOMINATOR) for w in lam.tolist()]
     if min(snapped) < 0 or sum(snapped) != 1:
@@ -475,13 +474,14 @@ def _prove(x: np.ndarray, v: np.ndarray, lo: float, hi: float, lam: np.ndarray) 
     scores = vi @ hn
     norm1, norminf = sum(abs(k) for k in hn), max(abs(k) for k in hn)
     top = max(scores)
-    if norminf == 0 or den * (hn @ xi - top) != norm1 * norminf:
+    if den * (hn @ xi - top) != norm1 * norminf:
         return None
-    h = np.array([k / norminf for k in hn], dtype=float)
+    scale = norminf or 1  # h = 0, c = gap = 0 where lam~ @ v = x
+    h = np.array([k / scale for k in hn], dtype=float)
     return _Answer(
         distance=_nearest_float(norminf, den, exp),
         weights=np.array([float(f) for f in snapped]),
-        hyperplane=(h, _nearest_float(top, norminf, exp), _nearest_float(norm1, den, exp)),
+        hyperplane=(h, _nearest_float(top, scale, exp), _nearest_float(norm1, den, exp)),
     )
 
 

@@ -143,7 +143,7 @@ def certificate_verdict(x, verts, tol):
     """Membership within tol as the certificate alone decides it: True where
     its upper bound is at most tol, False where its lower bound exceeds tol,
     None where it leaves the question to the LP."""
-    lo, hi, _ = comgeo._certificate(np.asarray(x, float), np.asarray(verts, float), tol)
+    lo, hi, *_ = comgeo._certificate(np.asarray(x, float), np.asarray(verts, float), tol)
     return True if hi <= tol else False if lo > tol else None
 
 
@@ -479,8 +479,8 @@ class TestExactProof:
         h, c, gap = comgeo.separating_hyperplane(x, VPolytope(GBIT_PRODUCTS))
         assert h.tolist() == [1.0, 1.0, -1.0, 1.0, -1.0, 0.0, -1.0, 0.0, 0.0]
         assert (c, gap) == (0.0, 0.5) and np.max(GBIT_PRODUCTS @ h) == c
-        assert comgeo.distance_and_hyperplane(x, VPolytope(GBIT_PRODUCTS), 1e-9)[1][2] == gap
-        assert comgeo.distance_and_hyperplane(x, VPolytope(GBIT_PRODUCTS), 0.1) == (dist, None)
+        got_dist, (got_h, got_c, got_gap) = comgeo.distance_and_hyperplane(x, VPolytope(GBIT_PRODUCTS))
+        assert (got_dist, got_h.tolist(), got_c, got_gap) == (dist, h.tolist(), c, gap)
 
     @pytest.mark.parametrize("k", range(8))
     def test_every_pr_type_vertex_solves_no_lp(self, monkeypatch, k):
@@ -522,7 +522,7 @@ class TestExactProof:
         v = rng.integers(-2, 3, size=(k, dim)).astype(float)
         x = v[0] + rng.integers(-den, den + 1, size=dim) / den
         cert = comgeo._certificate(x, v, LP_TOL)
-        proof = comgeo._prove(x, v, *cert)
+        proof = comgeo._prove(x, v, *cert[:3])
         assert hull_distance(x, v)[0] == pytest.approx(lp_distance(x, v)[0], abs=LP_TOL)
         if proof is not None:
             lam = [Fraction(w).limit_denominator(comgeo._SNAP_DENOMINATOR) for w in proof.weights]
@@ -544,7 +544,7 @@ class TestExactProof:
         # rounding, so no proof is tried
         square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         x = np.array([1.5, 1.25])
-        lo, hi, lam = comgeo._certificate(x, square, LP_TOL)
+        lo, hi, lam, _ = comgeo._certificate(x, square, LP_TOL)
         assert hi - lo > matcore.ROUND_TOL
         assert comgeo._prove(x, square, lo, hi, lam) is None
 

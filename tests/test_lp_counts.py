@@ -69,9 +69,9 @@ def test_prbox_report_with_corrupted_weights_solves_one(capsys, lp_calls, monkey
     certificate = comgeo._certificate
 
     def corrupted(x, v, tol):
-        lo, hi, lam = certificate(x, v, tol)
+        lo, hi, lam, h = certificate(x, v, tol)
         lam = lam * (1 + 1 / 64) if corrupt == "sum" else (lam + 1 / len(lam)) / 2
-        return lo, hi, lam
+        return lo, hi, lam, h
 
     if corrupt == "denominator":
         monkeypatch.setattr(comgeo, "_SNAP_DENOMINATOR", 11)
