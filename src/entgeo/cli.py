@@ -41,7 +41,8 @@ The tolerance behind each verdict (the table is in ``matcore``):
 - ``max_tensor_member`` and its marginals, ``gpt_membership``, the
   ``tensor`` membership checks and ``css-check``: ``--tol``.  A verdict an
   LP decides at a ``--tol`` below 10 * ``LP_TOL`` is at the solver's
-  resolution.
+  resolution; an exact member (``comgeo._prove``) is "in" at ``--tol 0``
+  without an LP, as the PR box's marginals are.
 
 ``css-check`` reports the largest hull distance between a polytope and its
 image under ``lambda_tau``, both ways; ``comgeo.max_hull_distance`` solves

@@ -58,7 +58,7 @@ class HPolytope:
 
     ``interior`` is an optional point that should satisfy every inequality
     strictly; vertex enumeration starts from it, when it does, instead of
-    solving an LP for such a point."""
+    solving an LP for such a point.  A NaN or inf entry raises ValueError."""
 
     ambient_dim: int
     ineq_normals: np.ndarray
@@ -68,12 +68,15 @@ class HPolytope:
     interior: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values"):
+        names = ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values", "interior")
+        given = [name for name in names if getattr(self, name) is not None]
+        for name in given:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.interior is not None:
-            object.__setattr__(self, "interior", np.asarray(self.interior, dtype=float))
         if len(self.ineq_normals) == 0 and len(self.eq_normals) == 0:
             raise ValueError("H-polytope needs at least one constraint")
+        # phrased so that a NaN fails it, in one pass over every entry
+        if not np.isfinite(np.concatenate([getattr(self, name).ravel() for name in given])).all():
+            raise ValueError("H-polytope has a NaN or inf entry")
 
 
 @dataclass(frozen=True)

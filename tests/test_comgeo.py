@@ -3,13 +3,14 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
@@ -36,7 +37,7 @@ from entgeo.comgeo import (
     reduce_rows,
 )
 from entgeo.invsep import flatten_matrix
-from entgeo.matcore import DEDUP_TOL, LP_TOL
+from entgeo.matcore import DEDUP_TOL, LP_TOL, ROUND_TOL
 
 
 def lp_distance(x, verts):
@@ -530,6 +531,16 @@ class TestExactProof:
             h = [Fraction(xi) - sum(w * Fraction(vj[i]) for w, vj in zip(lam, v)) for i, xi in enumerate(x)]
             assert proof.distance == float(max(abs(e) for e in h))
             assert proof.hyperplane[2] == float(sum(abs(e) for e in h))
+
+    def test_an_exact_member_is_proved(self):
+        # at tol 0 the projection of the gbit square's centre may miss it by
+        # rounding; the snapped weights rebuild it exactly
+        square, x = gbit_model().vertices, np.array([0.5, 0.5, 1.0])
+        lo, hi, lam, _ = comgeo._certificate(x, square, 0.0)
+        assert hi - lo <= ROUND_TOL
+        proof = comgeo._prove(x, square, lo, hi, lam)
+        h, c, gap = proof.hyperplane
+        assert proof.distance == 0.0 and not h.any() and (c, gap) == (0.0, 0.0)
 
     @pytest.mark.parametrize("lam", [[0.3, 1.0], [-0.25, 1.0]], ids=["sum", "negative"])
     def test_weights_off_the_simplex_are_refused(self, lam):
@@ -1068,6 +1079,24 @@ class TestMinTensor:
                 assert max_tensor_membership(v, h, 1e-10)
 
 
+# x_1, x_2 >= 0 and x_1 + x_2 <= 1 on the plane x_3 = 1, with no interior point
+TRIANGLE = HPolytope(3, [[1, 0, 0], [0, 1, 0], [-1, -1, 1]], [0, 0, 0], [[0, 0, 1]], [1])
+
+
+def status_4(linprog):
+    """``linprog`` stopped with HiGHS status 4, numerical difficulties."""
+    return lambda *args, **kwargs: SimpleNamespace(status=4, message="numerical difficulties")
+
+
+def with_centroid(extreme_points):
+    """``extreme_points`` with one more point, the centroid of its points."""
+    def more(a, rhs, centre):
+        ys = extreme_points(a, rhs, centre)
+        return np.vstack([ys, ys.mean(axis=0)])
+
+    return more
+
+
 class TestMaxTensor:
     def test_classical_pair_equals_simplex(self):
         a = classical_model(2)
@@ -1196,6 +1225,22 @@ class TestMaxTensor:
         with pytest.raises(ValueError, match=kind):
             enumerate_max_vertices(h)
 
+    @pytest.mark.parametrize(
+        "name, fake, match",
+        [
+            ("linprog", status_4, "Chebyshev-centre LP failed"),
+            ("_extreme_points", with_centroid, "not a vertex"),
+            ("max_tensor_membership", lambda original: lambda *args: False, "violates a constraint"),
+        ],
+        ids=["chebyshev", "extreme_points", "membership"],
+    )
+    def test_an_internal_failure_raises(self, monkeypatch, name, fake, match):
+        # checks that no valid input reaches: a failed Chebyshev-centre LP, a
+        # point that is not a vertex, and a vertex that breaks a constraint
+        monkeypatch.setattr(comgeo, name, fake(getattr(comgeo, name)))
+        with pytest.raises(RuntimeError, match=match):
+            enumerate_max_vertices(TRIANGLE)
+
 
 class TestGptMarginals:
     def test_product_recovery(self):
@@ -1290,6 +1335,30 @@ class TestInputWidths:
             call()
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: VPolytope(np.zeros((0, 2))), "at least one vertex"),
+            (lambda: HPolytope(2, [], [], [], []), "at least one constraint"),
+        ],
+        ids=["VPolytope", "HPolytope"],
+    )
+    def test_an_empty_polytope_raises(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["ineq_normals", "ineq_offsets", "eq_normals", "eq_values", "interior"])
+    def test_a_non_finite_hpolytope_entry_raises(self, field, bad):
+        # a NaN normal used to enumerate as "unbounded", and a NaN offset to
+        # fail inside scipy's linprog
+        value = np.array([0.25, 0.25, 1.0] if field == "interior" else getattr(TRIANGLE, field))
+        value.flat[0] = bad
+        with pytest.raises(ValueError, match="H-polytope has a NaN or inf entry"):
+            dataclasses.replace(TRIANGLE, **{field: value})
+
+
 class TestBilinearTable:
     def test_pr_box_normalization(self):
         gb = gbit_model()
@@ -1304,6 +1373,39 @@ class TestBilinearTable:
         p = min_tensor(m, m)
         back_p = comgeo.polytope_from_json(comgeo.polytope_to_json(p))
         np.testing.assert_array_equal(back_p.vertices, p.vertices)
+
+
+class TestJson:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from([2, 3, 4, 5, 6, "gbit"]), seed=SEEDS)
+    def test_models_round_trip_through_json_text(self, kind, seed):
+        # classical:n or gbit in the coordinates of a random invertible A:
+        # vertex rows times A, effect and unit rows times A^-T, which keeps
+        # every effect value and the unit's value 1 on every vertex; through
+        # json.dumps and json.loads, bit for bit
+        m = gbit_model() if kind == "gbit" else classical_model(kind)
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((m.ambient_dim, m.ambient_dim)))[0]
+        a = q * rng.uniform(0.5, 2.0, size=m.ambient_dim)
+        a_inv_t = np.linalg.inv(a).T
+        m = ComModel(m.ambient_dim, m.vertices @ a, m.effects @ a_inv_t, m.unit @ a_inv_t)
+        back = comgeo.model_from_json(json.loads(json.dumps(comgeo.model_to_json(m))))
+        assert back.ambient_dim == m.ambient_dim
+        for field in ("vertices", "effects", "unit"):
+            assert getattr(back, field).tobytes() == getattr(m, field).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        vertices=arrays(
+            float, array_shapes(min_dims=2, max_dims=2, max_side=8),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_polytopes_round_trip_through_json_text(self, vertices):
+        # any finite floats, signed zeros and subnormals among them
+        p = VPolytope(vertices)
+        back = comgeo.polytope_from_json(json.loads(json.dumps(comgeo.polytope_to_json(p))))
+        assert back.vertices.tobytes() == p.vertices.tobytes()
 
 
 class TestJsonBoundary:
@@ -1359,6 +1461,15 @@ class TestJsonBoundary:
             comgeo.polytope_from_json(obj)
         with pytest.raises(ValueError, match="NaN or inf"):
             VPolytope(np.array([[0.0, 0.0], [1.0, bad]]))
+        # and the distance questions, which take their vertices as rows
+        with pytest.raises(ValueError, match="polytope has a NaN or inf vertex entry"):
+            hull_distance([5.0, -3.0], obj["vertices"])
+        with pytest.raises(ValueError, match="polytope has a NaN or inf vertex entry"):
+            max_hull_distance([([5.0, -3.0], obj["vertices"])])
+
+    def test_polytope_ambient_dim_must_match_the_vertices(self):
+        with pytest.raises(ValueError, match="ambient_dim does not match vertex width"):
+            comgeo.polytope_from_json({"ambient_dim": 3, "vertices": [[0, 1]]})
 
     @pytest.mark.parametrize("field", ["ambient_dim", "vertices", "effects", "unit"])
     def test_model_widths_must_match_ambient_dim(self, field):

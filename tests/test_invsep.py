@@ -96,6 +96,7 @@ class TestStatePolytope:
             (np.eye(4) / 4, "vertices must be matrices of one shape"),
             ((DensityMatrix(np.eye(2) / 2, QUBIT),), "vertex dimension mismatch"),
             ((DensityMatrix(np.eye(2) / 2, QUBIT), np.eye(4) / 4), "one shape"),
+            ((), "needs at least one vertex"),
         ],
     )
     def test_rejects_vertices_of_the_wrong_shape(self, verts, what):
@@ -113,6 +114,22 @@ class TestStatePolytope:
         terms[1] = (0.25, np.eye(3) / 3, r2)
         with pytest.raises(ValueError, match="A factors must be matrices of one shape"):
             Decomposition(tuple(terms), TWO_QUBITS)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: MeasureConfig("cube", "frobenius"), "unknown f_kind 'cube'"),
+            (lambda: MeasureConfig("identity", "spectral"), "unknown norm_kind 'spectral'"),
+            (lambda: classical_invariance_check(1, 2), "classical factors need n >= 2"),
+            (lambda: werner_product_decomposition(0.4), "only for p <= 1/3, got 0.4"),
+        ],
+        ids=["f_kind", "norm_kind", "classical n", "werner p"],
+    )
+    def test_rejects_with_named_reason(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestTau:

@@ -1,10 +1,9 @@
 """LP solves per operation, counted through ``comgeo.linprog``.
 
 The counts are deterministic: every hull question that a vertex match, a
-strict maximizer or the projection onto the hull settles solves no LP, and
-neither does a reported distance or hyperplane that the exact proof of
-``comgeo._prove`` settles, so only the other distances of points outside
-the hull do, one LP each, whose dual gives the hyperplane.
+strict maximizer, the projection onto the hull or the exact proof of
+``comgeo._prove`` settles solves no LP, so only the other questions do,
+one LP each, whose dual gives the hyperplane.
 """
 
 import json
@@ -57,6 +56,30 @@ def test_prbox_report_solves_none(capsys, lp_calls):
     # min_tensor_distance and the infeasibility certificate by one exact proof
     assert cli.main(["analyze", "prbox"]) == cli.EXIT_OK
     capsys.readouterr()
+    assert len(lp_calls) == 0
+
+
+def test_prbox_report_at_tol_0_solves_none(capsys, lp_calls):
+    # the projection of each marginal onto the gbit square misses it by
+    # rounding, above tol 0, and the exact proof settles it a member
+    assert cli.main(["--tol", "0", "analyze", "prbox"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"] == {"gpt_membership": "entangled"}
+    assert len(lp_calls) == 0
+
+
+@pytest.mark.parametrize(
+    "x, v, hyperplane",
+    [
+        ([2.0, 0.5, -1.0], [0.0, 0.0, 0.0], ([1.0, 0.0, 0.0], 0.0, 2.0)),
+        ([0.5, -3.0, 1.0], [1.0, 1.0, 1.0], ([0.0, -1.0, 0.0], -1.0, 4.0)),
+    ],
+)
+def test_one_vertex_hyperplane_solves_none(lp_calls, x, v, hyperplane):
+    # h = sign(x_j - v_j) e_j at the largest |x_j - v_j|, c = h.v and the
+    # gap |x - v|_inf, from the certificate
+    h, c, gap = comgeo.separating_hyperplane(x, comgeo.VPolytope([v]))
+    assert (h.tolist(), c, gap) == hyperplane
     assert len(lp_calls) == 0
 
 

@@ -45,6 +45,24 @@ def partial_trace_oracle_b(m, da, db):
     return out
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: DimSplit(0, 2), "subsystem dimensions must be >= 1"),
+            (lambda: matcore.kron(np.ones(3), np.ones((1, 1))), "expected a matrix"),
+            (lambda: matcore.partial_trace(np.eye(4), DimSplit(2, 2), over="c"), "over must be 'a' or 'b'"),
+            (lambda: matcore.partial_transpose(np.eye(4), DimSplit(2, 2), on="c"), "on must be 'a' or 'b'"),
+            (lambda: matcore.hermitian_eig(np.ones((2, 3))), "needs a square matrix"),
+            (lambda: matcore.norm(np.eye(2), "spectral"), "unknown norm kind 'spectral'"),
+        ],
+        ids=["DimSplit", "kron", "partial_trace", "partial_transpose", "hermitian_eig", "norm"],
+    )
+    def test_rejects_with_named_reason(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestKron:
     def test_identity(self):
         assert np.array_equal(matcore.kron(np.eye(2), np.eye(2)), np.eye(4))

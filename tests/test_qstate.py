@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,20 @@ class TestRandomStates:
     def test_rank_validation(self):
         with pytest.raises(ValueError, match="rank"):
             qstate.random_mixed(TWO_QUBITS, 0, seed=0)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: qstate.random_unitary(0, 1), ValueError, "dim must be >= 1, got 0"),
+            (lambda: qstate.state_to_json(np.eye(2)), TypeError, "cannot serialize ndarray"),
+        ],
+        ids=["random_unitary", "state_to_json"],
+    )
+    def test_rejects_with_named_reason(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
 
 class TestPurity:
@@ -355,3 +371,21 @@ class TestJson:
         psi = qstate.random_pure(DimSplit(2, 3), seed=17)
         back = qstate.state_from_json(qstate.state_to_json(psi))
         assert np.array_equal(back.amps, psi.amps)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trips_through_json_text(self, dims, rank, seed):
+        # density and pure states through json.dumps and json.loads, bit for bit
+        split = DimSplit(*dims)
+        rho = qstate.random_mixed(split, min(rank, split.dim), seed)
+        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(rho))))
+        assert isinstance(back, DensityMatrix) and back.split == split
+        assert back.mat.tobytes() == rho.mat.tobytes()
+        psi = qstate.random_pure(split, seed)
+        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(psi))))
+        assert isinstance(back, PureState) and back.split == split
+        assert back.amps.tobytes() == psi.amps.tobytes()
