@@ -696,11 +696,12 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     vertex: among the inequality rows tight at it (within ``DECISION_TOL``),
     scanned in index order, keep every row independent of the equality rows
     and of the rows kept so far.  That is the lexicographically first basis;
-    full rank proves a vertex, which is then solved on exactly that square
-    system, and the vertices come in order of their bases.  Basic-solution
-    enumeration over the row subsets in lexicographic order, keeping the
-    first hit of each vertex, meets that same basis first, so it yields the
-    same values in the same order.
+    full rank proves a vertex.  One scan of the constraint rows certifies
+    every point at once (``_first_bases``), and one stacked solve of the
+    square systems of the distinct bases yields the vertices, in order of
+    their bases.  Basic-solution enumeration over the row subsets in
+    lexicographic order, keeping the first hit of each vertex, meets that
+    same basis first, so it yields the same values in the same order.
 
     Raises ``ValueError`` for an H-polytope that is empty, flat (no interior
     point within its equality hull) or unbounded.
@@ -716,7 +717,8 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     k = null.shape[1]
     if k != d - len(eq):
         raise ValueError("equality rows are linearly dependent")
-    x0 = np.linalg.lstsq(eq, np.reshape(h.eq_values, -1), rcond=None)[0]
+    eq_values = np.reshape(h.eq_values, -1)
+    x0 = np.linalg.lstsq(eq, eq_values, rcond=None)[0]
     # on the hull: ineq @ (x0 + null @ y) >= offsets reads a @ y >= rhs
     a, rhs = ineq @ null, offsets - ineq @ x0
     scale = np.linalg.norm(ineq, axis=1)
@@ -733,15 +735,12 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
             centre = _chebyshev_centre(unit, unit_rhs, tol)
         ys = _extreme_points(unit, unit_rhs, centre)
     points = dedup_rows(x0 + ys @ null.T)
-    tight = np.abs(points @ ineq.T - offsets) <= tol
-    bases = {_first_basis(a, scale, t, tol) for t in tight}
-    verts = np.array([
-        np.linalg.solve(
-            np.vstack([eq, ineq[list(basis)]]),
-            np.concatenate([h.eq_values, offsets[list(basis)]]),
-        )
-        for basis in sorted(bases)
-    ])
+    bases = _first_bases(a, scale, np.abs(points @ ineq.T - offsets) <= tol, tol)
+    # each basis's square system [eq; ineq[basis]], all in one stacked solve
+    n = len(bases)
+    systems = np.concatenate([np.broadcast_to(eq, (n, *eq.shape)), ineq[bases]], axis=1)
+    values = np.concatenate([np.broadcast_to(eq_values, (n, len(eq))), offsets[bases]], axis=1)
+    verts = np.linalg.solve(systems, values[..., None])[..., 0]
     if not max_tensor_membership(verts, h, tol):
         raise RuntimeError("an enumerated vertex violates a constraint")
     return VPolytope(verts)
@@ -786,23 +785,36 @@ def _extreme_points(a: np.ndarray, rhs: np.ndarray, centre: np.ndarray) -> np.nd
     return hs.intersections
 
 
-def _first_basis(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float) -> tuple:
-    """The tight rows, scanned in index order, whose null-space coordinates
-    ``a`` are independent of those kept before them (rank relative to the
-    row norms ``scale``); RuntimeError unless they reach full rank."""
-    q = np.empty((0, a.shape[1]))
-    basis = []
-    for i in np.flatnonzero(tight):
-        if len(basis) == a.shape[1]:
+def _first_bases(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float) -> np.ndarray:
+    """The distinct first bases of the points whose tight rows are the rows
+    of the boolean (points, rows) array ``tight``, sorted, as rows of indices.
+
+    A point's first basis is its tight rows, scanned in index order, whose
+    null-space coordinates ``a`` are independent of those kept before them
+    (rank relative to the row norms ``scale``).  One scan of the rows serves
+    every point: each keeps its orthonormal directions, zero-padded, in one
+    stack, and at row i the points where it is tight and the basis is short
+    project it off theirs at once.  RuntimeError unless every point reaches
+    full rank."""
+    points, k = len(tight), a.shape[1]
+    q = np.zeros((points, k, k))
+    size = np.zeros(points, dtype=int)
+    basis = np.zeros((points, k), dtype=int)
+    for i in range(len(a)):
+        if size.min() == k:
             break
-        r = a[i] - (q @ a[i]) @ q
-        nr = np.linalg.norm(r)
-        if nr > tol * scale[i]:
-            basis.append(int(i))
-            q = np.vstack([q, r / nr])
-    if len(basis) < a.shape[1]:
+        (short,) = np.nonzero(tight[:, i] & (size < k))
+        qs = q[short]
+        r = a[i] - np.einsum("pj,pjk->pk", qs @ a[i], qs)
+        nr = np.linalg.norm(r, axis=1)
+        keep = nr > tol * scale[i]
+        new, slot = short[keep], size[short[keep]]
+        q[new, slot] = r[keep] / nr[keep, None]
+        basis[new, slot] = i
+        size[new] = slot + 1
+    if size.min() < k:
         raise RuntimeError("a halfspace intersection point is not a vertex")
-    return tuple(basis)
+    return np.array(sorted(set(map(tuple, basis.tolist()))), dtype=int)
 
 
 # ---------------------------------------------------------------------------

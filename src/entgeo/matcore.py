@@ -263,4 +263,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     re, im = (_json_numbers(obj.get(key), 1, key) for key in ("re", "im"))
     if len(re) != rows * cols or len(im) != rows * cols:
         raise TypeError(f"matrix payload length {len(re)}/{len(im)} does not match {rows}x{cols}")
-    return (re + 1j * im).reshape(rows, cols)
+    # set apart, so a -0.0 or an infinite part comes back as it was written
+    z = re.astype(complex)
+    z.imag = im
+    return z.reshape(rows, cols)

@@ -31,6 +31,12 @@ GOLDEN_TENSOR = Path(__file__).parent / "golden" / "tensor_gbit_gbit.json"
 GOLDEN_ANALYZE = json.loads(
     (Path(__file__).parent / "golden" / "analyze_reports.json").read_text()
 )
+# stdout of `entgeo [--tol 0] tensor A B` for the 9 ordered pairs of
+# classical:2, classical:3 and gbit and for classical:4 with gbit both ways,
+# recorded when each Qhull point was certified on its own
+GOLDEN_TENSOR_PAIRS = json.loads(
+    (Path(__file__).parent / "golden" / "tensor_pairs.json").read_text()
+)
 
 # the maximally mixed state and |0> on a 1x2 split, as state JSON
 HALF_QUBIT = qstate.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2)))
@@ -539,6 +545,14 @@ class TestTensor:
         code, out, _ = run(capsys, "tensor", "gbit", "gbit")
         assert code == EXIT_OK
         assert out == GOLDEN_TENSOR.read_text()
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_TENSOR_PAIRS, ids=[" ".join(c["argv"]) for c in GOLDEN_TENSOR_PAIRS]
+    )
+    def test_golden_pairs(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == EXIT_OK
+        assert out == case["stdout"]
 
     @pytest.mark.parametrize(
         "model_a, model_b, n_vertices",

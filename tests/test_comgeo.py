@@ -190,6 +190,55 @@ def basic_solution_vertices(h):
     return VPolytope(reduce_rows(np.array(points)))
 
 
+def first_basis(a, scale, tight, tol):
+    """Reference for ``comgeo._first_bases``, one point at a time (the rule
+    it replaced): the tight rows, scanned in index order, whose null-space
+    coordinates ``a`` are independent of those kept before them, by
+    Gram-Schmidt relative to the row norms ``scale``; RuntimeError unless
+    they reach full rank."""
+    q = np.empty((0, a.shape[1]))
+    basis = []
+    for i in np.flatnonzero(tight):
+        if len(basis) == a.shape[1]:
+            break
+        r = a[i] - (q @ a[i]) @ q
+        nr = np.linalg.norm(r)
+        if nr > tol * scale[i]:
+            basis.append(int(i))
+            q = np.vstack([q, r / nr])
+    if len(basis) < a.shape[1]:
+        raise RuntimeError("a halfspace intersection point is not a vertex")
+    return tuple(basis)
+
+
+def basis_vertices(h, bases):
+    """The point of h on each basis (its equality rows and those inequality
+    rows held tight), each from its own square solve."""
+    eq = np.reshape(h.eq_normals, (-1, h.ambient_dim))
+    return np.array([
+        np.linalg.solve(
+            np.vstack([eq, h.ineq_normals[list(basis)]]),
+            np.concatenate([np.reshape(h.eq_values, -1), h.ineq_offsets[list(basis)]]),
+        )
+        for basis in bases
+    ])
+
+
+def polygon_model(n):
+    """Regular n-gon system: states (cos 2 pi i/n, sin 2 pi i/n, 1); effects
+    the edge functionals, each scaled to a maximum of 1 on the states, and
+    their complements, deduplicated (for even n an edge's complement is the
+    opposite edge's effect)."""
+    angles = 2 * np.pi * np.arange(n) / n
+    states = np.column_stack([np.cos(angles), np.sin(angles), np.ones(n)])
+    # edge i joins states i and i + 1; its outward normal is at its midpoint
+    mid = angles + np.pi / n
+    edges = np.column_stack([-np.cos(mid), -np.sin(mid), np.full(n, np.cos(np.pi / n))])
+    edges /= (states @ edges.T).max(axis=0)[:, None]
+    unit = np.array([0.0, 0.0, 1.0])
+    return ComModel(3, states, comgeo.dedup_rows(np.vstack([edges, unit - edges])), unit)
+
+
 def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
     """Bounded H-polytope in dimension k + 1 with one equality row.
 
@@ -1186,6 +1235,60 @@ class TestMaxTensor:
         want = basic_solution_vertices(h).vertices
         assert len(got) == len(want)
         assert same_vertex_set(got, want, 1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=SEEDS,
+        k=st.integers(1, 4),
+        cross=st.booleans(),
+        extra=st.integers(0, 3),
+        dups=st.integers(0, 3),
+        flat_rows=st.integers(0, 2),
+    )
+    # degenerate vertices: each of the 8 vertices of the 4-cross-polytope is
+    # on 8 of its 16 facets, here with repeated and flat rows as well
+    @example(seed=0, k=4, cross=True, extra=0, dups=3, flat_rows=2)
+    @example(seed=1, k=3, cross=True, extra=0, dups=2, flat_rows=2)
+    def test_stacked_bases_match_the_per_point_reference(
+        self, seed, k, cross, extra, dups, flat_rows
+    ):
+        # the same bases in the same order as the per-point scan, and the same
+        # vertex bytes as one solve per basis
+        h = random_hpolytope(np.random.default_rng(seed), k, cross, extra, dups, flat_rows)
+        calls = []
+        stacked = comgeo._first_bases
+
+        def recorded(*args):
+            calls.append((args, stacked(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(comgeo, "_first_bases", recorded):
+            got = enumerate_max_vertices(h).vertices
+        [((a, scale, tight, tol), bases)] = calls
+        want = sorted({first_basis(a, scale, t, tol) for t in tight})
+        assert [tuple(basis) for basis in bases.tolist()] == want
+        assert got.tobytes() == basis_vertices(h, want).tobytes()
+
+    @pytest.mark.parametrize(
+        "n, like, count",
+        [(3, classical_model(3), 9), (4, gbit_model(), 24)],
+        ids=["triangle", "square"],
+    )
+    def test_polygon_pairs_match_their_models(self, n, like, count):
+        # the triangle is a classical trit and the square a gbit, in other
+        # coordinates, so their pairs have as many maximal vertices
+        assert len(enumerate_max_vertices(max_tensor_constraints(like, like)).vertices) == count
+        p = polygon_model(n)
+        assert len(enumerate_max_vertices(max_tensor_constraints(p, p)).vertices) == count
+
+    def test_pentagon_pair(self):
+        # irrational coordinates on 100 rows
+        p = polygon_model(5)
+        h = max_tensor_constraints(p, p)
+        assert len(h.ineq_normals) == 100
+        verts = enumerate_max_vertices(h).vertices
+        assert len(verts) == 135
+        assert max_tensor_membership(verts, h, 1e-9)
 
     @pytest.mark.parametrize(
         "a, b",

@@ -12,6 +12,15 @@ from entgeo.qstate import DensityMatrix, PureState
 from conftest import TWO_QUBITS, random_hermitian
 
 
+def signed_zeros(x, signs):
+    """The real array x as a complex one whose imaginary parts, and the zeros
+    of its real parts, are zeros signed by ``signs`` (True is -0.0), tiled."""
+    negative = np.resize(np.asarray(signs), (2, *x.shape))
+    z = np.where((x == 0) & negative[0], -0.0, x).astype(complex)
+    z.imag = np.where(negative[1], -0.0, 0.0)
+    return z
+
+
 class TestDensityFromPure:
     def test_basis_state(self):
         rho = qstate.density_from_pure(
@@ -372,20 +381,31 @@ class TestJson:
         back = qstate.state_from_json(qstate.state_to_json(psi))
         assert np.array_equal(back.amps, psi.amps)
 
+    def test_pure_round_trip_keeps_negative_zeros(self):
+        psi = PureState(np.array([1.0, 0.0]).astype(complex).conj(), DimSplit(1, 2))
+        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(psi))))
+        assert np.signbit(back.amps.imag).tolist() == [True, True]
+        assert back.amps.tobytes() == psi.amps.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
         rank=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
+        signs=st.none() | st.lists(st.booleans(), min_size=1, max_size=18),
     )
-    def test_round_trips_through_json_text(self, dims, rank, seed):
-        # density and pure states through json.dumps and json.loads, bit for bit
+    def test_round_trips_through_json_text(self, dims, rank, seed, signs):
+        # density and pure states through json.dumps and json.loads, bit for
+        # bit; with signs, real states whose zeros carry the signs drawn
         split = DimSplit(*dims)
         rho = qstate.random_mixed(split, min(rank, split.dim), seed)
+        psi = qstate.random_pure(split, seed)
+        if signs is not None:
+            rho = DensityMatrix(signed_zeros(rho.mat.real, signs), split)
+            psi = PureState(signed_zeros(np.eye(split.dim)[seed % split.dim], signs), split)
         back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(rho))))
         assert isinstance(back, DensityMatrix) and back.split == split
         assert back.mat.tobytes() == rho.mat.tobytes()
-        psi = qstate.random_pure(split, seed)
         back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(psi))))
         assert isinstance(back, PureState) and back.split == split
         assert back.amps.tobytes() == psi.amps.tobytes()
