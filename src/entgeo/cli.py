@@ -13,11 +13,14 @@ The size caps are checked before anything is allocated:
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
 - ``analyze random:AxB`` with A*B at most ``RANDOM_DIM_CAP`` and
   ``rank`` at most ``RANDOM_DIM_CAP``;
-- ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices;
+- ``analyze file:`` with dim_a * dim_b at most ``RANDOM_DIM_CAP``, read off
+  the file's split before its matrix;
+- ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices and dim_a * dim_b
+  at most ``RANDOM_DIM_CAP``;
 - ``tensor`` with dim_a * dim_b at most ``TENSOR_DIM_CAP``, and at most
-  ``--dim-cap`` when the maximal tensor product is enumerated; each
-  dimension is read off its model expression (n for classical:n, 3 for
-  gbit).
+  ``comgeo.ENUM_DIM_CAP`` when the maximal tensor product is enumerated;
+  each dimension is read off its model expression (n for classical:n, 3
+  for gbit).
 
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report computes
@@ -60,7 +63,7 @@ import sys
 import numpy as np
 
 from . import comgeo, invsep, qstate
-from .matcore import CSS_TOL, DECISION_TOL, DimSplit
+from .matcore import CSS_TOL, DECISION_TOL, DimSplit, split_from_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,7 +72,7 @@ EXIT_CAP = 4
 
 SWEEP_STEPS_CAP = 100_000
 SWEEP_BLOCK = 1024  # grid points per stacked pass, so a cap-sized sweep stays small
-RANDOM_DIM_CAP = 64  # side of the density matrix, and the Ginibre rank
+RANDOM_DIM_CAP = 64  # side of every state's density matrix, and the Ginibre rank
 TENSOR_DIM_CAP = 64  # dim_a * dim_b of a tensor model pair
 CSS_VERTEX_CAP = 64  # lambda_tau of k vertices has up to k * k
 
@@ -120,7 +123,7 @@ def parse_state_expr(text: str):
         path = text[len("file:"):]
         if not path:
             raise ExprError("empty path in file: expression")
-        state = _read_json(path, "state", qstate.state_from_json)
+        state = _read_json(path, "state", _capped_state)
         if isinstance(state, qstate.PureState):
             state = qstate.density_from_pure(state)
         return state
@@ -146,6 +149,21 @@ def _read_json(path: str, what: str, parse):
         raise ExprError(f"malformed {what} in {path!r}: {exc}") from None
 
 
+def _check_dim_cap(split: DimSplit, what: str) -> None:
+    """CapError if the state side dim_a * dim_b exceeds ``RANDOM_DIM_CAP``."""
+    if split.dim > RANDOM_DIM_CAP:
+        raise CapError(
+            f"{what} dimension {split.dim_a}x{split.dim_b} = {split.dim} "
+            f"exceeds the cap of {RANDOM_DIM_CAP}"
+        )
+
+
+def _capped_state(obj):
+    """The state of a JSON value, its split cap checked before its matrix is read."""
+    _check_dim_cap(split_from_json(obj), "state")
+    return qstate.state_from_json(obj)
+
+
 def _parse_random(text: str, parts: list[str]):
     if len(parts) < 3:
         raise ExprError(f"bad random expression {text!r}: expected random:AxB:seed=N")
@@ -157,11 +175,7 @@ def _parse_random(text: str, parts: list[str]):
         raise ExprError(
             f"bad dimension spec {parts[1]!r} at position {len(parts[0]) + 1}"
         ) from None
-    if split.dim > RANDOM_DIM_CAP:
-        raise CapError(
-            f"random state dimension {split.dim_a}x{split.dim_b} = {split.dim} "
-            f"exceeds the cap of {RANDOM_DIM_CAP}"
-        )
+    _check_dim_cap(split, "random state")
     opts = {}
     for chunk in parts[2:]:
         if "=" not in chunk:
@@ -323,9 +337,9 @@ def cmd_tensor(args) -> int:
     dim = _model_dim(args.model_a) * _model_dim(args.model_b)
     if dim > TENSOR_DIM_CAP:
         raise CapError(f"composite dimension {dim} exceeds the cap of {TENSOR_DIM_CAP}")
-    if args.which in ("max", "both") and dim > args.dim_cap:
+    if args.which in ("max", "both") and dim > comgeo.ENUM_DIM_CAP:
         raise CapError(
-            f"maximal tensor enumeration needs ambient dim <= {args.dim_cap}, got {dim}"
+            f"maximal tensor enumeration needs ambient dim <= {comgeo.ENUM_DIM_CAP}, got {dim}"
         )
     a = parse_model_expr(args.model_a)
     b = parse_model_expr(args.model_b)
@@ -335,7 +349,7 @@ def cmd_tensor(args) -> int:
         summary["min_vertices"] = len(omin.vertices)
     if args.which in ("max", "both"):
         h = comgeo.max_tensor_constraints(a, b)
-        omax = comgeo.enumerate_max_vertices(h, args.dim_cap)
+        omax = comgeo.enumerate_max_vertices(h)
         summary["max_vertices"] = len(omax.vertices)
         if omin is not None:
             inside = comgeo.hull_membership(omax.vertices, omin, args.tol)
@@ -349,12 +363,13 @@ def cmd_tensor(args) -> int:
 
 
 def _capped_polytope(obj) -> invsep.StatePolytope:
-    """The state polytope of a JSON value, its vertex cap checked first."""
+    """The state polytope of a JSON value, its vertex and split caps checked first."""
     verts = obj.get("vertices") if isinstance(obj, dict) else None
     if isinstance(verts, list) and len(verts) > CSS_VERTEX_CAP:
         raise CapError(
             f"state polytope has {len(verts)} vertices, over the cap of {CSS_VERTEX_CAP}"
         )
+    _check_dim_cap(split_from_json(obj), "state polytope")
     return invsep.state_polytope_from_json(obj)
 
 
@@ -421,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_a", help="model expression, e.g. classical:2 or gbit")
     p.add_argument("model_b")
     p.add_argument("--which", choices=("min", "max", "both"), default="both")
-    p.add_argument("--dim-cap", type=int, default=12)
     p.set_defaults(fn="cmd_tensor")
 
     p = sub.add_parser("css-check", help="fixed-point check of a state polytope file")

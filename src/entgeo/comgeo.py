@@ -81,7 +81,12 @@ class HPolytope:
 
 @dataclass(frozen=True)
 class ComModel:
-    """Finite convex operational model: extreme states, extreme effects, unit."""
+    """Finite convex operational model: extreme states, extreme effects, unit.
+
+    The checks run on the states as given, so a NaN, inf or out-of-range
+    entry raises; then ``vertices`` keeps only the extreme ones
+    (``reduce_rows``, in the order given), so every later use of the model
+    starts from an irredundant list."""
 
     ambient_dim: int
     vertices: np.ndarray
@@ -92,7 +97,6 @@ class ComModel:
         v = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         e = np.atleast_2d(np.asarray(self.effects, dtype=float))
         u = np.asarray(self.unit, dtype=float).ravel()
-        object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "effects", e)
         object.__setattr__(self, "unit", u)
         widths = (v.shape[1], e.shape[1], u.size)
@@ -107,6 +111,7 @@ class ComModel:
         vals = v @ e.T
         if not (vals.min() >= -VALID_TOL and vals.max() <= 1.0 + VALID_TOL):
             raise ValueError("an extreme effect leaves [0, 1] on some vertex")
+        object.__setattr__(self, "vertices", reduce_rows(v))
 
 
 @dataclass(frozen=True)
@@ -623,13 +628,18 @@ def product_composites(xa, xb) -> np.ndarray:
 
 
 def product_hull(xa, xb) -> np.ndarray:
-    """Vertices of the hull of all products: ``product_composites`` after ``reduce_rows``."""
+    """Vertices of the hull of all products: ``product_composites`` after
+    ``reduce_rows``.  Its callers (``invsep.lambda_map``,
+    ``css_from_decomposition`` and ``gpt_lambda_tau``) pass lists that may
+    be redundant; ``min_tensor`` needs no reduction."""
     return product_composites(reduce_rows(xa), reduce_rows(xb))
 
 
 def min_tensor(a: ComModel, b: ComModel) -> VPolytope:
-    """Minimal tensor product: hull of all product states, as a V-polytope."""
-    return VPolytope(product_hull(a.vertices, b.vertices))
+    """Minimal tensor product: hull of all product states, as a V-polytope.
+    Each model holds only its extreme states, so their products are exactly
+    the vertices (``product_composites``), and nothing is reduced here."""
+    return VPolytope(product_composites(a.vertices, b.vertices))
 
 
 def max_tensor_constraints(a: ComModel, b: ComModel) -> HPolytope:
@@ -683,9 +693,13 @@ def gpt_marginals(
     return omega_a, omega_b
 
 
-def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
+# largest ambient dimension whose maximal tensor product is enumerated
+ENUM_DIM_CAP = 12
+
+
+def enumerate_max_vertices(h: HPolytope) -> VPolytope:
     """All extreme points of a bounded H-polytope with an interior point in
-    its equality hull.
+    its equality hull, of ambient dimension at most ``ENUM_DIM_CAP``.
 
     On the equality rows' affine hull x = x0 + N y (N their null space),
     Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives
@@ -699,16 +713,19 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
     full rank proves a vertex.  One scan of the constraint rows certifies
     every point at once (``_first_bases``), and one stacked solve of the
     square systems of the distinct bases yields the vertices, in order of
-    their bases.  Basic-solution enumeration over the row subsets in
-    lexicographic order, keeping the first hit of each vertex, meets that
-    same basis first, so it yields the same values in the same order.
+    their bases.  Qhull's points are not deduplicated: a repeated point has
+    the same first basis, and the bases are deduplicated.  Basic-solution
+    enumeration over the row subsets in lexicographic order, keeping the
+    first hit of each vertex, meets that same basis first, so it yields the
+    same values in the same order.
 
     Raises ``ValueError`` for an H-polytope that is empty, flat (no interior
-    point within its equality hull) or unbounded.
+    point within its equality hull) or unbounded, or whose ambient dimension
+    exceeds ``ENUM_DIM_CAP``.
     """
     d = h.ambient_dim
-    if d > dim_cap:
-        raise ValueError(f"ambient dim {d} exceeds enumeration cap {dim_cap}")
+    if d > ENUM_DIM_CAP:
+        raise ValueError(f"ambient dim {d} exceeds enumeration cap {ENUM_DIM_CAP}")
     tol = DECISION_TOL
     eq = np.reshape(h.eq_normals, (-1, d))
     ineq = np.reshape(h.ineq_normals, (-1, d))
@@ -734,7 +751,7 @@ def enumerate_max_vertices(h: HPolytope, dim_cap: int = 12) -> VPolytope:
         if centre is None or not (unit @ centre - unit_rhs > tol).all():
             centre = _chebyshev_centre(unit, unit_rhs, tol)
         ys = _extreme_points(unit, unit_rhs, centre)
-    points = dedup_rows(x0 + ys @ null.T)
+    points = x0 + ys @ null.T
     bases = _first_bases(a, scale, np.abs(points @ ineq.T - offsets) <= tol, tol)
     # each basis's square system [eq; ineq[basis]], all in one stacked solve
     n = len(bases)

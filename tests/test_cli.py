@@ -327,6 +327,31 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "random:2x2:rank=1000000000:seed=1")
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            qstate.PureState(np.eye(65)[0], DimSplit(65, 1)),
+            qstate.DensityMatrix(np.eye(65) / 65, DimSplit(65, 1)),
+        ],
+        ids=["pure", "density"],
+    )
+    def test_file_dimension_cap(self, capsys, monkeypatch, tmp_path, state):
+        # the split is read, and capped, before the matrix
+        forbid(monkeypatch, matcore, "matrix_from_json")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(qstate.state_to_json(state)))
+        code, out, err = run(capsys, "analyze", f"file:{path}")
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "state dimension 65x1 = 65 exceeds the cap of 64" in err
+
+    def test_file_at_dimension_cap(self, capsys, tmp_path):
+        path = tmp_path / "pure64.json"
+        path.write_text(json.dumps(qstate.state_to_json(qstate.random_pure(DimSplit(64, 1), 3))))
+        code, out, _ = run(capsys, "analyze", f"file:{path}")
+        assert code == EXIT_OK
+        assert json.loads(out)["dim_a"] == 64
+
     def test_random_at_dimension_cap(self, capsys):
         code, out, _ = run(capsys, "analyze", "random:8x8:seed=1")
         assert code == EXIT_OK
@@ -526,6 +551,10 @@ class TestTensor:
         assert code == EXIT_CAP
         assert "cap" in err
 
+    def test_dim_cap_is_not_an_option(self):
+        # the enumeration cap is comgeo.ENUM_DIM_CAP, not a knob
+        assert run_quiet(["tensor", "--dim-cap", "16", "gbit", "gbit"]) == (EXIT_PARSE, "")
+
     @pytest.mark.parametrize(
         "argv, what",
         [(["classical:13", "gbit"], "ambient dim <= 12, got 39"),
@@ -626,6 +655,15 @@ class TestCssCheck:
         assert code == EXIT_CAP
         assert out == ""
         assert str(cli.CSS_VERTEX_CAP) in err
+
+    def test_split_cap(self, capsys, tmp_path, monkeypatch):
+        forbid(monkeypatch, matcore, "matrix_from_json")
+        vertex = qstate.DensityMatrix(np.eye(65) / 65, DimSplit(65, 1))
+        path = self._write(tmp_path, StatePolytope((vertex,), vertex.split))
+        code, out, err = run(capsys, "css-check", path)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "state polytope dimension 65x1 = 65 exceeds the cap of 64" in err
 
     @pytest.mark.parametrize(
         "obj, what",

@@ -1128,6 +1128,65 @@ class TestMinTensor:
                 assert max_tensor_membership(v, h, 1e-10)
 
 
+def doubled(extreme_points):
+    """``extreme_points`` with every point given twice."""
+    return lambda a, rhs, centre: np.repeat(extreme_points(a, rhs, centre), 2, axis=0)
+
+
+class TestModelsReducedOnce:
+    def test_min_tensor_and_enumeration_reduce_and_dedup_nothing(self, monkeypatch):
+        gb = gbit_model()
+        h = max_tensor_constraints(gb, gb)
+        want = enumerate_max_vertices(h).vertices
+        reduced = mock.Mock(wraps=comgeo.reduce_rows)
+        deduped = mock.Mock(wraps=comgeo.dedup_rows)
+        monkeypatch.setattr(comgeo, "reduce_rows", reduced)
+        monkeypatch.setattr(comgeo, "dedup_rows", deduped)
+        assert len(min_tensor(gb, gb).vertices) == 16
+        assert reduced.call_count == 0
+        # a Qhull point given twice has the same first basis, so its vertex
+        # still comes out once
+        monkeypatch.setattr(comgeo, "_extreme_points", doubled(comgeo._extreme_points))
+        assert enumerate_max_vertices(h).vertices.tobytes() == want.tobytes()
+        assert deduped.call_count == 0
+
+    @pytest.mark.parametrize(
+        "given, irredundant",
+        [
+            ([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], classical_model(2)),
+            # the square's centre, then its corners with the second repeated
+            ([[0.5, 0.5, 1.0], *gbit_model().vertices[:2], gbit_model().vertices[1],
+              *gbit_model().vertices[2:]], gbit_model()),
+        ],
+        ids=["simplex", "square"],
+    )
+    def test_a_redundant_model_holds_its_extreme_states(self, given, irredundant):
+        m = ComModel(irredundant.ambient_dim, given, irredundant.effects, irredundant.unit)
+        assert m.vertices.tobytes() == irredundant.vertices.tobytes()
+        gb, ref = gbit_model(), irredundant
+        assert min_tensor(m, gb).vertices.tobytes() == min_tensor(ref, gb).vertices.tobytes()
+        assert min_tensor(gb, m).vertices.tobytes() == min_tensor(gb, ref).vertices.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_a=st.integers(3, 7), n_b=st.integers(3, 7), extra=st.integers(0, 6), seed=SEEDS)
+    def test_polygons_with_inner_states(self, n_a, n_b, extra, seed):
+        # the polygon's states with convex combinations of them shuffled in:
+        # the model keeps reduce_rows of them, and min_tensor equals
+        # product_hull of the given lists, bit for bit
+        rng = np.random.default_rng(seed)
+        models, given = [], []
+        for n in (n_a, n_b):
+            p = polygon_model(n)
+            rows = np.vstack([p.vertices, rng.dirichlet(np.ones(n), size=extra) @ p.vertices])
+            given.append(rows[rng.permutation(len(rows))])
+            models.append(ComModel(3, given[-1], p.effects, p.unit))
+        for m, rows in zip(models, given):
+            assert m.vertices.tobytes() == reduce_rows(rows).tobytes()
+        got = min_tensor(*models).vertices
+        assert got.tobytes() == comgeo.product_hull(*given).tobytes()
+        assert len(got) == n_a * n_b
+
+
 # x_1, x_2 >= 0 and x_1 + x_2 <= 1 on the plane x_3 = 1, with no interior point
 TRIANGLE = HPolytope(3, [[1, 0, 0], [0, 1, 0], [-1, -1, 1]], [0, 0, 0], [[0, 0, 1]], [1])
 
@@ -1199,7 +1258,7 @@ class TestMaxTensor:
     def test_dim_cap(self):
         h = max_tensor_constraints(classical_model(4), classical_model(4))
         with pytest.raises(ValueError, match="cap"):
-            enumerate_max_vertices(h, dim_cap=10)
+            enumerate_max_vertices(h)
 
     @pytest.mark.parametrize(
         "a, b, n_vertices",
