@@ -28,7 +28,8 @@ from scipy.linalg import null_space
 from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection
 
-from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL, _json_ints, _json_numbers, _kron
+from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL
+from .matcore import _derived, _json_ints, _json_numbers, _kron
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -54,28 +55,42 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Half-space form: each inequality row means normal . x >= offset.
+    """Half-space form: each inequality row means normal . x >= offset, and
+    each equality row normal . x = value.
 
-    ``interior`` is an optional point that should satisfy every inequality
-    strictly; vertex enumeration starts from it, when it does, instead of
-    solving an LP for such a point.  A NaN or inf entry raises ValueError."""
+    The normals are (rows, ``ambient_dim``) arrays, an empty list meaning no
+    rows; the offsets and values have one entry per row, and ``interior``,
+    ``ambient_dim`` entries.  ``interior`` must lie strictly inside every
+    inequality row that stays live on the equality hull: vertex enumeration
+    starts from it.  A shape that disagrees, or a NaN or inf entry, raises
+    ValueError naming it."""
 
     ambient_dim: int
     ineq_normals: np.ndarray
     ineq_offsets: np.ndarray
     eq_normals: np.ndarray
     eq_values: np.ndarray
-    interior: np.ndarray | None = None
+    interior: np.ndarray
 
     def __post_init__(self):
-        names = ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values", "interior")
-        given = [name for name in names if getattr(self, name) is not None]
-        for name in given:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        d = self.ambient_dim
+
+        def store(name, value, shape):
+            value = np.asarray(value, dtype=float)
+            if value.shape != shape:
+                raise ValueError(f"H-polytope {name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
+
+        for normals, values in (("ineq_normals", "ineq_offsets"), ("eq_normals", "eq_values")):
+            rows = np.asarray(getattr(self, normals), dtype=float)
+            store(normals, rows.reshape(0, d) if rows.shape == (0,) else rows, rows.shape[:1] + (d,))
+            store(values, getattr(self, values), rows.shape[:1])
+        store("interior", self.interior, (d,))
         if len(self.ineq_normals) == 0 and len(self.eq_normals) == 0:
             raise ValueError("H-polytope needs at least one constraint")
+        names = ("ineq_normals", "ineq_offsets", "eq_normals", "eq_values", "interior")
         # phrased so that a NaN fails it, in one pass over every entry
-        if not np.isfinite(np.concatenate([getattr(self, name).ravel() for name in given])).all():
+        if not np.isfinite(np.concatenate([getattr(self, name).ravel() for name in names])).all():
             raise ValueError("H-polytope has a NaN or inf entry")
 
 
@@ -134,17 +149,19 @@ class BilinearState:
 
 
 def classical_model(n: int) -> ComModel:
-    """Classical n-outcome system: the standard simplex with sharp effects."""
+    """Classical n-outcome system: the standard simplex with sharp effects.
+    Valid and irredundant by construction, so built without the checks."""
     if n < 2:
         raise ValueError(f"classical model needs n >= 2, got {n}")
     eye = np.eye(n)
     ones = np.ones(n)
-    effects = np.vstack([eye, ones - eye])
-    return ComModel(n, eye, effects, ones)
+    return _derived(ComModel, n, eye, np.vstack([eye, ones - eye]), ones)
 
 
 def gbit_model() -> ComModel:
-    """Box-world single system: square state space (x, y, 1) with x, y in [0, 1]."""
+    """Box-world single system: square state space (x, y, 1) with x, y in
+    [0, 1].  Valid and irredundant by construction, so built without the
+    checks."""
     vertices = np.array(
         [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
     )
@@ -157,7 +174,7 @@ def gbit_model() -> ComModel:
         ]
     )
     unit = np.array([0.0, 0.0, 1.0])
-    return ComModel(3, vertices, effects, unit)
+    return _derived(ComModel, 3, vertices, effects, unit)
 
 
 def pr_box() -> BilinearState:
@@ -698,44 +715,42 @@ ENUM_DIM_CAP = 12
 
 
 def enumerate_max_vertices(h: HPolytope) -> VPolytope:
-    """All extreme points of a bounded H-polytope with an interior point in
-    its equality hull, of ambient dimension at most ``ENUM_DIM_CAP``.
+    """All extreme points of a bounded H-polytope, of ambient dimension at
+    most ``ENUM_DIM_CAP``, from its interior point.
 
     On the equality rows' affine hull x = x0 + N y (N their null space),
     Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives
-    the extreme points around an interior point: ``h.interior`` when it is
-    more than ``DECISION_TOL`` inside every inequality
-    (``max_tensor_constraints`` sets the product of the model centroids),
-    else the centre of a Chebyshev LP.  Each point is snapped to a certified
-    vertex: among the inequality rows tight at it (within ``DECISION_TOL``),
-    scanned in index order, keep every row independent of the equality rows
-    and of the rows kept so far.  That is the lexicographically first basis;
-    full rank proves a vertex.  One scan of the constraint rows certifies
-    every point at once (``_first_bases``), and one stacked solve of the
-    square systems of the distinct bases yields the vertices, in order of
-    their bases.  Qhull's points are not deduplicated: a repeated point has
-    the same first basis, and the bases are deduplicated.  Basic-solution
-    enumeration over the row subsets in lexicographic order, keeping the
-    first hit of each vertex, meets that same basis first, so it yields the
-    same values in the same order.
+    the extreme points around ``h.interior`` projected onto that hull
+    (``max_tensor_constraints`` sets the product of the model centroids).
+    Each point is snapped to a certified vertex: among the inequality rows
+    tight at it (within ``DECISION_TOL``), scanned in index order, keep
+    every row independent of the equality rows and of the rows kept so far.
+    That is the lexicographically first basis; full rank proves a vertex.
+    One scan of the constraint rows certifies every point at once
+    (``_first_bases``), and one stacked solve of the square systems of the
+    distinct bases yields the vertices, in order of their bases.  Qhull's
+    points are not deduplicated: a repeated point has the same first basis,
+    and the bases are deduplicated.  Basic-solution enumeration over the
+    row subsets in lexicographic order, keeping the first hit of each
+    vertex, meets that same basis first, so it yields the same values in
+    the same order.
 
-    Raises ``ValueError`` for an H-polytope that is empty, flat (no interior
-    point within its equality hull) or unbounded, or whose ambient dimension
+    Raises ``ValueError`` when the equality rows are dependent, when a row
+    that is constant on their hull is false there (empty), when the
+    interior point is not more than ``DECISION_TOL`` inside every other
+    row, when the H-polytope is unbounded, or when its ambient dimension
     exceeds ``ENUM_DIM_CAP``.
     """
     d = h.ambient_dim
     if d > ENUM_DIM_CAP:
         raise ValueError(f"ambient dim {d} exceeds enumeration cap {ENUM_DIM_CAP}")
     tol = DECISION_TOL
-    eq = np.reshape(h.eq_normals, (-1, d))
-    ineq = np.reshape(h.ineq_normals, (-1, d))
-    offsets = np.reshape(h.ineq_offsets, -1)
+    eq, ineq, offsets = h.eq_normals, h.ineq_normals, h.ineq_offsets
     null = null_space(eq)
     k = null.shape[1]
     if k != d - len(eq):
         raise ValueError("equality rows are linearly dependent")
-    eq_values = np.reshape(h.eq_values, -1)
-    x0 = np.linalg.lstsq(eq, eq_values, rcond=None)[0]
+    x0 = np.linalg.lstsq(eq, h.eq_values, rcond=None)[0]
     # on the hull: ineq @ (x0 + null @ y) >= offsets reads a @ y >= rhs
     a, rhs = ineq @ null, offsets - ineq @ x0
     scale = np.linalg.norm(ineq, axis=1)
@@ -744,43 +759,20 @@ def enumerate_max_vertices(h: HPolytope) -> VPolytope:
     if (rhs[~live] > tol).any():
         raise ValueError("H-polytope is empty")
     unit, unit_rhs = a[live] / norms[live, None], rhs[live] / norms[live]
-    if k == 0:
-        ys = np.zeros((1, 0))
-    else:
-        centre = None if h.interior is None else null.T @ (h.interior - x0)
-        if centre is None or not (unit @ centre - unit_rhs > tol).all():
-            centre = _chebyshev_centre(unit, unit_rhs, tol)
-        ys = _extreme_points(unit, unit_rhs, centre)
+    centre = null.T @ (h.interior - x0)
+    if not (unit @ centre - unit_rhs > tol).all():
+        raise ValueError("H-polytope's interior point is not strictly inside every live inequality row")
+    ys = _extreme_points(unit, unit_rhs, centre) if k else np.zeros((1, 0))
     points = x0 + ys @ null.T
     bases = _first_bases(a, scale, np.abs(points @ ineq.T - offsets) <= tol, tol)
     # each basis's square system [eq; ineq[basis]], all in one stacked solve
     n = len(bases)
     systems = np.concatenate([np.broadcast_to(eq, (n, *eq.shape)), ineq[bases]], axis=1)
-    values = np.concatenate([np.broadcast_to(eq_values, (n, len(eq))), offsets[bases]], axis=1)
+    values = np.concatenate([np.broadcast_to(h.eq_values, (n, len(eq))), offsets[bases]], axis=1)
     verts = np.linalg.solve(systems, values[..., None])[..., 0]
     if not max_tensor_membership(verts, h, tol):
         raise RuntimeError("an enumerated vertex violates a constraint")
     return VPolytope(verts)
-
-
-def _chebyshev_centre(a: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-    """Centre of a largest ball (radius capped at 1) in {y : a y >= rhs}, for
-    unit rows a; raises ValueError if the set is empty or has no interior."""
-    n, k = a.shape
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    res = linprog(
-        c, A_ub=np.hstack([-a, np.ones((n, 1))]), b_ub=-rhs,
-        bounds=[(None, None)] * k + [(0.0, 1.0)], method="highs",
-        options=_LP_OPTIONS,
-    )
-    if res.status == 2:
-        raise ValueError("H-polytope is empty")
-    if res.status != 0:
-        raise RuntimeError(f"Chebyshev-centre LP failed: {res.message}")
-    if res.x[-1] <= tol:
-        raise ValueError("H-polytope is flat: no interior point in its equality hull")
-    return res.x[:k]
 
 
 def _extreme_points(a: np.ndarray, rhs: np.ndarray, centre: np.ndarray) -> np.ndarray:

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import comgeo, matcore, qstate
 from .comgeo import BilinearState, ComModel, VPolytope
-from .matcore import CSS_TOL, DECISION_TOL, ROUND_TOL, VALID_TOL, DimSplit
-from .qstate import DensityMatrix, _derived, _validated
+from .matcore import CSS_TOL, DECISION_TOL, ROUND_TOL, VALID_TOL, DimSplit, _derived
+from .qstate import DensityMatrix, _validated
 
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:

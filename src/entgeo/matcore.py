@@ -54,6 +54,18 @@ class DimSplit:
         return self.dim_a * self.dim_b
 
 
+def _derived(cls, *fields):
+    """``cls(*fields)`` for a frozen dataclass minus its ``__post_init__``,
+    for a value whose checks would only repeat a known answer: one that a
+    validity-preserving map derives from valid values (``qstate``'s partial
+    traces and products, ``invsep``'s polytopes), or one valid and
+    irredundant by construction (``comgeo``'s built-in models).  Each field
+    is stored as given, so it must already have its final type and shape."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
+
+
 def _as_matrix(m) -> np.ndarray:
     """m as a complex matrix, or a stack of matrices along its leading axes."""
     m = np.asarray(m, dtype=complex)

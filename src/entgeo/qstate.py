@@ -8,8 +8,8 @@ last two axes, so ``_validated`` checks a stack in one call (the Werner
 states of an array of p, ``invsep``'s vertices and factors).  A state that
 a validity-preserving map derives from valid states (a partial trace, a
 product, the projector of a normalized vector, a convex combination) is not
-validated again: those maps build it with ``_derived(cls, *fields)``, which
-is ``cls(*fields)`` minus the validation.
+validated again: those maps build it with ``matcore._derived(cls, *fields)``,
+which is ``cls(*fields)`` minus the validation.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64,
 so every ensemble is bit-reproducible from its seed.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .matcore import ROUND_TOL, VALID_TOL, DimSplit
+from .matcore import ROUND_TOL, VALID_TOL, DimSplit, _derived
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -114,12 +114,6 @@ class DensityMatrix:
 
 # the limits of validate's rules, a row per rule
 _LIMITS = np.array([[VALID_TOL], [VALID_TOL], [ROUND_TOL], [VALID_TOL]])
-
-
-def _derived(cls, *fields):
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
-    return obj
 
 
 def _validated(mats: np.ndarray, split: DimSplit, what: str) -> DensityMatrix:

@@ -609,7 +609,7 @@ class TestTensor:
         assert len(members) == calls
 
     def test_unbounded_constraints_are_numeric_error(self, capsys, monkeypatch):
-        unbounded = comgeo.HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1])
+        unbounded = comgeo.HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1], [1, 0, 1])
         monkeypatch.setattr(comgeo, "max_tensor_constraints", lambda a, b: unbounded)
         code, _, err = run(capsys, "tensor", "gbit", "gbit", "--which", "max")
         assert code == EXIT_NUMERIC

@@ -3,7 +3,6 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -247,16 +246,21 @@ def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
     homogeneous rows (-w, -c).x >= 0 on x = (p, 1); a random affine map
     x = M z + t moves them off the axes.  Then ``dups`` rows are repeated and
     ``flat_rows`` rows that are a power of two times the equality row are
-    added, tight or slack, and the inequality rows are shuffled.
+    added, tight or slack, and the inequality rows are shuffled.  The
+    interior point is the centroid of the generating points, mapped to z.
     """
     if cross:
         signs = np.array(list(itertools.product([-1.0, 1.0], repeat=k)))
         facets = np.hstack([signs, -np.ones((len(signs), 1))])
+        centroid = np.zeros(k)
     elif k == 1:
         pts = rng.standard_normal(2 + extra)
         facets = np.array([[-1.0, pts.min()], [1.0, -pts.max()]])
+        centroid = pts.mean(keepdims=True)
     else:
-        facets = ConvexHull(rng.standard_normal((k + 1 + extra, k))).equations
+        pts = rng.standard_normal((k + 1 + extra, k))
+        facets = ConvexHull(pts).equations
+        centroid = pts.mean(axis=0)
     d = k + 1
     m = rng.standard_normal((d, d)) + 3 * np.eye(d)
     t = rng.standard_normal(d)
@@ -272,7 +276,8 @@ def random_hpolytope(rng, k, cross, extra, dups, flat_rows):
     normals = np.vstack([normals, scales[:, None] * eq_normal])
     offsets = np.concatenate([offsets, scales * eq_value - slack])
     order = rng.permutation(len(normals))
-    return HPolytope(d, normals[order], offsets[order], eq_normal[None, :], [eq_value])
+    interior = np.linalg.solve(m, np.append(centroid, 1.0) - t)
+    return HPolytope(d, normals[order], offsets[order], eq_normal[None, :], [eq_value], interior)
 
 
 @contextlib.contextmanager
@@ -320,10 +325,12 @@ ORACLE_CASES = {
     "gbit-gbit": max_tensor_constraints(gbit_model(), gbit_model()),
     "classical2-classical3": max_tensor_constraints(classical_model(2), classical_model(3)),
     # the equality rows fix a single point
-    "point": HPolytope(2, [[1, 0]], [0], [[0, 1], [1, 0]], [1, 0.5]),
+    "point": HPolytope(2, [[1, 0]], [0], [[0, 1], [1, 0]], [1, 0.5], [0.5, 1]),
     # a segment of the line x_2 = 1
-    "segment": HPolytope(2, [[1, 0], [-1, 0]], [0, -1], [[0, 1]], [1]),
-    "no-equality": HPolytope(2, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1], np.empty((0, 2)), []),
+    "segment": HPolytope(2, [[1, 0], [-1, 0]], [0, -1], [[0, 1]], [1], [0.5, 1]),
+    "no-equality": HPolytope(
+        2, [[1, 0], [0, 1], [-1, -1]], [0, 0, -1], np.empty((0, 2)), [], [1 / 3, 1 / 3]
+    ),
 }
 
 
@@ -1151,6 +1158,24 @@ class TestModelsReducedOnce:
         assert deduped.call_count == 0
 
     @pytest.mark.parametrize(
+        "make, args",
+        [*((classical_model, (n,)) for n in range(2, 9)), (gbit_model, ())],
+        ids=[*(f"classical:{n}" for n in range(2, 9)), "gbit"],
+    )
+    def test_a_built_in_model_is_its_checked_build(self, make, args, monkeypatch):
+        # built without the checks, and equal in every field to the checked
+        # build of the same rows, which reduces none of them
+        reduced = mock.Mock(wraps=comgeo.reduce_rows)
+        monkeypatch.setattr(comgeo, "reduce_rows", reduced)
+        m = make(*args)
+        assert reduced.call_count == 0
+        checked = ComModel(m.ambient_dim, m.vertices, m.effects, m.unit)
+        assert (type(m.ambient_dim), m.ambient_dim) == (int, checked.ambient_dim)
+        for name in ("vertices", "effects", "unit"):
+            got, want = getattr(m, name), getattr(checked, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize(
         "given, irredundant",
         [
             ([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], classical_model(2)),
@@ -1187,13 +1212,10 @@ class TestModelsReducedOnce:
         assert len(got) == n_a * n_b
 
 
-# x_1, x_2 >= 0 and x_1 + x_2 <= 1 on the plane x_3 = 1, with no interior point
-TRIANGLE = HPolytope(3, [[1, 0, 0], [0, 1, 0], [-1, -1, 1]], [0, 0, 0], [[0, 0, 1]], [1])
-
-
-def status_4(linprog):
-    """``linprog`` stopped with HiGHS status 4, numerical difficulties."""
-    return lambda *args, **kwargs: SimpleNamespace(status=4, message="numerical difficulties")
+# x_1, x_2 >= 0 and x_1 + x_2 <= 1 on the plane x_3 = 1, with an interior point
+TRIANGLE = HPolytope(
+    3, [[1, 0, 0], [0, 1, 0], [-1, -1, 1]], [0, 0, 0], [[0, 0, 1]], [1], [0.25, 0.25, 1]
+)
 
 
 def with_centroid(extreme_points):
@@ -1355,32 +1377,36 @@ class TestMaxTensor:
          (gbit_model(), gbit_model()), (classical_model(3), classical_model(3)),
          (classical_model(4), gbit_model())],
     )
-    def test_centroid_product_start_gives_the_lp_start_output(self, a, b, monkeypatch):
-        # the same vertices, bit for bit, as from the Chebyshev centre; a
-        # start on the boundary falls back to that LP
+    def test_a_start_on_the_boundary_raises(self, a, b, monkeypatch):
+        # a min_tensor vertex is tight at some effect pair: no LP looks for
+        # another start
+        monkeypatch.setattr(comgeo, "linprog", None)
         h = max_tensor_constraints(a, b)
-        from_lp = enumerate_max_vertices(dataclasses.replace(h, interior=None)).vertices
         boundary = dataclasses.replace(h, interior=min_tensor(a, b).vertices[0])
-        assert np.array_equal(enumerate_max_vertices(boundary).vertices, from_lp)
-        monkeypatch.setattr(comgeo, "_chebyshev_centre", None)
-        assert np.array_equal(enumerate_max_vertices(h).vertices, from_lp)
+        with pytest.raises(ValueError, match="interior"):
+            enumerate_max_vertices(boundary)
 
     @pytest.mark.parametrize(
         "h, kind",
         [
-            (HPolytope(2, [[1, 0]], [0], [[0, 1], [0, 2]], [1, 2]), "dependent"),
+            (HPolytope(2, [[1, 0]], [0], [[0, 1], [0, 2]], [1, 2], [1, 1]), "dependent"),
             # one constraint leaves a half-plane of the plane x_3 = 1
-            (HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1]), "unbounded"),
-            # x_1 >= 0 and -x_1 >= 0 on the line x_2 = 1: a single point
-            (HPolytope(2, [[1, 0], [-1, 0]], [0, 0], [[0, 1]], [1]), "flat"),
-            (HPolytope(2, [[1, 0], [-1, 0]], [1, 0], [[0, 1]], [1]), "empty"),
+            (HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1], [1, 0, 1]), "unbounded"),
+            # x_1 >= 0 and -x_1 >= 0 on the line x_2 = 1: a single point, so
+            # no point is strictly inside
+            (HPolytope(2, [[1, 0], [-1, 0]], [0, 0], [[0, 1]], [1], [0, 1]), "interior"),
+            # x_1 >= 1 and -x_1 >= 0 on that line: empty, through live rows
+            (HPolytope(2, [[1, 0], [-1, 0]], [1, 0], [[0, 1]], [1], [0.5, 1]), "interior"),
             # x_1 >= 0 alone on the line x_2 = 1, a ray
-            (HPolytope(2, [[1, 0]], [0], [[0, 1]], [1]), "unbounded"),
+            (HPolytope(2, [[1, 0]], [0], [[0, 1]], [1], [1, 1]), "unbounded"),
             # x_1, x_2 >= 0 and x_1 + x_2 >= 1 on the plane x_3 = 1: the dual
             # points span the plane, but Qhull finds the origin outside them
-            (HPolytope(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1], [[0, 0, 1]], [1]), "unbounded"),
+            (
+                HPolytope(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1], [[0, 0, 1]], [1], [1, 1, 1]),
+                "unbounded",
+            ),
             # 2 x_2 >= 3 is constant on the line x_2 = 1, and false there
-            (HPolytope(2, [[1, 0], [-1, 0], [0, 2]], [-1, -1, 3], [[0, 1]], [1]), "empty"),
+            (HPolytope(2, [[1, 0], [-1, 0], [0, 2]], [-1, -1, 3], [[0, 1]], [1], [0.5, 1]), "empty"),
         ],
     )
     def test_rejects_with_named_reason(self, h, kind):
@@ -1390,15 +1416,14 @@ class TestMaxTensor:
     @pytest.mark.parametrize(
         "name, fake, match",
         [
-            ("linprog", status_4, "Chebyshev-centre LP failed"),
             ("_extreme_points", with_centroid, "not a vertex"),
             ("max_tensor_membership", lambda original: lambda *args: False, "violates a constraint"),
         ],
-        ids=["chebyshev", "extreme_points", "membership"],
+        ids=["extreme_points", "membership"],
     )
     def test_an_internal_failure_raises(self, monkeypatch, name, fake, match):
-        # checks that no valid input reaches: a failed Chebyshev-centre LP, a
-        # point that is not a vertex, and a vertex that breaks a constraint
+        # checks that no valid input reaches: a point that is not a vertex,
+        # and a vertex that breaks a constraint
         monkeypatch.setattr(comgeo, name, fake(getattr(comgeo, name)))
         with pytest.raises(RuntimeError, match=match):
             enumerate_max_vertices(TRIANGLE)
@@ -1502,13 +1527,30 @@ class TestConstruction:
         "make, match",
         [
             (lambda: VPolytope(np.zeros((0, 2))), "at least one vertex"),
-            (lambda: HPolytope(2, [], [], [], []), "at least one constraint"),
+            (lambda: HPolytope(2, [], [], [], [], [0, 0]), "at least one constraint"),
         ],
         ids=["VPolytope", "HPolytope"],
     )
     def test_an_empty_polytope_raises(self, make, match):
         with pytest.raises(ValueError, match=match):
             make()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # one offset for three rows, which a membership test broadcast
+            ("ineq_offsets", [0]),
+            # a 9-entry row in dimension 3, which enumeration read as three rows
+            ("ineq_normals", [[1, 0, 0, 0, 1, 0, -1, -1, 1]]),
+            ("eq_normals", [0, 0, 1]),
+            ("eq_values", [1, 1]),
+            ("interior", [0.25, 0.25]),
+        ],
+        ids=["one offset", "9-entry row", "flat equality row", "two values", "2-entry interior"],
+    )
+    def test_a_shape_mismatch_raises(self, field, value):
+        with pytest.raises(ValueError, match=f"H-polytope {field} has shape"):
+            dataclasses.replace(TRIANGLE, **{field: value})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["ineq_normals", "ineq_offsets", "eq_normals", "eq_values", "interior"])

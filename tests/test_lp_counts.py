@@ -7,6 +7,7 @@ one LP each, whose dual gives the hyperplane.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,20 +35,20 @@ def lp_calls(monkeypatch):
     return calls
 
 
+# stdout of every `entgeo [--tol 0] tensor A B` entry of the golden file
+TENSOR_PAIRS = json.loads((Path(__file__).parent / "golden" / "tensor_pairs.json").read_text())
+
+
 @pytest.mark.parametrize(
-    "model_a, model_b",
-    [
-        ("classical:2", "classical:2"),
-        ("classical:2", "gbit"),
-        ("gbit", "gbit"),
-        ("classical:2", "classical:3"),
-    ],
+    "case",
+    TENSOR_PAIRS,
+    ids=[("tol0-" if "--tol" in c["argv"] else "") + "-".join(c["argv"][-2:]) for c in TENSOR_PAIRS],
 )
-def test_tensor_solves_none(capsys, lp_calls, model_a, model_b):
+def test_tensor_solves_none(capsys, lp_calls, case):
     # the interior point is the product of the model centroids, and the
     # PR-type vertices break a CHSH facet of the product hull
-    assert cli.main(["tensor", model_a, model_b]) == cli.EXIT_OK
-    capsys.readouterr()
+    assert cli.main(case["argv"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == case["stdout"]
     assert len(lp_calls) == 0
 
 
