@@ -37,7 +37,8 @@ The tolerance behind each verdict (the table is in ``matcore``):
 
 - ``product``: ||pi(rho) - rho||_F <= ``--tol``;
 - ``css_singleton``: the largest real or imaginary part of pi(rho) - rho,
-  in modulus, <= max(``--tol``, ``CSS_TOL``), so under ``--tol 0`` a 1x4
+  in modulus (in ``matcore.real_coords``, where ``invsep.is_css`` compares
+  hulls), <= max(``--tol``, ``CSS_TOL``), so under ``--tol 0`` a 1x4
   state whose delta is 2e-16 reads ``"product": false, "css_singleton": true``;
 - ``ppt``: the least eigenvalue of the partial transpose against
   ``VALID_TOL``, whatever ``--tol`` is;
@@ -63,7 +64,7 @@ import sys
 import numpy as np
 
 from . import comgeo, invsep, qstate
-from .matcore import CSS_TOL, DECISION_TOL, DimSplit, split_from_json
+from .matcore import CSS_TOL, DECISION_TOL, DimSplit, real_coords, split_from_json
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -265,7 +266,7 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
         "ppt_min_eig": ppt_min,
         "verdicts": {
             "product": pi_dist <= tol,
-            "css_singleton": float(np.abs(delta.view(float)).max()) <= max(tol, CSS_TOL),
+            "css_singleton": float(np.abs(real_coords(delta[None])).max()) <= max(tol, CSS_TOL),
             "ppt": invsep.ppt_verdict_from_eigenvalue(ppt_min, rho.split),
         },
     }

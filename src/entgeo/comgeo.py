@@ -29,7 +29,7 @@ from scipy.optimize import linprog, nnls
 from scipy.spatial import HalfspaceIntersection
 
 from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL
-from .matcore import _derived, _json_ints, _json_numbers, _kron
+from .matcore import _derived, _json_ints, _json_numbers, _kron, real_coords
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -280,7 +280,9 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> _Answer:
     and returns s, lam and the hyperplane of its dual optimum, after
     checking each on its own, within ``_lp_slack``, else RuntimeError.
 
-    lam must be a probability vector with |lam @ v - x|_inf = s.  The dual
+    lam must be a probability vector with |lam @ v - x|_inf = s: no weight
+    below -slack, and a weight sum within n slack of 1 for the n weights,
+    since the equality row adds the n misses of its entries.  The dual
     (Boyd & Vandenberghe 2004, sec. 8.1) is  max h.x - max_i h.v_i  s.t.
     |h|_1 <= 1, and h is the difference of the multipliers of the rows
     V^T lam - x <= s and x - V^T lam <= s; it must have |h|_1 <= 1 and
@@ -309,7 +311,7 @@ def _lp_distance(x: np.ndarray, v: np.ndarray) -> _Answer:
     resid = float(np.abs(lam @ v - x).max())
     slack = _lp_slack(x, v)
     # phrased so that a NaN fails them
-    if not (lam.min() >= -slack and abs(lam.sum() - 1.0) <= slack):
+    if not (lam.min() >= -slack and abs(lam.sum() - 1.0) <= n * slack):
         raise RuntimeError("hull-distance LP answer is not a probability vector")
     if not abs(resid - s) <= slack:
         raise RuntimeError(f"hull-distance LP answer {s!r} is off its residual {resid!r}")
@@ -527,18 +529,13 @@ def _dyadic(a: np.ndarray) -> tuple[np.ndarray, int]:
     return n.astype(object) << np.where(live, exps - e, 0).astype(object), e
 
 
-def _coords(rows: np.ndarray) -> np.ndarray:
-    """Float or complex rows as real vectors; a complex entry is a re/im pair."""
-    return np.ascontiguousarray(rows.reshape(len(rows), -1)).view(float)
-
-
 # entries in one float temporary of a pairwise comparison (8 MB)
 _DEDUP_ENTRIES = 2**20
 
 
 def dedup_rows(points: np.ndarray) -> np.ndarray:
     """Drop each row (real or complex, any shape) within ``DEDUP_TOL``, in
-    the infinity norm, of an earlier kept row.
+    the infinity norm of its ``matcore.real_coords``, of an earlier kept row.
 
     Rows go in blocks whose pairwise comparison fits ``_DEDUP_ENTRIES``.  A
     row near a row kept from an earlier block is dropped
@@ -549,7 +546,7 @@ def dedup_rows(points: np.ndarray) -> np.ndarray:
     """
     points = np.atleast_2d(np.asarray(points))
     points = points.astype(complex if np.iscomplexobj(points) else float)
-    coords = _coords(points)
+    coords = real_coords(points)
     size = max(1, math.isqrt(_DEDUP_ENTRIES // max(1, coords.shape[1])))
     keep = np.zeros(len(coords), dtype=bool)
     for start in range(0, len(coords), size):
@@ -595,15 +592,16 @@ def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def reduce_rows(rows) -> np.ndarray:
-    """Drop every row in the hull of the rest; a complex entry counts as a re/im
-    pair (the ``invsep.flatten_matrix`` layout).  Kept rows come back as given.
+    """Drop every row in the hull of the rest, in the coordinates of
+    ``matcore.real_coords`` (a complex entry counts as a re/im pair).  Kept
+    rows come back as given.
 
     A row certified extreme by a strict maximizer is kept without an LP; the
     LP would keep it against any subset of the other rows.  Every other row
     is tested against the rows still kept by ``hull_membership``, so the
     result is that of the plain sequential LP pass at ``DECISION_TOL``."""
     rows = dedup_rows(rows)
-    pts = _coords(rows)
+    pts = real_coords(rows)
     keep = list(range(len(pts)))
     for k in np.flatnonzero(~_strict_maximizers(pts, DECISION_TOL)):
         others = [j for j in keep if j != k]

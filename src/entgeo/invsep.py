@@ -6,14 +6,14 @@ their composition, whose fixed points ("convex separable subsets") are
 exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
-Both flavors run through one core in ``comgeo`` (unit contractions,
-``reduce_rows`` and the broadcast multiply of ``product_composites``, the
-two joined in ``product_hull``) on composites x[a, b] with units;
-``gpt_marginals`` contracts and checks a whole GPT vertex array.  A density
-matrix rho[(i k), (j l)] is regrouped as x[(i j), (k l)] with unit vec(I),
-so partial traces are unit contractions and ``kron`` is an outer product;
-that only permutes the ``flatten_matrix`` coordinates.  The quantum
-products are ``product_composites`` of the two stacks of matrices.
+Both flavors run through one core in ``comgeo`` (``reduce_rows`` and the
+broadcast multiply of ``product_composites``, the two joined in
+``product_hull``); ``gpt_marginals`` contracts and checks a whole GPT
+vertex array with the units.  ``tau`` is the partial trace lifted to sets:
+the marginals of every vertex, one ``matcore.partial_trace`` call per side,
+reduced.  The quantum products are ``product_composites`` of the two
+stacks of matrices.  States are compared in the real coordinates of
+``matcore.real_coords``.
 
 A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
 the maps work on whole stacks.  Its vertices, when given as matrices, are
@@ -34,9 +34,9 @@ from .qstate import DensityMatrix, _validated
 
 
 def flatten_matrix(m: np.ndarray) -> np.ndarray:
-    """Complex matrix -> real coordinate vector (re/im interleaved): the row
-    that ``comgeo._coords`` makes of it."""
-    return comgeo._coords(np.array(m, dtype=complex)[None])[0]
+    """Complex matrix -> real coordinate vector (re/im interleaved): its row
+    of ``matcore.real_coords``."""
+    return matcore.real_coords(np.array(m, dtype=complex)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class StatePolytope:
 
     def flat(self) -> np.ndarray:
         """The vertices as rows of real coordinates (``flatten_matrix``)."""
-        return comgeo._coords(self.vertices)
+        return matcore.real_coords(self.vertices)
 
 
 def _stack(mats, what: str) -> np.ndarray:
@@ -128,14 +128,11 @@ class MeasureConfig:
 
 
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
-    """Lift of the partial traces to convex sets: vertexwise marginals, reduced."""
-    da, db = c.split.dim_a, c.split.dim_b
-    x = c.vertices.reshape(-1, da, db, da, db).swapaxes(2, 3).reshape(-1, da * da, db * db)
-    ma = comgeo.reduce_rows(x @ np.eye(db).ravel())
-    mb = comgeo.reduce_rows(np.eye(da).ravel() @ x)
+    """The partial trace lifted to convex sets: vertexwise marginals, reduced."""
+    ma, mb = (comgeo.reduce_rows(matcore.partial_trace(c.vertices, c.split, over)) for over in "ba")
     return (
-        _derived(StatePolytope, ma.reshape(-1, da, da), DimSplit(da, 1)),
-        _derived(StatePolytope, mb.reshape(-1, db, db), DimSplit(1, db)),
+        _derived(StatePolytope, ma, DimSplit(c.split.dim_a, 1)),
+        _derived(StatePolytope, mb, DimSplit(1, c.split.dim_b)),
     )
 
 
@@ -175,7 +172,7 @@ def is_product(rho: DensityMatrix, tol: float = VALID_TOL) -> bool:
 
 def ppt_min_eigenvalue(rho: DensityMatrix):
     """Smallest eigenvalue of the partial transpose; an array over the axes of a stack."""
-    pt = matcore.partial_transpose(rho.mat, rho.split, on="b")
+    pt = matcore.partial_transpose(rho.mat, rho.split)
     w, _ = matcore.hermitian_eig(pt)
     return matcore._per_matrix(w[..., 0], pt)
 
@@ -204,7 +201,7 @@ def psi_preimage_member(sigma: DensityMatrix, c1: StatePolytope, c2: StatePolyto
     stack."""
     inside = True
     for m, c in zip(qstate.marginals(sigma), (c1, c2)):
-        rows = comgeo._coords(matcore._slices(m.mat))
+        rows = matcore.real_coords(matcore._slices(m.mat))
         inside &= comgeo.hull_membership(rows, VPolytope(c.flat()), CSS_TOL).reshape(m.mat.shape[:-2])
     return matcore._per_matrix(inside, sigma.mat)
 

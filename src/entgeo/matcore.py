@@ -14,6 +14,13 @@ stack axes of its factors).  On a stack, each slice of the result is
 bit-identical to the call on that slice alone; ``is_hermitian`` and
 ``norm`` return an array over the stack axes instead of a Python scalar.
 
+Each matrix convention of the package has its one home here: the
+composite index (i, k) of a ``DimSplit`` and its partial trace, which
+``qstate``'s marginals and ``invsep.tau`` both take; the partial transpose
+on the B factor; the adjoint (``_adjoint``); and the real coordinates of a
+complex matrix (``real_coords``), re/im interleaved, in which ``comgeo``
+asks its hull questions and ``invsep`` and the command line compare states.
+
 Every tolerance of the package is an entry of the table below.
 """
 
@@ -34,7 +41,10 @@ DECISION_TOL = 1e-9
 DEDUP_TOL = 1e-8
 # the default of the fixed-point tests, and the floor of css_singleton
 CSS_TOL = 1e-8
-# HiGHS primal and dual feasibility; at most a tenth of DECISION_TOL and CSS_TOL
+# HiGHS primal and dual feasibility; at most a tenth of DECISION_TOL and CSS_TOL.  An LP
+# answer is only this fine: for one hull question of the tests, HiGHS answers 7.92e-10,
+# and its dual value and renormalized weights certify [7.92e-10, 1.30e-9], across the
+# default --tol of 1e-9
 LP_TOL = 1e-10
 
 
@@ -97,6 +107,12 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def real_coords(rows: np.ndarray) -> np.ndarray:
+    """Float or complex rows (each of any shape) as real vectors, one per
+    leading index: a complex entry is a re/im pair, interleaved."""
+    return np.ascontiguousarray(rows.reshape(len(rows), -1)).view(float)
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product with row-major composite indexing ((i,k),(j,l)).
 
@@ -144,18 +160,12 @@ def partial_trace(m, split: DimSplit, over: str) -> np.ndarray:
     raise ValueError(f"over must be 'a' or 'b', got {over!r}")
 
 
-def partial_transpose(m, split: DimSplit, on: str = "b") -> np.ndarray:
-    """Transpose the composite matrix (or each of a stack) on one tensor factor only."""
+def partial_transpose(m, split: DimSplit) -> np.ndarray:
+    """Transpose the composite matrix (or each of a stack) on its B factor only."""
     m = _as_matrix(m)
     _check_split(m, split)
     t = m.reshape(*m.shape[:-2], split.dim_a, split.dim_b, split.dim_a, split.dim_b)
-    if on == "b":
-        t = t.swapaxes(-3, -1)
-    elif on == "a":
-        t = t.swapaxes(-4, -2)
-    else:
-        raise ValueError(f"on must be 'a' or 'b', got {on!r}")
-    return t.reshape(m.shape).copy()
+    return t.swapaxes(-3, -1).reshape(m.shape).copy()
 
 
 def is_hermitian(m):
@@ -218,7 +228,7 @@ def norm(m, kind: str = "frobenius"):
         if m.ndim > 2:
             return np.array([norm(s, kind) for s in _slices(m)]).reshape(m.shape[:-2])
         # |m| via eigenvalues of m^dagger m, square-rooted
-        w = np.linalg.eigvalsh(m.conj().T @ m)
+        w = np.linalg.eigvalsh(_adjoint(m) @ m)
         return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     raise ValueError(f"unknown norm kind {kind!r}")
 

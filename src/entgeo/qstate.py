@@ -82,7 +82,7 @@ class DensityMatrix:
             nonfinite = ~np.isfinite(m).all(axis=(1, 2))
             # a valid stand-in keeps the other rules quiet on these slices
             m = np.where(nonfinite[:, None, None], np.eye(n) / n, m)
-        adj = m.conj().swapaxes(1, 2)
+        adj = matcore._adjoint(m)
         tr = m.trace(axis1=1, axis2=2)
         # the least eigenvalue of the Hermitian part, as matcore.hermitize
         # computes it; it counts only where m is Hermitian
@@ -199,7 +199,7 @@ def random_mixed(split: DimSplit, rank: int, seed: int) -> DensityMatrix:
     g = rng.standard_normal((split.dim, rank)) + 1j * rng.standard_normal(
         (split.dim, rank)
     )
-    m = g @ g.conj().T
+    m = g @ matcore._adjoint(g)
     return DensityMatrix(m / np.trace(m).real, split)
 
 

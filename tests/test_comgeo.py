@@ -430,6 +430,9 @@ class TestHullMembership:
         kind=st.sampled_from(["interior", "near", "outside", "dropped"]),
         tol=st.sampled_from([1e-9, 0.0]),
     )
+    # HiGHS's weights for a row of this pair sum to 1 + 5.6e-10, past one
+    # _lp_slack but within the n of them that the weight-sum check allows
+    @example(seed=363792, dim=5, k=5, kind="near", tol=1e-9)
     def test_rows_agree_with_one_point_at_a_time(self, seed, dim, k, kind, tol):
         # each polytope's vertices against the other's hull: a stack of rows
         # gets the verdicts and the LPs of one call per row
@@ -641,6 +644,22 @@ class TestCheckedLps:
         h, c, gap = answer.hyperplane
         assert h.tolist() == pytest.approx([1.0, 0.0])
         assert (c, gap) == pytest.approx((1.0, 0.5))
+
+    def test_a_weight_sum_within_n_slacks_passes(self):
+        # HiGHS answers s = 7.92e-10 with 5 weights summing to 1 + 5.6e-10,
+        # more than one _lp_slack (2.7e-10) off 1 but less than 5 of them;
+        # the dual value and the renormalized weights bound s by
+        # [7.92e-10, 1.30e-9]
+        p, q = polytope_pair(np.random.default_rng(363792), 5, 5, "near")
+        slack = comgeo._lp_slack(q[1], p)
+        answer = comgeo._lp_distance(q[1], p)
+        assert slack < abs(answer.weights.sum() - 1.0) <= len(p) * slack
+        assert answer.distance == pytest.approx(7.92e-10, rel=1e-3)
+        h, c, gap = answer.hyperplane
+        assert gap / np.abs(h).sum() == pytest.approx(answer.distance, abs=slack)
+        renormalized = answer.weights / answer.weights.sum()
+        assert np.abs(renormalized @ p - q[1]).max() == pytest.approx(1.30e-9, rel=1e-2)
+        assert hull_membership(q[1], VPolytope(p), 1e-9)
 
     @pytest.mark.parametrize(
         "change, match",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import comgeo, invsep, matcore, qstate
+from entgeo import cli, comgeo, invsep, matcore, qstate
 from entgeo.comgeo import BilinearState, VPolytope, gbit_model, pr_box
 from entgeo.invsep import (
     Decomposition,
@@ -26,7 +26,7 @@ from entgeo.invsep import (
     tau,
     werner_product_decomposition,
 )
-from entgeo.matcore import DimSplit
+from entgeo.matcore import CSS_TOL, DECISION_TOL, DimSplit
 from entgeo.qstate import DensityMatrix
 
 from conftest import TWO_QUBITS
@@ -69,6 +69,17 @@ STACKS = dict(
     shape=st.sampled_from([(1,), (4,), (2, 3)]),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@st.composite
+def state_polytopes(draw) -> StatePolytope:
+    """1 to 6 random states of ranks 1 to dim on a split of factors 1 to 3."""
+    split = DimSplit(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    ranks = draw(st.lists(st.integers(1, split.dim), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return StatePolytope(
+        tuple(qstate.random_mixed(split, r, seed + j) for j, r in enumerate(ranks)), split
+    )
 
 
 class TestStatePolytope:
@@ -577,17 +588,60 @@ class TestBackendAgreement:
             phi = BilinearState(w.reshape(2, 2))
             assert gpt_separable(phi, a, b)
 
-    def test_diagonal_polytopes_rebuild_alike(self):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.booleans(),
+    )
+    def test_diagonal_polytopes_rebuild_alike(self, dims, k, seed, fixed):
         # on diagonal states the quantum map acts on the diagonals exactly as
-        # the GPT map acts on the classical 2x2 composite
-        rng = np.random.default_rng(59)
-        a, b = comgeo.classical_model(2), comgeo.classical_model(2)
-        for k in (1, 2, 3, 4):
-            w = rng.dirichlet(np.ones(4), size=k)
-            quantum = lambda_tau(StatePolytope(tuple(map(np.diag, w)), TWO_QUBITS))
-            gpt = gpt_lambda_tau(VPolytope(w), a, b)
-            diagonals = np.array([np.diag(v) for v in quantum.vertices])
-            np.testing.assert_allclose(diagonals, gpt.vertices, atol=1e-12)
+        # the GPT map acts on the classical composite of the same split, and
+        # the two fixed-point tests agree
+        split = DimSplit(*dims)
+        a, b = comgeo.classical_model(dims[0]), comgeo.classical_model(dims[1])
+        w = np.random.default_rng(seed).dirichlet(np.ones(split.dim), size=k)
+        if fixed:  # a fixed point of both maps, so that both tests can say yes
+            w = gpt_lambda_tau(VPolytope(w), a, b).vertices
+        c = StatePolytope(tuple(map(np.diag, w)), split)
+        gpt = gpt_lambda_tau(VPolytope(w), a, b)
+        diagonals = np.array([np.diag(v).real for v in lambda_tau(c).vertices])
+        gaps = np.abs(diagonals[:, None] - gpt.vertices[None]).max(axis=2)
+        assert len(diagonals) == len(gpt.vertices)
+        assert gaps.min(axis=0).max() <= 1e-12 and gaps.min(axis=1).max() <= 1e-12
+        assert is_css(c) == comgeo.polytope_equal(gpt, VPolytope(w), CSS_TOL)
+
+
+class TestPaperInvariants:
+    """The paper's maps on random state polytopes, as hypothesis properties."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(state_polytopes())
+    def test_tau_of_lambda_tau_has_the_hulls_of_tau(self, c):
+        for once, twice in zip(tau(c), tau(lambda_tau(c))):
+            assert comgeo.polytope_equal(VPolytope(twice.flat()), VPolytope(once.flat()), CSS_TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(state_polytopes())
+    def test_every_vertex_is_in_the_preimage_of_its_marginals(self, c):
+        vertices = qstate._validated(c.vertices, c.split, "vertex")
+        assert psi_preimage_member(vertices, *tau(c)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        rank=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_css_singleton_is_the_fixed_point_test_of_the_singleton(self, dims, rank, seed):
+        # on a random state and on the product of its marginals, at the
+        # default --tol
+        split = DimSplit(*dims)
+        rho = qstate.random_mixed(split, min(rank, split.dim), seed)
+        for state in (rho, qstate.pi_map(rho)):
+            report = cli._quantum_report(state, "x", DECISION_TOL, "identity", "frobenius")
+            assert report["verdicts"]["css_singleton"] == is_css(StatePolytope((state,), split))
 
 
 class TestEntanglementModelWitnesses:

@@ -52,7 +52,7 @@ class TestInputChecks:
             (lambda: DimSplit(0, 2), "subsystem dimensions must be >= 1"),
             (lambda: matcore.kron(np.ones(3), np.ones((1, 1))), "expected a matrix"),
             (lambda: matcore.partial_trace(np.eye(4), DimSplit(2, 2), over="c"), "over must be 'a' or 'b'"),
-            (lambda: matcore.partial_transpose(np.eye(4), DimSplit(2, 2), on="c"), "on must be 'a' or 'b'"),
+            (lambda: matcore.partial_transpose(np.eye(5), DimSplit(2, 2)), "incompatible with split"),
             (lambda: matcore.hermitian_eig(np.ones((2, 3))), "needs a square matrix"),
             (lambda: matcore.norm(np.eye(2), "spectral"), "unknown norm kind 'spectral'"),
         ],
@@ -150,27 +150,25 @@ class TestPartialTranspose:
     def test_product_factorization(self, rng):
         r1 = random_hermitian(rng, 2)
         r2 = random_hermitian(rng, 2)
-        got = matcore.partial_transpose(matcore.kron(r1, r2), DimSplit(2, 2), on="b")
+        got = matcore.partial_transpose(matcore.kron(r1, r2), DimSplit(2, 2))
         np.testing.assert_array_equal(got, matcore.kron(r1, r2.T))
 
     def test_involution_exact(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        for on in ("a", "b"):
-            twice = matcore.partial_transpose(
-                matcore.partial_transpose(m, DimSplit(2, 2), on), DimSplit(2, 2), on
-            )
-            np.testing.assert_array_equal(twice, m)
+        split = DimSplit(2, 2)
+        twice = matcore.partial_transpose(matcore.partial_transpose(m, split), split)
+        np.testing.assert_array_equal(twice, m)
 
     def test_bell_min_eigenvalue(self):
         s = 1 / np.sqrt(2)
         rho = np.outer([s, 0, 0, s], [s, 0, 0, s])
-        pt = matcore.partial_transpose(rho, DimSplit(2, 2), on="b")
+        pt = matcore.partial_transpose(rho, DimSplit(2, 2))
         w, _ = matcore.hermitian_eig(pt)
         assert abs(w[0] + 0.5) < 1e-12
 
     def test_preserves_trace_and_frobenius(self, rng):
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        pt = matcore.partial_transpose(m, DimSplit(2, 3), on="b")
+        pt = matcore.partial_transpose(m, DimSplit(2, 3))
         assert np.trace(pt) == pytest.approx(np.trace(m), abs=0)
         assert matcore.norm(pt, "frobenius") == pytest.approx(
             matcore.norm(m, "frobenius"), abs=0
@@ -291,10 +289,11 @@ class TestStacks:
         split, m = case
         for side in ("a", "b"):
             traced = matcore.partial_trace(m, split, side)
-            transposed = matcore.partial_transpose(m, split, side)
             for i, one in enumerate(m):
                 assert np.array_equal(traced[i], matcore.partial_trace(one, split, side))
-                assert np.array_equal(transposed[i], matcore.partial_transpose(one, split, side))
+        transposed = matcore.partial_transpose(m, split)
+        for i, one in enumerate(m):
+            assert np.array_equal(transposed[i], matcore.partial_transpose(one, split))
 
     @settings(max_examples=60, deadline=None)
     @given(split_stacks())

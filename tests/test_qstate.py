@@ -142,7 +142,7 @@ class TestWerner:
 
     def test_threshold_eigenvalue(self):
         rho = qstate.werner_state(1 / 3)
-        pt = matcore.partial_transpose(rho.mat, rho.split, on="b")
+        pt = matcore.partial_transpose(rho.mat, rho.split)
         assert abs(np.linalg.eigvalsh(pt)[0]) < 1e-9
 
     @settings(max_examples=40, deadline=None)
