@@ -15,21 +15,45 @@ hi at lo = hi.  A distance and its optimal separating hyperplane are the
 primal and the dual of one problem, so every answer carries both: the
 direction of the certificate's lower bound, the proof's residual or the
 LP's dual optimum, each LP answer checked on its own before it is used.
+
+The scipy names (``null_space``, ``linprog``, ``nnls`` and
+``HalfspaceIntersection``) import their module on their first call, not
+with this module: importing scipy takes most of a process's start-up, and
+a quantum ``analyze`` or ``sweep`` never calls them.  They are module
+attributes, looked up at call time, so a test or a tracer can replace
+``linprog`` or ``nnls`` on the module.  They are callable objects, not
+functions, so a tracer that wraps every public function of this module
+leaves them alone.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog, nnls
-from scipy.spatial import HalfspaceIntersection
 
 from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL
 from .matcore import _derived, _json_ints, _json_numbers, _kron, real_coords
+
+
+class _Lazy:
+    """A scipy function whose module is imported on its first call; later
+    calls find the module in ``sys.modules``."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def __call__(self, *args, **kwargs):
+        return getattr(importlib.import_module(self.module), self.name)(*args, **kwargs)
+
+
+null_space = _Lazy("scipy.linalg", "null_space")
+linprog = _Lazy("scipy.optimize", "linprog")
+nnls = _Lazy("scipy.optimize", "nnls")
+HalfspaceIntersection = _Lazy("scipy.spatial", "HalfspaceIntersection")
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -644,9 +668,10 @@ def product_composites(xa, xb) -> np.ndarray:
 
 def product_hull(xa, xb) -> np.ndarray:
     """Vertices of the hull of all products: ``product_composites`` after
-    ``reduce_rows``.  Its callers (``invsep.lambda_map``,
-    ``css_from_decomposition`` and ``gpt_lambda_tau``) pass lists that may
-    be redundant; ``min_tensor`` needs no reduction."""
+    ``reduce_rows``.  Its caller, ``invsep.gpt_lambda_tau``, passes lists
+    that may be redundant; ``min_tensor`` needs no reduction, and the
+    quantum maps of ``invsep`` reduce each side themselves, since their
+    products keep the two reduced lists."""
     return product_composites(reduce_rows(xa), reduce_rows(xb))
 
 

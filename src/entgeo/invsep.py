@@ -7,13 +7,19 @@ exactly the sets recoverable from their own marginals.  A state is
 separable iff it sits inside some such fixed set.
 
 Both flavors run through one core in ``comgeo`` (``reduce_rows`` and the
-broadcast multiply of ``product_composites``, the two joined in
-``product_hull``); ``gpt_marginals`` contracts and checks a whole GPT
-vertex array with the units.  ``tau`` is the partial trace lifted to sets:
-the marginals of every vertex, one ``matcore.partial_trace`` call per side,
-reduced.  The quantum products are ``product_composites`` of the two
-stacks of matrices.  States are compared in the real coordinates of
-``matcore.real_coords``.
+broadcast multiply of ``product_composites``); ``gpt_marginals`` contracts
+and checks a whole GPT vertex array with the units.  ``tau`` is the partial
+trace lifted to sets: the marginals of every vertex, one
+``matcore.partial_trace`` call per side, reduced.  The quantum products are
+``product_composites`` of the two reduced stacks of matrices.  States are
+compared in the real coordinates of ``matcore.real_coords``.
+
+``tau`` is computed at most once per polytope and kept on it (outside the
+dataclass fields, so equality and repr ignore it).  A product polytope,
+built by ``lambda_map``, ``lambda_tau`` or ``css_from_decomposition``, is
+born with the reduced lists it was built from as its ``tau``: the
+marginals of a (x) b are a and b for normalized states, so
+tau(lambda(A, B)) = (A, B) for reduced lists A and B.
 
 A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
 the maps work on whole stacks.  Its vertices, when given as matrices, are
@@ -128,24 +134,46 @@ class MeasureConfig:
 
 
 def tau(c: StatePolytope) -> tuple[StatePolytope, StatePolytope]:
-    """The partial trace lifted to convex sets: vertexwise marginals, reduced."""
-    ma, mb = (comgeo.reduce_rows(matcore.partial_trace(c.vertices, c.split, over)) for over in "ba")
+    """The partial trace lifted to convex sets: vertexwise marginals, reduced.
+
+    Computed once per polytope and kept on it; a product polytope
+    (``lambda_map``, ``lambda_tau``, ``css_from_decomposition``) is born with
+    the reduced lists it was built from."""
+    if "tau" not in c.__dict__:
+        sides = (comgeo.reduce_rows(matcore.partial_trace(c.vertices, c.split, over)) for over in "ba")
+        c.__dict__["tau"] = _marginal_sets(*sides)
+    return c.__dict__["tau"]
+
+
+def _marginal_sets(ma: np.ndarray, mb: np.ndarray) -> tuple[StatePolytope, StatePolytope]:
+    """Reduced stacks of A and of B states as the pair ``tau`` returns."""
     return (
-        _derived(StatePolytope, ma, DimSplit(c.split.dim_a, 1)),
-        _derived(StatePolytope, mb, DimSplit(1, c.split.dim_b)),
+        _derived(StatePolytope, ma, DimSplit(ma.shape[-1], 1)),
+        _derived(StatePolytope, mb, DimSplit(1, mb.shape[-1])),
     )
 
 
+def _products(ma: np.ndarray, mb: np.ndarray) -> StatePolytope:
+    """The polytope of every product ma[i] (x) mb[j] of two reduced stacks of
+    states, with ``tau`` set to (ma, mb): the marginals of a (x) b are a and
+    b for states of trace 1, so tau(lambda(A, B)) = (A, B)."""
+    c = _derived(StatePolytope, comgeo.product_composites(ma, mb), DimSplit(ma.shape[-1], mb.shape[-1]))
+    c.__dict__["tau"] = _marginal_sets(ma, mb)
+    return c
+
+
 def lambda_map(c1: StatePolytope, c2: StatePolytope) -> StatePolytope:
-    """Hull of all pairwise products of the two vertex sets."""
-    prods = comgeo.product_hull(c1.vertices, c2.vertices)
-    return _derived(StatePolytope, prods, DimSplit(c1.split.dim, c2.split.dim))
+    """Hull of all pairwise products of the two vertex sets, each reduced
+    first; it carries the two reduced lists as its ``tau``."""
+    return _products(comgeo.reduce_rows(c1.vertices), comgeo.reduce_rows(c2.vertices))
 
 
 def lambda_tau(c: StatePolytope) -> StatePolytope:
-    """Marginalize, then product-and-mix; idempotent on all inputs."""
+    """Marginalize, then product-and-mix; idempotent on all inputs.  The
+    result carries tau(c) as its own ``tau``, so lambda_tau of it rebuilds
+    the same vertices, bit for bit."""
     c1, c2 = tau(c)  # reduced already, so their products are the vertices
-    return _derived(StatePolytope, comgeo.product_composites(c1.vertices, c2.vertices), c.split)
+    return _products(c1.vertices, c2.vertices)
 
 
 def is_css(c: StatePolytope) -> bool:
@@ -158,11 +186,12 @@ def css_from_decomposition(d: Decomposition) -> StatePolytope:
     """Constructive separability witness from a product decomposition.
 
     The hull of all cross products a_i (x) b_j is invariant and contains
-    the decomposed state.
+    the decomposed state.  The factors of each side are reduced, and the
+    witness carries the two reduced lists as its ``tau``.
     """
     mats_a = _stack([a for _, a, _ in d.terms], "A factors")
     mats_b = _stack([b for _, _, b in d.terms], "B factors")
-    return _derived(StatePolytope, comgeo.product_hull(mats_a, mats_b), d.split)
+    return _products(comgeo.reduce_rows(mats_a), comgeo.reduce_rows(mats_b))
 
 
 def is_product(rho: DensityMatrix, tol: float = VALID_TOL) -> bool:

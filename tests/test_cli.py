@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -806,3 +809,45 @@ class TestParserReuse:
         assert first[0] == EXIT_OK and "--steps" in first[1]
         assert run_quiet(["sweep", "--help"]) == first
         assert run_quiet(["--help"])[0] == EXIT_OK
+
+
+# runs the commands of argv[1] (a JSON list of argv lists) through cli.main in
+# this interpreter, then prints their exit codes, their stdout and whether
+# any scipy module was imported, as JSON
+IMPORT_PROBE = """import contextlib, io, json, sys
+from entgeo import cli
+out, codes = io.StringIO(), []
+with contextlib.redirect_stdout(out):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(cli.main(argv))
+scipy = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+print(json.dumps({"codes": codes, "stdout": out.getvalue(), "scipy": scipy}))
+"""
+
+
+def fresh_process(*argvs) -> dict:
+    """``IMPORT_PROBE`` on the given command lines, in a new interpreter that
+    imports entgeo from src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestStartUp:
+    def test_quantum_commands_import_no_scipy(self):
+        # scipy's import is most of a process's start-up, and a quantum
+        # analyze or sweep calls none of it
+        commands = (["analyze", "werner:0.3"], ["analyze", "random:3x3:seed=2"], ["sweep", "werner"])
+        got = fresh_process(*commands)
+        assert got["codes"] == [EXIT_OK] * 3
+        assert got["stdout"].endswith(GOLDEN.read_text())
+        assert not got["scipy"]
+
+    def test_tensor_imports_scipy_on_first_use(self):
+        # the control: vertex enumeration needs Qhull, so the probe sees scipy
+        got = fresh_process(["tensor", "gbit", "gbit"])
+        assert got == {"codes": [EXIT_OK], "stdout": GOLDEN_TENSOR.read_text(), "scipy": True}

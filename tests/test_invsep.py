@@ -82,6 +82,28 @@ def state_polytopes(draw) -> StatePolytope:
     )
 
 
+def fresh(c: StatePolytope) -> StatePolytope:
+    """The polytope c as a new, validated object, which computes its own
+    ``tau`` instead of the pair a product polytope carries."""
+    return StatePolytope(c.vertices, c.split)
+
+
+@st.composite
+def decompositions(draw) -> Decomposition:
+    """1 to 4 product terms of random factors of ranks 1 to 2 on a split of
+    factors 1 to 3, with Dirichlet weights."""
+    split = DimSplit(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = DimSplit(split.dim_a, 1), DimSplit(1, split.dim_b)
+    seeds = rng.integers(0, 2**32, size=(k, 2)).tolist()
+    terms = tuple(
+        (w, *(qstate.random_mixed(q, min(1 + s % 2, q.dim), s).mat for q, s in zip(sides, pair)))
+        for w, pair in zip(rng.dirichlet(np.ones(k)), seeds)
+    )
+    return Decomposition(terms, split)
+
+
 class TestStatePolytope:
     def test_vertices_are_one_complex_array(self):
         mats = [qstate.random_mixed(TWO_QUBITS, 4, seed=j).mat for j in range(3)]
@@ -210,7 +232,9 @@ class TestLambdaMap:
     def test_inverts_tau_on_witnesses(self):
         d = werner_product_decomposition(0.25)
         s = css_from_decomposition(d)
-        rebuilt = lambda_map(*tau(s))
+        # tau of a fresh copy, recomputed from the vertices, not the pair
+        # that s carries
+        rebuilt = lambda_map(*tau(fresh(s)))
         assert comgeo.polytope_equal(VPolytope(rebuilt.flat()), VPolytope(s.flat()), 1e-8)
 
 
@@ -253,7 +277,7 @@ class TestLambdaTau:
             for j, r in enumerate(ranks)
         )
         once = lambda_tau(StatePolytope(verts, split))
-        twice = lambda_tau(once)
+        twice = lambda_tau(fresh(once))  # recomputes tau of the image
         assert comgeo.polytope_equal(VPolytope(twice.flat()), VPolytope(once.flat()), 1e-8)
 
 
@@ -619,7 +643,8 @@ class TestPaperInvariants:
     @settings(max_examples=40, deadline=None)
     @given(state_polytopes())
     def test_tau_of_lambda_tau_has_the_hulls_of_tau(self, c):
-        for once, twice in zip(tau(c), tau(lambda_tau(c))):
+        # tau recomputed from the vertices of lambda_tau(c), which carries tau(c)
+        for once, twice in zip(tau(c), tau(fresh(lambda_tau(c)))):
             assert comgeo.polytope_equal(VPolytope(twice.flat()), VPolytope(once.flat()), CSS_TOL)
 
     @settings(max_examples=40, deadline=None)
@@ -642,6 +667,74 @@ class TestPaperInvariants:
         for state in (rho, qstate.pi_map(rho)):
             report = cli._quantum_report(state, "x", DECISION_TOL, "identity", "frobenius")
             assert report["verdicts"]["css_singleton"] == is_css(StatePolytope((state,), split))
+
+
+class TestCarriedTau:
+    """A product polytope is born with the reduced lists it was built from as
+    its tau; tau of a fresh copy recomputes them from the vertices."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(state_polytopes(), state_polytopes(), decompositions())
+    def test_carried_tau_has_the_hulls_of_the_recomputed_tau(self, c1, c2, d):
+        for x in (lambda_tau(c1), lambda_map(c1, c2), css_from_decomposition(d)):
+            for carried, computed in zip(tau(x), tau(fresh(x))):
+                assert len(carried.vertices) == len(computed.vertices)
+                assert comgeo.polytope_equal(
+                    VPolytope(carried.flat()), VPolytope(computed.flat()), CSS_TOL
+                )
+
+    @settings(max_examples=40, deadline=None)
+    @given(state_polytopes())
+    def test_lambda_tau_of_its_image_is_bit_identical(self, c):
+        once = lambda_tau(c)
+        twice = lambda_tau(once)
+        assert twice.vertices.shape == once.vertices.shape
+        assert twice.vertices.tobytes() == once.vertices.tobytes()
+
+    def test_kept_outside_the_fields(self):
+        verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=j) for j in range(3))
+        c = StatePolytope(verts, TWO_QUBITS)
+        before = repr(c)
+        assert tau(c) is tau(c)
+        assert repr(c) == before
+
+
+@pytest.fixture
+def reduce_rows_calls(monkeypatch):
+    calls = []
+    original = comgeo.reduce_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(comgeo, "reduce_rows", counted)
+    return calls
+
+
+class TestReduceRowsCounts:
+    """``comgeo.reduce_rows`` calls per fixed-point question, deterministic:
+    tau runs once per polytope, one call per side, and a product polytope
+    needs none."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_polytope_and_its_image(self, reduce_rows_calls, k):
+        verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=10 * k + j).mat for j in range(k))
+        c = StatePolytope(verts, TWO_QUBITS)
+        # tau(c) reduces each side once; the image carries its tau, and
+        # is_css(c) finds tau(c) kept on c
+        image = lambda_tau(c)
+        assert is_css(image)
+        assert not is_css(c)
+        assert len(reduce_rows_calls) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_witness(self, reduce_rows_calls, k):
+        w = np.random.default_rng(k).dirichlet(np.ones(k))
+        terms = tuple((w[i], *random_product(50 * k + i)) for i in range(k))
+        # the witness reduces each side once and carries the result as its tau
+        assert is_css(css_from_decomposition(Decomposition(terms, TWO_QUBITS)))
+        assert len(reduce_rows_calls) == 2
 
 
 class TestEntanglementModelWitnesses:
