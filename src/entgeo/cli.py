@@ -4,10 +4,12 @@ products, check fixed-point witnesses.
 Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
 is negative or not finite), 3 numerical validation failure, 4 size cap
 exceeded.  ``analyze file:`` and ``css-check`` read JSON through one
-``_read_json``, so an unreadable file, invalid JSON or UTF-8 and a
-malformed object exit 2 under both.  A GPT state outside the maximal tensor
-product exits 3 (``comgeo.gpt_marginals`` checks it), so the GPT report of
-``analyze prbox`` prints ``"max_tensor_member": true`` whenever it runs.
+``_read_json`` and ``jsonio``'s readers, so an unreadable file, invalid
+JSON or UTF-8, nesting too deep for the decoder, an integer over Python's
+4,300-digit limit or too large for a float, and a malformed object exit 2
+under both.  A GPT state outside the maximal tensor product exits 3
+(``comgeo.gpt_marginals`` checks it), so the GPT report of ``analyze
+prbox`` prints ``"max_tensor_member": true`` whenever it runs.
 The size caps are checked before anything is allocated:
 
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
@@ -63,8 +65,8 @@ import sys
 
 import numpy as np
 
-from . import comgeo, invsep, qstate
-from .matcore import CSS_TOL, DECISION_TOL, DimSplit, real_coords, split_from_json
+from . import comgeo, invsep, jsonio, qstate
+from .matcore import CSS_TOL, DECISION_TOL, DimSplit, real_coords
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -136,17 +138,20 @@ def parse_state_expr(text: str):
 
 def _read_json(path: str, what: str, parse):
     """``parse`` of the JSON value in the file at ``path``; an unreadable file,
-    invalid JSON or UTF-8 and a TypeError or KeyError of ``parse`` exit 2."""
+    invalid JSON or UTF-8 and an integer literal over Python's digit limit
+    (each a ValueError), nesting too deep for the decoder (a RecursionError),
+    and a TypeError, KeyError or OverflowError (a number too large for a
+    float) of ``parse`` exit 2."""
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ExprError(f"cannot read {what} file {path!r}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ExprError(f"invalid JSON in {path!r}: {exc}") from None
     try:
         return parse(obj)
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, OverflowError) as exc:
         raise ExprError(f"malformed {what} in {path!r}: {exc}") from None
 
 
@@ -161,8 +166,8 @@ def _check_dim_cap(split: DimSplit, what: str) -> None:
 
 def _capped_state(obj):
     """The state of a JSON value, its split cap checked before its matrix is read."""
-    _check_dim_cap(split_from_json(obj), "state")
-    return qstate.state_from_json(obj)
+    _check_dim_cap(jsonio.split_from_json(obj), "state")
+    return jsonio.state_from_json(obj)
 
 
 def _parse_random(text: str, parts: list[str]):
@@ -274,18 +279,18 @@ def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> 
 
 def _gpt_report(phi, a, b, expr: str, tol: float) -> dict:
     oa, ob = comgeo.gpt_marginals(phi, a, b, tol)
-    dist, cert = comgeo.distance_and_hyperplane(phi.vector(), comgeo.min_tensor(a, b))
-    separable = dist <= tol
+    answer = comgeo._answer(phi.vector(), comgeo.min_tensor(a, b))
+    separable = answer.distance <= tol
     report = {
         "input": expr,
         "max_tensor_member": True,
         "marginal_a": list(oa),
         "marginal_b": list(ob),
-        "min_tensor_distance": dist,
+        "min_tensor_distance": answer.distance,
         "verdicts": {"gpt_membership": "separable" if separable else "entangled"},
     }
     if not separable:
-        hvec, c, gap = cert
+        hvec, c, gap = answer.hyperplane
         report["infeasibility_certificate"] = {
             "hyperplane": list(hvec),
             "offset": c,
@@ -370,8 +375,8 @@ def _capped_polytope(obj) -> invsep.StatePolytope:
         raise CapError(
             f"state polytope has {len(verts)} vertices, over the cap of {CSS_VERTEX_CAP}"
         )
-    _check_dim_cap(split_from_json(obj), "state polytope")
-    return invsep.state_polytope_from_json(obj)
+    _check_dim_cap(jsonio.split_from_json(obj), "state polytope")
+    return jsonio.state_polytope_from_json(obj)
 
 
 def cmd_css_check(args) -> int:

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL, VALID_TOL
-from .matcore import _derived, _json_ints, _json_numbers, _kron, real_coords
+from .matcore import _derived, _kron, real_coords
 
 
 class _Lazy:
@@ -481,13 +481,6 @@ def separating_hyperplane(x, p: VPolytope) -> tuple[np.ndarray, float, float]:
     return _answer(x, p).hyperplane
 
 
-def distance_and_hyperplane(x, p: VPolytope) -> tuple[float, tuple[np.ndarray, float, float]]:
-    """(``hull_distance`` of x from the hull of p, ``separating_hyperplane``
-    of x), one answer: a certificate, then at most one proof or one LP."""
-    answer = _answer(x, p)
-    return answer.distance, answer.hyperplane
-
-
 # largest denominator of a weight snapped by _prove; the weights of a
 # projection onto a face whose vertices are small integer points are
 # rationals of small denominator
@@ -666,15 +659,6 @@ def product_composites(xa, xb) -> np.ndarray:
     return prods.reshape(len(xa) * len(xb), *prods.shape[-1 if rows else -2:])
 
 
-def product_hull(xa, xb) -> np.ndarray:
-    """Vertices of the hull of all products: ``product_composites`` after
-    ``reduce_rows``.  Its caller, ``invsep.gpt_lambda_tau``, passes lists
-    that may be redundant; ``min_tensor`` needs no reduction, and the
-    quantum maps of ``invsep`` reduce each side themselves, since their
-    products keep the two reduced lists."""
-    return product_composites(reduce_rows(xa), reduce_rows(xb))
-
-
 def min_tensor(a: ComModel, b: ComModel) -> VPolytope:
     """Minimal tensor product: hull of all product states, as a V-polytope.
     Each model holds only its extreme states, so their products are exactly
@@ -847,37 +831,3 @@ def _first_bases(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float
     if size.min() < k:
         raise RuntimeError("a halfspace intersection point is not a vertex")
     return np.array(sorted(set(map(tuple, basis.tolist()))), dtype=int)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def model_to_json(m: ComModel) -> dict:
-    return {
-        "ambient_dim": m.ambient_dim,
-        "vertices": m.vertices.tolist(),
-        "effects": m.effects.tolist(),
-        "unit": m.unit.tolist(),
-    }
-
-
-def model_from_json(obj: dict) -> ComModel:
-    return ComModel(
-        *_json_ints(obj, "ambient_dim"),
-        _json_numbers(obj.get("vertices"), 2, "vertices"),
-        _json_numbers(obj.get("effects"), 2, "effects"),
-        _json_numbers(obj.get("unit"), 1, "unit"),
-    )
-
-
-def polytope_to_json(p: VPolytope) -> dict:
-    return {"ambient_dim": p.ambient_dim, "vertices": p.vertices.tolist()}
-
-
-def polytope_from_json(obj: dict) -> VPolytope:
-    (dim,) = _json_ints(obj, "ambient_dim")
-    p = VPolytope(_json_numbers(obj.get("vertices"), 2, "vertices"))
-    if p.ambient_dim != dim:
-        raise ValueError("ambient_dim does not match vertex width")
-    return p

@@ -274,8 +274,11 @@ def gpt_separable(phi: BilinearState, a: ComModel, b: ComModel) -> bool:
 def gpt_lambda_tau(c: VPolytope, a: ComModel, b: ComModel) -> VPolytope:
     """GPT flavor of marginalize-and-rebuild on a composite-state polytope:
     the hull of the products of the vertices' marginals (``gpt_marginals``,
-    which checks them)."""
-    return VPolytope(comgeo.product_hull(*comgeo.gpt_marginals(c.vertices, a, b)))
+    which checks them).  The marginals may be redundant, so each side is
+    reduced first; the products of two irredundant lists are exactly the
+    vertices of their hull."""
+    ma, mb = comgeo.gpt_marginals(c.vertices, a, b)
+    return VPolytope(comgeo.product_composites(comgeo.reduce_rows(ma), comgeo.reduce_rows(mb)))
 
 
 def classical_invariance_check(n_a: int, n_b: int) -> bool:
@@ -333,55 +336,3 @@ def werner_product_decomposition(p: float) -> Decomposition:
         for vb in (z_plus, z_minus):
             terms.append((w, proj(va), proj(vb)))
     return Decomposition(tuple(terms), DimSplit(2, 2))
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def decomposition_to_json(d: Decomposition) -> dict:
-    def one(p, a, b):
-        return {
-            "p": float(p),
-            "a": matcore.matrix_to_json(a),
-            "b": matcore.matrix_to_json(b),
-        }
-
-    return {
-        "dim_a": d.split.dim_a,
-        "dim_b": d.split.dim_b,
-        "terms": [one(*t) for t in d.terms],
-    }
-
-
-def decomposition_from_json(obj: dict) -> Decomposition:
-    split = matcore.split_from_json(obj)
-    terms = tuple(
-        (
-            float(matcore._json_numbers(t["p"], 0, "p")),
-            matcore.matrix_from_json(t["a"]),
-            matcore.matrix_from_json(t["b"]),
-        )
-        for t in obj["terms"]
-    )
-    return Decomposition(terms, split)
-
-
-def state_polytope_to_json(c: StatePolytope) -> dict:
-    return {
-        "type": "state_polytope",
-        "dim_a": c.split.dim_a,
-        "dim_b": c.split.dim_b,
-        "vertices": [matcore.matrix_to_json(v) for v in c.vertices],
-    }
-
-
-def state_polytope_from_json(obj: dict) -> StatePolytope:
-    """Inverse of ``state_polytope_to_json``; TypeError unless ``obj`` is an
-    object with integer "dim_a" and "dim_b" and a list of matrix objects as
-    "vertices"."""
-    split = matcore.split_from_json(obj)
-    verts = obj.get("vertices")
-    if not isinstance(verts, list) or not all(isinstance(v, dict) for v in verts):
-        raise TypeError('"vertices" must be a list of matrix objects')
-    return StatePolytope(tuple(matcore.matrix_from_json(v) for v in verts), split)

@@ -20,6 +20,8 @@ composite index (i, k) of a ``DimSplit`` and its partial trace, which
 on the B factor; the adjoint (``_adjoint``); and the real coordinates of a
 complex matrix (``real_coords``), re/im interleaved, in which ``comgeo``
 asks its hull questions and ``invsep`` and the command line compare states.
+The JSON matrix format is not one of them: it lives in ``jsonio``, with
+the rest of the file format.
 
 Every tolerance of the package is an entry of the table below.
 """
@@ -231,61 +233,3 @@ def norm(m, kind: str = "frobenius"):
         w = np.linalg.eigvalsh(_adjoint(m) @ m)
         return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def matrix_to_json(m) -> dict:
-    """Serialize to the shared JSON matrix format (row-major re/im lists)."""
-    m = _as_matrix(m)
-    if m.ndim != 2:
-        raise ValueError(f"expected one matrix, got shape {m.shape}")
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "re": [float(x) for x in m.real.ravel()],
-        "im": [float(x) for x in m.imag.ravel()],
-    }
-
-
-def _json_ints(obj, *keys) -> list[int]:
-    """The values of ``keys`` in ``obj``; TypeError unless ``obj`` is a JSON
-    object and each value is a JSON integer (true is not 1, 2.0 is not 2)
-    of at least 1."""
-    if not isinstance(obj, dict):
-        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in keys:
-        if type(obj.get(key)) is not int or obj[key] < 1:
-            raise TypeError(f'"{key}" must be a JSON integer >= 1, got {obj.get(key)!r}')
-    return [obj[key] for key in keys]
-
-
-def _json_numbers(value, depth: int, key: str) -> np.ndarray:
-    """``value`` as a float array; TypeError unless it is lists nested
-    ``depth`` deep of JSON numbers (true is not 1, "1" is not 1)."""
-    if not _is_json_numbers(value, depth):
-        what = ("a JSON number", "a flat list of JSON numbers", "a list of lists of JSON numbers")
-        raise TypeError(f'"{key}" must be {what[depth]}')
-    return np.array(value, dtype=float)
-
-
-def _is_json_numbers(value, depth: int) -> bool:
-    if depth == 0:
-        return type(value) in (int, float)
-    return isinstance(value, list) and all(_is_json_numbers(v, depth - 1) for v in value)
-
-
-def split_from_json(obj) -> DimSplit:
-    """The split of a JSON state object, from its integer "dim_a" and "dim_b"."""
-    return DimSplit(*_json_ints(obj, "dim_a", "dim_b"))
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of ``matrix_to_json``; TypeError unless "re" and "im" are flat
-    lists of rows * cols JSON numbers."""
-    rows, cols = _json_ints(obj, "rows", "cols")
-    re, im = (_json_numbers(obj.get(key), 1, key) for key in ("re", "im"))
-    if len(re) != rows * cols or len(im) != rows * cols:
-        raise TypeError(f"matrix payload length {len(re)}/{len(im)} does not match {rows}x{cols}")
-    # set apart, so a -0.0 or an infinite part comes back as it was written
-    z = re.astype(complex)
-    z.imag = im
-    return z.reshape(rows, cols)

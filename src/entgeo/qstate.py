@@ -1,9 +1,10 @@
 """Bipartite quantum states: density matrices, canonical families, marginals.
 
 A state is validated once, where its matrix enters: the ``DensityMatrix``
-constructor, the JSON reader, and the ``werner_state``/``random_mixed``
-families (``invsep`` adds ``StatePolytope`` vertices and ``Decomposition``
-factors).  ``DensityMatrix.validate`` is the one rule set; it acts on the
+constructor, which ``jsonio``'s state reader calls, and the
+``werner_state``/``random_mixed`` families (``invsep`` adds
+``StatePolytope`` vertices and ``Decomposition`` factors).
+``DensityMatrix.validate`` is the one rule set; it acts on the
 last two axes, so ``_validated`` checks a stack in one call (the Werner
 states of an array of p, ``invsep``'s vertices and factors).  A state that
 a validity-preserving map derives from valid states (a partial trace, a
@@ -212,31 +213,3 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def state_to_json(state) -> dict:
-    """State JSON: density or pure, with the shared matrix payload."""
-    if isinstance(state, DensityMatrix):
-        return {
-            "type": "density",
-            "dim_a": state.split.dim_a,
-            "dim_b": state.split.dim_b,
-            "matrix": matcore.matrix_to_json(state.mat),
-        }
-    if isinstance(state, PureState):
-        return {
-            "type": "pure",
-            "dim_a": state.split.dim_a,
-            "dim_b": state.split.dim_b,
-            "amplitudes": matcore.matrix_to_json(state.amps.reshape(-1, 1)),
-        }
-    raise TypeError(f"cannot serialize {type(state).__name__}")
-
-
-def state_from_json(obj: dict):
-    split = matcore.split_from_json(obj)
-    if obj.get("type") == "density":
-        return DensityMatrix(matcore.matrix_from_json(obj["matrix"]), split)
-    if obj.get("type") == "pure":
-        return PureState(matcore.matrix_from_json(obj["amplitudes"]).ravel(), split)
-    raise TypeError(f"unknown state type {obj.get('type')!r}")

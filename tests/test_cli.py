@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import cli, comgeo, invsep, matcore, qstate
+from entgeo import cli, comgeo, invsep, jsonio, matcore, qstate
 from entgeo.cli import EXIT_CAP, EXIT_NUMERIC, EXIT_OK, EXIT_PARSE
 from entgeo.invsep import StatePolytope, css_from_decomposition
 from entgeo.matcore import DimSplit, kron
@@ -42,8 +42,8 @@ GOLDEN_TENSOR_PAIRS = json.loads(
 )
 
 # the maximally mixed state and |0> on a 1x2 split, as state JSON
-HALF_QUBIT = qstate.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2)))
-PURE_QUBIT = qstate.state_to_json(qstate.PureState(np.array([1.0, 0.0]), DimSplit(1, 2)))
+HALF_QUBIT = jsonio.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2)))
+PURE_QUBIT = jsonio.state_to_json(qstate.PureState(np.array([1.0, 0.0]), DimSplit(1, 2)))
 
 
 def run(capsys, *argv):
@@ -68,7 +68,7 @@ def generic_polytope_file(tmp_path) -> str:
     """A state polytope file whose css-check solves an LP."""
     verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=400 + j) for j in range(3))
     path = tmp_path / "generic.json"
-    path.write_text(json.dumps(invsep.state_polytope_to_json(StatePolytope(verts, TWO_QUBITS))))
+    path.write_text(json.dumps(jsonio.state_polytope_to_json(StatePolytope(verts, TWO_QUBITS))))
     return str(path)
 
 
@@ -155,7 +155,7 @@ class TestAnalyze:
     def test_file_round_trip(self, capsys, tmp_path):
         rho = qstate.werner_state(0.3)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(qstate.state_to_json(rho)))
+        path.write_text(json.dumps(jsonio.state_to_json(rho)))
         code, out, _ = run(capsys, "analyze", f"file:{path}")
         assert code == EXIT_OK
         direct = json.loads(run(capsys, "analyze", "werner:0.3")[1])
@@ -164,7 +164,7 @@ class TestAnalyze:
         assert via_file["ppt_min_eig"] == direct["ppt_min_eig"]
 
     def test_file_with_nan_entry(self, capsys, tmp_path):
-        obj = qstate.state_to_json(qstate.werner_state(0.3))
+        obj = jsonio.state_to_json(qstate.werner_state(0.3))
         obj["matrix"]["re"][5] = float("nan")
         path = tmp_path / "state.json"
         path.write_text(json.dumps(obj))
@@ -179,9 +179,9 @@ class TestAnalyze:
             ([1, 2], "JSON object"),
             ({"type": "density", "dim_a": "x", "dim_b": 2}, "dim_a"),
             # a qubit's matrix: int(1.9) would make it a valid 1x2 state
-            (dict(qstate.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2))),
+            (dict(jsonio.state_to_json(qstate.DensityMatrix(np.eye(2) / 2, DimSplit(1, 2))),
                   dim_a=1.9), "dim_a"),
-            (dict(qstate.state_to_json(qstate.werner_state(0.3)), dim_b=True), "dim_b"),
+            (dict(jsonio.state_to_json(qstate.werner_state(0.3)), dim_b=True), "dim_b"),
             ({"type": "density", "dim_a": 2, "dim_b": 2}, "matrix"),
             # int(2.9) would read the 2x2 payload as a valid 1x2 state
             (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=2.9)), "rows"),
@@ -207,9 +207,9 @@ class TestAnalyze:
     def test_pure_file_reports_as_its_density_file(self, capsys, tmp_path):
         psi = qstate.random_pure(DimSplit(2, 3), seed=11)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(qstate.state_to_json(psi)))
+        path.write_text(json.dumps(jsonio.state_to_json(psi)))
         pure = run(capsys, "analyze", f"file:{path}")
-        path.write_text(json.dumps(qstate.state_to_json(qstate.density_from_pure(psi))))
+        path.write_text(json.dumps(jsonio.state_to_json(qstate.density_from_pure(psi))))
         assert pure[0] == EXIT_OK
         assert run(capsys, "analyze", f"file:{path}") == pure
 
@@ -340,9 +340,9 @@ class TestAnalyze:
     )
     def test_file_dimension_cap(self, capsys, monkeypatch, tmp_path, state):
         # the split is read, and capped, before the matrix
-        forbid(monkeypatch, matcore, "matrix_from_json")
+        forbid(monkeypatch, jsonio, "matrix_from_json")
         path = tmp_path / "big.json"
-        path.write_text(json.dumps(qstate.state_to_json(state)))
+        path.write_text(json.dumps(jsonio.state_to_json(state)))
         code, out, err = run(capsys, "analyze", f"file:{path}")
         assert code == EXIT_CAP
         assert out == ""
@@ -350,7 +350,7 @@ class TestAnalyze:
 
     def test_file_at_dimension_cap(self, capsys, tmp_path):
         path = tmp_path / "pure64.json"
-        path.write_text(json.dumps(qstate.state_to_json(qstate.random_pure(DimSplit(64, 1), 3))))
+        path.write_text(json.dumps(jsonio.state_to_json(qstate.random_pure(DimSplit(64, 1), 3))))
         code, out, _ = run(capsys, "analyze", f"file:{path}")
         assert code == EXIT_OK
         assert json.loads(out)["dim_a"] == 64
@@ -622,7 +622,7 @@ class TestTensor:
 class TestCssCheck:
     def _write(self, tmp_path, polytope):
         path = tmp_path / "polytope.json"
-        path.write_text(json.dumps(invsep.state_polytope_to_json(polytope)))
+        path.write_text(json.dumps(jsonio.state_polytope_to_json(polytope)))
         return str(path)
 
     def test_product_singleton(self, capsys, tmp_path):
@@ -648,9 +648,9 @@ class TestCssCheck:
         assert json.loads(out)["css"]
 
     def test_vertex_cap(self, capsys, tmp_path, monkeypatch):
-        forbid(monkeypatch, invsep, "state_polytope_from_json")
+        forbid(monkeypatch, jsonio, "state_polytope_from_json")
         vertex = qstate.werner_state(0.2)
-        obj = invsep.state_polytope_to_json(StatePolytope((vertex,), TWO_QUBITS))
+        obj = jsonio.state_polytope_to_json(StatePolytope((vertex,), TWO_QUBITS))
         obj["vertices"] *= cli.CSS_VERTEX_CAP + 1
         path = tmp_path / "big.json"
         path.write_text(json.dumps(obj))
@@ -660,7 +660,7 @@ class TestCssCheck:
         assert str(cli.CSS_VERTEX_CAP) in err
 
     def test_split_cap(self, capsys, tmp_path, monkeypatch):
-        forbid(monkeypatch, matcore, "matrix_from_json")
+        forbid(monkeypatch, jsonio, "matrix_from_json")
         vertex = qstate.DensityMatrix(np.eye(65) / 65, DimSplit(65, 1))
         path = self._write(tmp_path, StatePolytope((vertex,), vertex.split))
         code, out, err = run(capsys, "css-check", path)
@@ -708,8 +708,8 @@ class TestCssCheck:
         ],
     )
     def test_invalid_vertex_is_validation_error(self, capsys, tmp_path, second, message):
-        obj = invsep.state_polytope_to_json(StatePolytope((qstate.werner_state(0.2),), TWO_QUBITS))
-        obj["vertices"].append(matcore.matrix_to_json(second))
+        obj = jsonio.state_polytope_to_json(StatePolytope((qstate.werner_state(0.2),), TWO_QUBITS))
+        obj["vertices"].append(jsonio.matrix_to_json(second))
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "css-check", str(path))
@@ -725,8 +725,25 @@ class TestCssCheck:
         assert "junk.json" in err
 
 
-# one case per parse-error branch of the CLI; {tmp} is a directory that
-# holds junk.json (not JSON) and no missing.json
+# a matrix whose first "re" entry is the literal BIG, in a state file and
+# in a state polytope file
+BIG_MATRIX = dict(HALF_QUBIT["matrix"], re=["BIG", 0, 0, 0.5])
+BIG_STATE = json.dumps(dict(HALF_QUBIT, matrix=BIG_MATRIX))
+BIG_POLYTOPE = json.dumps({"type": "state_polytope", "dim_a": 1, "dim_b": 2, "vertices": [BIG_MATRIX]})
+# the files of {tmp}, which holds no missing.json: nested.json is nested too
+# deep for the decoder (a RecursionError), digits.json holds an integer
+# literal over Python's 4,300-digit limit (a ValueError that is no
+# JSONDecodeError) and overflow_*.json a 401-digit one, too large for a
+# float (an OverflowError); these exited 3, 3 and 1 before they exited 2
+PARSE_FILES = {
+    "junk.json": b"{not json",
+    "not_utf8.json": b"\xff\xfe{",
+    "nested.json": b"[" * 200_000,
+    "digits.json": BIG_STATE.replace('"BIG"', "1" * 4301).encode(),
+    "overflow_state.json": BIG_STATE.replace('"BIG"', "1" * 401).encode(),
+    "overflow_polytope.json": BIG_POLYTOPE.replace('"BIG"', "1" * 401).encode(),
+}
+# one case per parse-error branch of the CLI
 PARSE_ERRORS = [
     (["analyze", "werner:1:2"], "bad werner expression"),
     (["analyze", "werner:x"], "bad werner parameter"),
@@ -735,6 +752,9 @@ PARSE_ERRORS = [
     (["analyze", "file:{tmp}/junk.json"], "invalid JSON"),
     (["analyze", "file:{tmp}/missing.json"], "cannot read"),
     (["analyze", "file:{tmp}/not_utf8.json"], "invalid JSON"),
+    (["analyze", "file:{tmp}/nested.json"], "invalid JSON"),
+    (["analyze", "file:{tmp}/digits.json"], "invalid JSON"),
+    (["analyze", "file:{tmp}/overflow_state.json"], "malformed state"),
     (["analyze", "foo"], "unknown state expression"),
     (["analyze", "random:2x2"], "bad random expression"),
     (["analyze", "random:2x2:seed"], "bad option"),
@@ -750,6 +770,9 @@ PARSE_ERRORS = [
     (["css-check", "{tmp}/missing.json"], "cannot read"),
     (["css-check", "{tmp}/junk.json"], "invalid JSON"),
     (["css-check", "{tmp}/not_utf8.json"], "invalid JSON"),
+    (["css-check", "{tmp}/nested.json"], "invalid JSON"),
+    (["css-check", "{tmp}/digits.json"], "invalid JSON"),
+    (["css-check", "{tmp}/overflow_polytope.json"], "malformed state polytope"),
 ]
 
 
@@ -758,8 +781,8 @@ class TestParseErrors:
         "argv, what", PARSE_ERRORS, ids=[" ".join(argv) for argv, _ in PARSE_ERRORS]
     )
     def test_exits_2_with_message(self, capsys, tmp_path, argv, what):
-        (tmp_path / "junk.json").write_text("{not json")
-        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{")
+        for name, data in PARSE_FILES.items():
+            (tmp_path / name).write_bytes(data)
         code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == EXIT_PARSE
         assert out == ""

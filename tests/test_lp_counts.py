@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entgeo import cli, comgeo, invsep, qstate
+from entgeo import cli, comgeo, invsep, jsonio, qstate
 from entgeo.invsep import Decomposition, StatePolytope
 from entgeo.matcore import LP_TOL, DimSplit
 
@@ -169,7 +169,7 @@ def test_css_check_on_a_fixed_point_solves_none(capsys, lp_calls, tmp_path):
     verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=40 + j) for j in range(3))
     fixed = invsep.lambda_tau(StatePolytope(verts, TWO_QUBITS))
     path = tmp_path / "fixed.json"
-    path.write_text(json.dumps(invsep.state_polytope_to_json(fixed)))
+    path.write_text(json.dumps(jsonio.state_polytope_to_json(fixed)))
     assert cli.main(["--tol", "0", "css-check", str(path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert json.loads(out) == {"css": True, "distance_summary": 0.0}
@@ -188,7 +188,7 @@ def test_css_check_on_a_generic_polytope_solves_fewer(capsys, lp_calls, tmp_path
     per_row = len(lp_calls)
     lp_calls.clear()
     path = tmp_path / "generic.json"
-    path.write_text(json.dumps(invsep.state_polytope_to_json(c)))
+    path.write_text(json.dumps(jsonio.state_polytope_to_json(c)))
     assert cli.main(["css-check", str(path)]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out == json.dumps({"css": False, "distance_summary": worst}, indent=2) + "\n"

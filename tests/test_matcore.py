@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entgeo import matcore
+from entgeo import jsonio, matcore
 from entgeo.matcore import DimSplit
 
 from conftest import random_hermitian
@@ -327,37 +327,48 @@ class TestStacks:
 
     def test_a_stack_does_not_serialize(self):
         with pytest.raises(ValueError, match="one matrix"):
-            matcore.matrix_to_json(np.zeros((2, 2, 2)))
+            jsonio.matrix_to_json(np.zeros((2, 2, 2)))
 
 
 class TestJson:
     def test_round_trip(self, rng):
         m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         np.testing.assert_array_equal(
-            matcore.matrix_from_json(matcore.matrix_to_json(m)), m
+            jsonio.matrix_from_json(jsonio.matrix_to_json(m)), m
         )
 
     def test_bad_payload_length(self):
         with pytest.raises(TypeError, match="does not match"):
-            matcore.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
+            jsonio.matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
 
     @pytest.mark.parametrize("key", ["rows", "cols"])
     @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None, 0, -2])
     def test_shape_must_be_json_integers(self, key, value):
-        obj = dict(matcore.matrix_to_json(np.eye(2)), **{key: value})
+        obj = dict(jsonio.matrix_to_json(np.eye(2)), **{key: value})
         with pytest.raises(TypeError, match=key):
-            matcore.matrix_from_json(obj)
+            jsonio.matrix_from_json(obj)
 
 
     @pytest.mark.parametrize(
         "payload",
         [{"re": ["a", 0, 0, 0.5]}, {"im": [0, None, 0, 0]}, {"re": [[1, 0], [0, 0]]},
-         {"re": True}, {"im": "0000"}],
+         {"re": True}, {"im": "0000"}, {"re": [True, 0, 0, 0.5]}],
     )
     def test_payload_must_be_flat_json_numbers(self, payload):
-        obj = dict(matcore.matrix_to_json(np.eye(2)), **payload)
+        obj = dict(jsonio.matrix_to_json(np.eye(2)), **payload)
         with pytest.raises(TypeError, match="flat list of JSON numbers"):
-            matcore.matrix_from_json(obj)
+            jsonio.matrix_from_json(obj)
+
+
+class TestOneJsonModule:
+    @pytest.mark.parametrize("module", ["matcore", "qstate", "comgeo", "invsep"])
+    def test_no_other_module_knows_the_format(self, module):
+        mod = importlib.import_module(f"entgeo.{module}")
+        assert [name for name in vars(mod) if "json" in name.lower()] == []
+
+    @pytest.mark.parametrize("name", ["distance_and_hyperplane", "product_hull"])
+    def test_one_caller_wrappers_are_gone(self, name):
+        assert not hasattr(importlib.import_module("entgeo.comgeo"), name)
 
 
 PACKAGE = Path(matcore.__file__).parent

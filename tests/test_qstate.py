@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entgeo import matcore, qstate
+from entgeo import jsonio, matcore, qstate
 from entgeo.matcore import DimSplit
 from entgeo.qstate import DensityMatrix, PureState
 
@@ -191,7 +191,7 @@ class TestInputChecks:
         "call, error, match",
         [
             (lambda: qstate.random_unitary(0, 1), ValueError, "dim must be >= 1, got 0"),
-            (lambda: qstate.state_to_json(np.eye(2)), TypeError, "cannot serialize ndarray"),
+            (lambda: jsonio.state_to_json(np.eye(2)), TypeError, "cannot serialize ndarray"),
         ],
         ids=["random_unitary", "state_to_json"],
     )
@@ -366,24 +366,24 @@ class TestJson:
         ],
     )
     def test_split_must_be_json_integers(self, dims, what):
-        obj = dict(qstate.state_to_json(qstate.werner_state(0.3)), **dims)
+        obj = dict(jsonio.state_to_json(qstate.werner_state(0.3)), **dims)
         with pytest.raises(TypeError, match=what):
-            qstate.state_from_json(obj)
+            jsonio.state_from_json(obj)
 
     def test_density_round_trip(self):
         rho = qstate.werner_state(0.3)
-        back = qstate.state_from_json(qstate.state_to_json(rho))
+        back = jsonio.state_from_json(jsonio.state_to_json(rho))
         assert np.array_equal(back.mat, rho.mat)
         assert back.split == rho.split
 
     def test_pure_round_trip(self):
         psi = qstate.random_pure(DimSplit(2, 3), seed=17)
-        back = qstate.state_from_json(qstate.state_to_json(psi))
+        back = jsonio.state_from_json(jsonio.state_to_json(psi))
         assert np.array_equal(back.amps, psi.amps)
 
     def test_pure_round_trip_keeps_negative_zeros(self):
         psi = PureState(np.array([1.0, 0.0]).astype(complex).conj(), DimSplit(1, 2))
-        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(psi))))
+        back = jsonio.state_from_json(json.loads(json.dumps(jsonio.state_to_json(psi))))
         assert np.signbit(back.amps.imag).tolist() == [True, True]
         assert back.amps.tobytes() == psi.amps.tobytes()
 
@@ -403,9 +403,9 @@ class TestJson:
         if signs is not None:
             rho = DensityMatrix(signed_zeros(rho.mat.real, signs), split)
             psi = PureState(signed_zeros(np.eye(split.dim)[seed % split.dim], signs), split)
-        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(rho))))
+        back = jsonio.state_from_json(json.loads(json.dumps(jsonio.state_to_json(rho))))
         assert isinstance(back, DensityMatrix) and back.split == split
         assert back.mat.tobytes() == rho.mat.tobytes()
-        back = qstate.state_from_json(json.loads(json.dumps(qstate.state_to_json(psi))))
+        back = jsonio.state_from_json(json.loads(json.dumps(jsonio.state_to_json(psi))))
         assert isinstance(back, PureState) and back.split == split
         assert back.amps.tobytes() == psi.amps.tobytes()
