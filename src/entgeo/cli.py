@@ -3,13 +3,20 @@ products, check fixed-point witnesses.
 
 Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
 is negative or not finite), 3 numerical validation failure, 4 size cap
-exceeded.  ``analyze file:`` and ``css-check`` read JSON through one
-``_read_json`` and ``jsonio``'s readers, so an unreadable file, invalid
+exceeded.  A command whose stdout is closed by its reader (``entgeo ... |
+head``) stops writing and exits 0, since the reader chose to stop.  Its
+output is flushed before ``main`` returns, so the closed pipe shows there
+even when stdout is block-buffered; stdout's file descriptor then points
+at ``os.devnull``, so the bytes still buffered go nowhere and the
+interpreter's last flush does not fail again.  ``analyze file:`` and
+``css-check`` read JSON through one ``_read_json`` and ``jsonio``'s
+readers, so an unreadable file, invalid
 JSON or UTF-8, nesting too deep for the decoder, an integer over Python's
-4,300-digit limit or too large for a float, and a malformed object exit 2
-under both.  A GPT state outside the maximal tensor product exits 3
-(``comgeo.gpt_marginals`` checks it), so the GPT report of ``analyze
-prbox`` prints ``"max_tensor_member": true`` whenever it runs.
+4,300-digit limit or too large for a float, a matrix whose shape does not
+match the split, and a malformed object exit 2 under both.  A GPT state
+outside the maximal tensor product exits 3 (``comgeo.gpt_marginals``
+checks it), so the GPT report of ``analyze prbox`` prints
+``"max_tensor_member": true`` whenever it runs.
 The size caps are checked before anything is allocated:
 
 - ``sweep --steps`` at most ``SWEEP_STEPS_CAP``;
@@ -61,6 +68,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -456,7 +464,21 @@ def main(argv=None) -> int:
     # a wrapper set on the module attribute afterwards is the one called
     command = globals()[args.fn]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: it chose to stop, so this is success, and
+        # the interpreter's last flush of the bytes still buffered must not
+        # raise again (a stdout with no file descriptor has nothing to redirect)
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return EXIT_OK
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_OK
     except ExprError as exc:
         print(f"entgeo: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

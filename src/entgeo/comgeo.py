@@ -553,6 +553,15 @@ _DEDUP_ENTRIES = 2**20
 def dedup_rows(points: np.ndarray) -> np.ndarray:
     """Drop each row (real or complex, any shape) within ``DEDUP_TOL``, in
     the infinity norm of its ``matcore.real_coords``, of an earlier kept row.
+    The kept rows come back as a new float or complex array, never a view
+    of ``points``.
+
+    A NaN or inf entry raises ValueError before any comparison: NaN
+    compares false both ways, so such a row would be neither near nor far
+    from any other, and the hull of a list holding one means nothing.
+    Checked here, it gives the same answer for every list, where the later
+    steps of ``reduce_rows`` (or none, for a short list) would each fail or
+    pass it in their own way.
 
     Rows go in blocks whose pairwise comparison fits ``_DEDUP_ENTRIES``.  A
     row near a row kept from an earlier block is dropped
@@ -562,21 +571,25 @@ def dedup_rows(points: np.ndarray) -> np.ndarray:
     in as many steps as the longest chain of near rows.
     """
     points = np.atleast_2d(np.asarray(points))
-    points = points.astype(complex if np.iscomplexobj(points) else float)
+    points = points.astype(complex if np.iscomplexobj(points) else float, copy=False)
     coords = real_coords(points)
+    if not np.isfinite(coords).all():
+        raise ValueError("a row has a NaN or inf entry")
     size = max(1, math.isqrt(_DEDUP_ENTRIES // max(1, coords.shape[1])))
     keep = np.zeros(len(coords), dtype=bool)
     for start in range(0, len(coords), size):
         rows = np.arange(start, min(start + size, len(coords)))
         if start:  # the first block has no kept row before it
             rows = rows[~(_nearest_gaps(coords[rows], coords[:start][keep[:start]]) <= DEDUP_TOL)]
-        block, order = coords[rows], np.arange(len(rows))
+        block = coords[rows]
         # every pair of the block at once, as booleans: on the small blocks of
         # reduce_rows this is faster than the float gaps of _nearest_gaps
         near = (np.abs(block[:, None] - block) <= DEDUP_TOL).all(axis=2)
-        earlier = near & (order[:, None] > order)
         ok = np.ones(len(rows), dtype=bool)
-        if earlier.any():  # else every row of the block is kept
+        # near is symmetric, so two distinct rows are near exactly when it has
+        # more true entries than its diagonal; else every row is kept
+        if np.count_nonzero(near) > np.count_nonzero(near.diagonal()):
+            earlier = np.tril(near, -1)
             while True:
                 new = ~(earlier & ok).any(axis=1)
                 if (new == ok).all():
@@ -611,16 +624,25 @@ def _strict_maximizers(pts: np.ndarray, tol: float) -> np.ndarray:
 def reduce_rows(rows) -> np.ndarray:
     """Drop every row in the hull of the rest, in the coordinates of
     ``matcore.real_coords`` (a complex entry counts as a re/im pair).  Kept
-    rows come back as given.
+    rows come back as given, in a new array, and a NaN or inf entry raises
+    ValueError (both as in ``dedup_rows``).
 
-    A row certified extreme by a strict maximizer is kept without an LP; the
-    LP would keep it against any subset of the other rows.  Every other row
-    is tested against the rows still kept by ``hull_membership``, so the
-    result is that of the plain sequential LP pass at ``DECISION_TOL``."""
+    At most two rows left by ``dedup_rows`` are all kept: two kept rows are
+    more than ``DEDUP_TOL`` apart, so each is farther than ``DECISION_TOL``
+    from the hull of the other.  A row certified extreme by a strict
+    maximizer is kept without an LP; the LP would keep it against any subset
+    of the other rows.  Every other row is tested against the rows still
+    kept by ``hull_membership``, so the result is that of the plain
+    sequential LP pass at ``DECISION_TOL``."""
     rows = dedup_rows(rows)
     pts = real_coords(rows)
+    if len(pts) <= 2:
+        return rows
+    extreme = _strict_maximizers(pts, DECISION_TOL)
+    if extreme.all():
+        return rows
     keep = list(range(len(pts)))
-    for k in np.flatnonzero(~_strict_maximizers(pts, DECISION_TOL)):
+    for k in np.flatnonzero(~extreme):
         others = [j for j in keep if j != k]
         if others and hull_membership(pts[k], VPolytope(pts[others]), DECISION_TOL):
             keep.remove(k)
@@ -632,11 +654,17 @@ def polytope_equal(p: VPolytope, q: VPolytope, tol: float) -> bool:
     hull of q, then those of q in the hull of p, each direction one pass of
     ``_outside`` that stops at the first vertex outside, so the verdict and
     the LPs are those of ``hull_membership`` called vertex by vertex up to
-    that vertex."""
+    that vertex.
+
+    Two equal vertex arrays, entry for entry, are equal hulls at any
+    tol >= 0 with no hull question asked: each vertex matches itself at gap
+    0, which is the passes' answer."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError(
             f"ambient dims differ: {p.ambient_dim} vs {q.ambient_dim}"
         )
+    if tol >= 0 and np.array_equal(p.vertices, q.vertices):
+        return True
     return all(
         next(_outside(a.vertices, b.vertices, tol), None) is None for a, b in ((p, q), (q, p))
     )

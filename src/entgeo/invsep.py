@@ -19,7 +19,9 @@ dataclass fields, so equality and repr ignore it).  A product polytope,
 built by ``lambda_map``, ``lambda_tau`` or ``css_from_decomposition``, is
 born with the reduced lists it was built from as its ``tau``: the
 marginals of a (x) b are a and b for normalized states, so
-tau(lambda(A, B)) = (A, B) for reduced lists A and B.
+tau(lambda(A, B)) = (A, B) for reduced lists A and B.  So lambda_tau
+rebuilds a product polytope's vertex array bit for bit, and ``is_css``
+settles it as a fixed point by that identity, with no hull question.
 
 A ``StatePolytope`` holds its vertices as one (k, n, n) complex array, and
 the maps work on whole stacks.  Its vertices, when given as matrices, are
@@ -178,8 +180,17 @@ def lambda_tau(c: StatePolytope) -> StatePolytope:
 
 def is_css(c: StatePolytope) -> bool:
     """Fixed-point test: is the set invariant under marginalize-and-rebuild,
-    within ``CSS_TOL``?"""
-    return comgeo.polytope_equal(VPolytope(lambda_tau(c).flat()), VPolytope(c.flat()), CSS_TOL)
+    within ``CSS_TOL``?
+
+    An image whose vertex array equals c's, entry for entry, is a fixed
+    point with no hull question asked: each vertex matches itself at gap 0,
+    the answer of ``comgeo.polytope_equal``.  A product polytope carries its
+    ``tau``, so lambda_tau rebuilds its vertices bit for bit and it is always
+    settled so."""
+    image = lambda_tau(c)
+    if np.array_equal(image.vertices, c.vertices):
+        return True
+    return comgeo.polytope_equal(VPolytope(image.flat()), VPolytope(c.flat()), CSS_TOL)
 
 
 def css_from_decomposition(d: Decomposition) -> StatePolytope:

@@ -5,12 +5,15 @@ A matrix is an object with JSON integers "rows" and "cols" (each at least
 numbers, "re" and "im".  A state is an object with "type" "density" and a
 "matrix", or "pure" and its "amplitudes" as a one-column matrix, and its
 split as JSON integers "dim_a" and "dim_b"; a state polytope has "type"
-"state_polytope", the split and a list of matrices as "vertices".
+"state_polytope", the split and a list of matrices as "vertices".  The
+split fixes each matrix's shape: n x n for a density matrix and a vertex,
+n x 1 for the amplitudes, where n = dim_a * dim_b.
 
 Each reader raises TypeError where a value has the wrong JSON type (true
-is not 1, 2.0 is not 2, "1" is not 1) and KeyError where a key is missing;
-a value of the right type that breaks an invariant raises its
-constructor's ValueError.  ``cli`` reads its input files here.
+is not 1, 2.0 is not 2, "1" is not 1) or a matrix the wrong shape for its
+split, and KeyError where a key is missing; a value of the right type and
+shape that breaks an invariant raises its constructor's ValueError.
+``cli`` reads its input files here.
 """
 
 from __future__ import annotations
@@ -73,6 +76,18 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return z.reshape(rows, cols)
 
 
+def _shaped_matrix(obj, cols: int, split: DimSplit, what: str) -> np.ndarray:
+    """``matrix_from_json`` of obj; TypeError unless it has split.dim rows
+    and ``cols`` columns."""
+    m = matrix_from_json(obj)
+    if m.shape != (split.dim, cols):
+        raise TypeError(
+            f"{what} is {m.shape[0]}x{m.shape[1]}, expected {split.dim}x{cols} "
+            f"on a {split.dim_a}x{split.dim_b} split"
+        )
+    return m
+
+
 def state_to_json(state) -> dict:
     """A ``DensityMatrix`` or ``PureState`` as a JSON state object."""
     if isinstance(state, DensityMatrix):
@@ -93,9 +108,9 @@ def state_from_json(obj: dict):
     """Inverse of ``state_to_json``."""
     split = split_from_json(obj)
     if obj.get("type") == "density":
-        return DensityMatrix(matrix_from_json(obj["matrix"]), split)
+        return DensityMatrix(_shaped_matrix(obj["matrix"], split.dim, split, '"matrix"'), split)
     if obj.get("type") == "pure":
-        return PureState(matrix_from_json(obj["amplitudes"]).ravel(), split)
+        return PureState(_shaped_matrix(obj["amplitudes"], 1, split, '"amplitudes"'), split)
     raise TypeError(f"unknown state type {obj.get('type')!r}")
 
 
@@ -112,9 +127,10 @@ def state_polytope_to_json(c: StatePolytope) -> dict:
 def state_polytope_from_json(obj: dict) -> StatePolytope:
     """Inverse of ``state_polytope_to_json``; TypeError unless ``obj`` is an
     object with integer "dim_a" and "dim_b" and a list of matrix objects as
-    "vertices"."""
+    "vertices", each n x n for the split."""
     split = split_from_json(obj)
     verts = obj.get("vertices")
     if not isinstance(verts, list) or not all(isinstance(v, dict) for v in verts):
         raise TypeError('"vertices" must be a list of matrix objects')
-    return StatePolytope(tuple(matrix_from_json(v) for v in verts), split)
+    mats = tuple(_shaped_matrix(v, split.dim, split, f"vertex {i}") for i, v in enumerate(verts))
+    return StatePolytope(mats, split)

@@ -194,6 +194,14 @@ class TestAnalyze:
             (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=[0.5, 0, 0])), "length 3/4"),
             (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=["a", 0, 0, 0.5])), '"re"'),
             (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], re=[[0.5, 0], [0, 0.5]])), '"re"'),
+            # a matrix whose shape does not match the split: these were read
+            # with exit 0 (the amplitudes raveled) or exit 3
+            (dict(PURE_QUBIT, dim_b=4, amplitudes=dict(PURE_QUBIT["amplitudes"], rows=2, cols=2,
+                  re=[1, 0, 0, 0], im=[0, 0, 0, 0])), '"amplitudes" is 2x2, expected 4x1'),
+            (dict(PURE_QUBIT, amplitudes=dict(PURE_QUBIT["amplitudes"], rows=1, cols=2)),
+             '"amplitudes" is 1x2, expected 2x1'),
+            (dict(HALF_QUBIT, matrix=dict(HALF_QUBIT["matrix"], rows=1, cols=4)),
+             '"matrix" is 1x4, expected 2x2 on a 1x2 split'),
         ],
     )
     def test_malformed_file_is_parse_error(self, capsys, tmp_path, obj, what):
@@ -690,6 +698,15 @@ class TestCssCheck:
               "vertices": [dict(HALF_QUBIT["matrix"], re=["a", 0, 0, 0.5])]}, '"re"'),
             ({"dim_a": 1, "dim_b": 2,
               "vertices": [dict(HALF_QUBIT["matrix"], re=[[0.5, 0], [0, 0.5]])]}, '"re"'),
+            # a vertex whose shape does not match the split: these exited 3
+            ({"dim_a": 2, "dim_b": 1,
+              "vertices": [HALF_QUBIT["matrix"], {"rows": 1, "cols": 1, "re": [1], "im": [0]}]},
+             "vertex 1 is 1x1, expected 2x2 on a 2x1 split"),
+            ({"dim_a": 1, "dim_b": 2, "vertices": [dict(HALF_QUBIT["matrix"], rows=1, cols=4)]},
+             "vertex 0 is 1x4, expected 2x2"),
+            ({"dim_a": 2, "dim_b": 2,
+              "vertices": [jsonio.matrix_to_json(np.eye(4) / 4), HALF_QUBIT["matrix"]]},
+             "vertex 1 is 2x2, expected 4x4"),
         ],
     )
     def test_wrong_shape_is_parse_error(self, capsys, tmp_path, obj, what):
@@ -701,11 +718,7 @@ class TestCssCheck:
         assert "malformed state polytope" in err and what in err
 
     @pytest.mark.parametrize(
-        "second, message",
-        [
-            (np.diag([1.5, -0.5, 0.0, 0.0]), "invalid vertex 1: negative eigenvalue"),
-            (np.eye(2) / 2, "vertices must be matrices of one shape"),
-        ],
+        "second, message", [(np.diag([1.5, -0.5, 0.0, 0.0]), "invalid vertex 1: negative eigenvalue")]
     )
     def test_invalid_vertex_is_validation_error(self, capsys, tmp_path, second, message):
         obj = jsonio.state_polytope_to_json(StatePolytope((qstate.werner_state(0.2),), TWO_QUBITS))
@@ -874,3 +887,52 @@ class TestStartUp:
         # the control: vertex enumeration needs Qhull, so the probe sees scipy
         got = fresh_process(["tensor", "gbit", "gbit"])
         assert got == {"codes": [EXIT_OK], "stdout": GOLDEN_TENSOR.read_text(), "scipy": True}
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [["analyze", "bell:phi+"], ["sweep", "werner"]])
+    def test_closed_stdout_exits_0(self, monkeypatch, argv):
+        # the reader chose to stop; a stdout with no file descriptor has
+        # nothing to redirect
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [["analyze", "bell:phi+"], ["sweep", "werner"]])
+    def test_buffered_stdout_on_a_closed_pipe_exits_0(self, monkeypatch, argv):
+        # a block-buffered stdout takes the whole report without a write to
+        # the pipe, so the closed pipe shows only when main flushes; its fd
+        # then points at os.devnull, and the bytes still buffered flush there
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main(argv) == EXIT_OK
+        stdout.write("more")
+        stdout.close()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_pipe_in_a_new_process(self, unbuffered):
+        # fd 1 on a pipe whose read end is closed: no traceback, exit 0, with
+        # stdout block-buffered (the default on a pipe) or not
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "entgeo.cli", "analyze", "bell:phi+"],
+                env=env, stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")

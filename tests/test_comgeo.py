@@ -36,7 +36,7 @@ from entgeo.comgeo import (
     reduce_rows,
 )
 from entgeo.invsep import flatten_matrix
-from entgeo.matcore import DEDUP_TOL, LP_TOL, ROUND_TOL
+from entgeo.matcore import DECISION_TOL, DEDUP_TOL, LP_TOL, ROUND_TOL
 
 
 def lp_distance(x, verts):
@@ -934,7 +934,44 @@ class TestReduceAndEqual:
         rows = rows[rng.permutation(len(rows))]
         if as_complex:
             rows = rows.view(complex)
-        np.testing.assert_array_equal(reduce_rows(rows), lp_reduce(rows))
+        got = reduce_rows(rows)
+        np.testing.assert_array_equal(got, lp_reduce(rows))
+        assert not np.shares_memory(got, rows)
+
+    @pytest.mark.parametrize("as_complex", [False, True])
+    @pytest.mark.parametrize("apart", [0.5 * DEDUP_TOL, DEDUP_TOL, 2 * DECISION_TOL, 1.5 * DEDUP_TOL])
+    def test_short_lists_match_lp_only_reduction(self, rng, apart, as_complex):
+        # one row, and two rows exactly `apart` apart in the infinity norm
+        # (their first entries are 0 and apart); a short list comes back as
+        # dedup_rows leaves it, in a new array
+        one = rng.standard_normal((1, 4))
+        one[0, 0] = 0.0
+        two = np.vstack([one, one])
+        two[1, 0] = apart
+        for rows in (one, two):
+            rows = rows.view(complex) if as_complex else rows
+            got = reduce_rows(rows)
+            np.testing.assert_array_equal(got, lp_reduce(rows))
+            assert got.dtype == rows.dtype
+            assert not np.shares_memory(got, rows)
+        assert len(reduce_rows(two)) == (2 if apart > DEDUP_TOL else 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[np.nan, 0.0], [1.0, 1.0]],
+            [[1.0, 1.0], [np.nan, 0.0]],
+            [[np.inf, 0.0], [1.0, 1.0]],
+            [[1.0, 1.0], [-np.inf, 0.0]],
+            [[np.nan, 0.0], [np.nan, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]],
+            [[1.0 + 1j * np.nan, 0.0], [1.0, 1.0]],
+        ],
+    )
+    def test_non_finite_entry_raises(self, rows):
+        for reduce in (reduce_rows, comgeo.dedup_rows):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                reduce(np.array(rows))
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -737,6 +737,138 @@ class TestReduceRowsCounts:
         assert len(reduce_rows_calls) == 2
 
 
+class Reached(Exception):
+    """Raised by a gated comgeo function that a call was not to reach."""
+
+
+@pytest.fixture
+def close_hull_questions(monkeypatch):
+    """Replaces, when called, every comgeo function that asks a hull
+    question (the certificate, the settle step, NNLS and the LP) with one
+    that raises ``Reached``, and counts the per-row passes (``_outside``)
+    and the ``hull_membership`` calls made after it, which it returns."""
+    counts = {"_outside": 0, "hull_membership": 0}
+
+    def close():
+        for name in ("_certificate", "_settle", "nnls", "linprog"):
+            def gate(*args, _name=name, **kwargs):
+                raise Reached(f"comgeo.{_name}")
+
+            monkeypatch.setattr(comgeo, name, gate)
+        for name in counts:
+            def counted(*args, _name=name, _original=getattr(comgeo, name)):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(comgeo, name, counted)
+        return counts
+
+    return close
+
+
+def product_polytopes(split, k, seed):
+    """Product polytopes of k random states per side on ``split``: the image
+    of a random polytope, ``lambda_map`` of two random sets of marginals, and
+    the witness of a random decomposition."""
+    sides = DimSplit(split.dim_a, 1), DimSplit(1, split.dim_b)
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, 2**32, size=(3, k)).tolist()
+    mixed = [qstate.random_mixed(split, split.dim, s) for s in seeds[0]]
+    marginals = [
+        StatePolytope(tuple(qstate.random_mixed(q, q.dim, s + j) for s in seeds[1]), q)
+        for j, q in enumerate(sides)
+    ]
+    terms = tuple(
+        (w, qstate.random_mixed(sides[0], 2, s).mat, qstate.random_mixed(sides[1], 1, s + 1).mat)
+        for w, s in zip(rng.dirichlet(np.ones(k)), seeds[2])
+    )
+    return (
+        lambda_tau(StatePolytope(tuple(mixed), split)),
+        lambda_map(*marginals),
+        css_from_decomposition(Decomposition(terms, split)),
+    )
+
+
+class TestFixedPointsByIdentity:
+    """A product polytope carries its tau, so lambda_tau rebuilds its vertex
+    array bit for bit, and ``is_css`` settles it with no hull question;
+    ``polytope_equal`` does the same for two equal vertex arrays."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_product_polytopes_ask_no_hull_question(self, close_hull_questions, dims, k):
+        polytopes = product_polytopes(DimSplit(*dims), k, seed=10 * k + dims[1])
+        counts = close_hull_questions()
+        assert all(is_css(c) for c in polytopes)
+        # not even the nearest-vertex screen of a per-row pass
+        assert counts["_outside"] == 0
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
+    def test_classical_invariance_asks_no_hull_question(self, close_hull_questions, n_a, n_b):
+        counts = close_hull_questions()
+        assert classical_invariance_check(n_a, n_b)
+        # the only per-row passes are those of gpt_marginals' membership
+        # checks, whose marginals are all vertices; polytope_equal runs none
+        assert counts["_outside"] == counts["hull_membership"] > 0
+
+    def test_generic_polytope_still_asks(self, close_hull_questions):
+        verts = tuple(qstate.random_mixed(TWO_QUBITS, 4, seed=j) for j in range(3))
+        c = StatePolytope(verts, TWO_QUBITS)
+        lambda_tau(c)
+        close_hull_questions()
+        with pytest.raises(Reached):
+            is_css(c)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dims=st.sampled_from([(1, 2), (2, 2), (2, 3)]),
+        k=st.integers(1, 4),
+        which=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permuted_product_polytope_reads_true_through_the_general_path(
+        self, dims, k, which, seed
+    ):
+        c = product_polytopes(DimSplit(*dims), k, seed)[which]
+        order = np.random.default_rng(seed).permutation(len(c.vertices))
+        permuted = StatePolytope(c.vertices[order], c.split)
+        calls = []
+        original = comgeo.polytope_equal
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(comgeo, "polytope_equal", lambda *a: calls.append(1) or original(*a))
+            assert is_css(permuted)
+        assert len(calls) == (not np.array_equal(lambda_tau(permuted).vertices, permuted.vertices))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.sampled_from([(2, 2), (2, 3)]),
+        k=st.integers(1, 4),
+        shift=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]),
+        tol=st.sampled_from([CSS_TOL, DECISION_TOL, 0.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_agrees_with_the_general_path_on_perturbed_copies(
+        self, dims, k, shift, tol, seed
+    ):
+        # one entry of one vertex of a copy moves by shift * tol (or by
+        # shift * CSS_TOL at tol 0); shift 0 is an equal copy, which the
+        # exact check settles
+        rng = np.random.default_rng(seed)
+        c = product_polytopes(DimSplit(*dims), k, seed)[int(rng.integers(3))]
+        p = VPolytope(c.flat())
+        moved = p.vertices.copy()
+        moved[rng.integers(len(moved)), rng.integers(moved.shape[1])] += shift * (tol or CSS_TOL)
+        q = VPolytope(moved)
+        want = bool(
+            comgeo.hull_membership(p.vertices, q, tol).all()
+            and comgeo.hull_membership(q.vertices, p, tol).all()
+        )
+        assert comgeo.polytope_equal(p, q, tol) == want
+        assert comgeo.polytope_equal(q, p, tol) == want
+        if shift == 0.0:
+            assert want
+
+
 class TestEntanglementModelWitnesses:
     def test_quantum_strict(self):
         # the full two-qubit state space is not invariant: witnessed by a
