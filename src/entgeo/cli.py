@@ -32,11 +32,22 @@ The size caps are checked before anything is allocated:
   for gbit).
 
 All output is deterministic for a fixed invocation; floats are serialized
-with their shortest round-trip representation.  A quantum report computes
-pi(rho) - rho and the partial-transpose spectrum once per state and derives
-every measure and verdict from them.  ``sweep werner`` calls the same
-functions once per block of ``SWEEP_BLOCK`` grid states, on one stack from
-``werner_state``; each row is bit-identical to the per-state computation.
+with their shortest round-trip representation.  A quantum report is one
+pass over its state: the marginals are computed once, and give both the
+marginal purities and pi(rho) (through ``qstate.pi_map``'s product step),
+and one ``matcore.hermitian_eig`` of the stack [pi(rho) - rho, rho^T_B]
+gives the trace norm of the delta and the partial-transpose spectrum.
+Every measure and verdict derives from that delta and that spectrum.
+``sweep werner`` takes the same pass once per block of ``SWEEP_BLOCK``
+grid states, on one stack from ``werner_state``, so a block of b states
+is one eigensolve of 2b matrices; each row is bit-identical to the
+per-state computation, and each report value to ``invsep``'s public
+function for it.
+
+The integers of an expression (A, B, ``seed`` and ``rank`` of
+``random:AxB``, n of ``classical:n``) are ASCII decimal digits alone
+(``_decimal``); a sign, a space, an underscore or a digit of another
+script, each of which ``int`` takes, is a parse error.
 
 ``main`` parses with one parser per process, built on its first call
 (``build_parser`` is cached); argparse keeps no state between parses, so
@@ -73,7 +84,7 @@ import sys
 
 import numpy as np
 
-from . import comgeo, invsep, jsonio, qstate
+from . import comgeo, invsep, jsonio, matcore, qstate
 from .matcore import CSS_TOL, DECISION_TOL, DimSplit, real_coords
 
 EXIT_OK = 0
@@ -104,7 +115,8 @@ def parse_state_expr(text: str):
     """Parse a state expression to a DensityMatrix or a (BilinearState, models) pair.
 
     Grammar: "bell:phi+|phi-|psi+|psi-", "werner:P", "random:AxB:seed=N"
-    (pure), "random:AxB:rank=R:seed=N" (mixed), "file:PATH", "prbox".
+    (pure), "random:AxB:rank=R:seed=N" (mixed), "file:PATH", "prbox"; A, B,
+    N and R are ASCII decimal digits.
     """
     parts = text.split(":")
     head = parts[0]
@@ -183,7 +195,7 @@ def _parse_random(text: str, parts: list[str]):
         raise ExprError(f"bad random expression {text!r}: expected random:AxB:seed=N")
     try:
         # a count of parts other than two fails the unpacking
-        dim_a, dim_b = map(int, parts[1].split("x"))
+        dim_a, dim_b = map(_decimal, parts[1].split("x"))
         split = DimSplit(dim_a, dim_b)
     except ValueError:
         raise ExprError(
@@ -198,15 +210,13 @@ def _parse_random(text: str, parts: list[str]):
         if key in opts:
             raise ExprError(f"option {key!r} given twice in {text!r}")
         try:
-            opts[key] = int(val)
+            opts[key] = _decimal(val)
         except ValueError:
             raise ExprError(f"bad integer {val!r} for option {key!r}") from None
     unknown = set(opts) - {"seed", "rank"}
     if unknown:
         raise ExprError(f"unknown options {sorted(unknown)} in {text!r}")
     seed = opts.get("seed", 0)
-    if seed < 0:
-        raise ExprError(f"option 'seed' must be a non-negative integer, got {seed}")
     if "rank" in opts:
         rank = opts["rank"]
         if rank < 1:
@@ -217,6 +227,15 @@ def _parse_random(text: str, parts: list[str]):
     return qstate.density_from_pure(qstate.random_pure(split, seed))
 
 
+def _decimal(text: str) -> int:
+    """The integer that text spells in ASCII decimal digits alone.  ValueError
+    for every other spelling that ``int`` takes: a sign, a space, an
+    underscore, a non-ASCII digit."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _model_dim(text: str) -> int:
     """The ambient dimension a model expression names, read before any model
     is built: n for "classical:n", 3 for "gbit"."""
@@ -225,7 +244,7 @@ def _model_dim(text: str) -> int:
         if len(parts) != 2:
             raise ExprError(f"bad model expression {text!r}: expected classical:n")
         try:
-            n = int(parts[1])
+            n = _decimal(parts[1])
         except ValueError:
             raise ExprError(f"bad integer {parts[1]!r} in {text!r}") from None
         if n < 2:
@@ -246,28 +265,39 @@ def parse_model_expr(text: str) -> comgeo.ComModel:
 # Commands
 
 
-_SM_CONFIGS = {
-    "sm_frobenius": invsep.MeasureConfig("identity", "frobenius"),
-    "sm_trace": invsep.MeasureConfig("identity", "trace"),
-}
+def _measures(rho, delta, f_kind: str = "identity", norm_kind: str = "frobenius"):
+    """The standard measures of delta = pi(rho) - rho, plus the chosen one, and
+    the least eigenvalue of rho's partial transpose, for one state or a stack.
 
-
-def _measure_values(delta, f_kind: str = "identity", norm_kind: str = "frobenius") -> dict:
-    """The standard measures of delta = pi(rho) - rho, plus the chosen one."""
-    out = {key: invsep.measure_of_delta(delta, cfg) for key, cfg in _SM_CONFIGS.items()}
+    The trace norm of delta and the PPT spectrum come from one
+    ``hermitian_eig`` of the stack [delta, rho^T_B], each as ``matcore.norm``
+    and ``invsep.ppt_min_eigenvalue`` compute it.  rho^T_B is as near to
+    Hermitian as the valid rho is, so that call fails only on a delta
+    farther than ``VALID_TOL`` from Hermitian, which only a file state near
+    that limit gives; such a delta takes ``matcore.norm``'s own trace-norm
+    branch instead.  (An eigensolve that does not converge raises numpy's
+    LinAlgError, a ValueError too, and takes the same two separate solves.)
+    """
+    pt = matcore.partial_transpose(rho.mat, rho.split)
+    try:
+        w_delta, w_pt = matcore.hermitian_eig(np.stack([delta, pt]))[0]
+        sm_trace = matcore._per_matrix(np.sum(np.abs(w_delta), axis=-1), delta)
+    except ValueError:
+        sm_trace = matcore.norm(delta, "trace")
+        w_pt = matcore.hermitian_eig(pt)[0]
+    out = {"sm_frobenius": invsep.measure_of_delta(delta), "sm_trace": sm_trace}
     key = f"{f_kind}_{norm_kind}"
     if key not in ("identity_frobenius", "identity_trace"):
         out[key] = invsep.measure_of_delta(delta, invsep.MeasureConfig(f_kind, norm_kind))
-    return out
+    return out, matcore._per_matrix(w_pt[..., 0], pt)
 
 
 def _quantum_report(rho, expr: str, tol: float, f_kind: str, norm_kind: str) -> dict:
     ma, mb = qstate.marginals(rho)
-    delta = invsep.pi_delta(rho)
-    measures = _measure_values(delta, f_kind, norm_kind)
+    delta = qstate._product(ma, mb, rho.split).mat - rho.mat
+    measures, ppt_min = _measures(rho, delta, f_kind, norm_kind)
     # the Frobenius norm of the delta is pi_distance, and is_product compares it
     pi_dist = measures["sm_frobenius"]
-    ppt_min = invsep.ppt_min_eigenvalue(rho)
     return {
         "input": expr,
         "dim_a": rho.split.dim_a,
@@ -337,11 +367,10 @@ def cmd_sweep(args) -> int:
 
 def _werner_rows(ps: list[float]) -> list[str]:
     """The sweep's CSV rows for the Werner states at ps, in one stacked pass:
-    one call each of ``werner_state``, ``pi_delta``, ``_measure_values``,
-    ``ppt_min_eigenvalue`` and ``ppt_verdict_from_eigenvalue`` on the stack."""
+    one call each of ``werner_state``, ``pi_delta``, ``_measures`` and
+    ``ppt_verdict_from_eigenvalue`` on the stack."""
     rho = qstate.werner_state(ps)
-    sm = _measure_values(invsep.pi_delta(rho))
-    ppt = invsep.ppt_min_eigenvalue(rho)
+    sm, ppt = _measures(rho, invsep.pi_delta(rho))
     cols = sm["sm_frobenius"].tolist(), sm["sm_trace"].tolist(), ppt.tolist()
     verdicts = invsep.ppt_verdict_from_eigenvalue(ppt, rho.split).tolist()
     return [f"{p!r},{fro!r},{tr!r},{eig!r},{v}" for p, fro, tr, eig, v in zip(ps, *cols, verdicts)]

@@ -199,11 +199,12 @@ def hermitian_eig(m):
     m = _as_matrix(m)
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"eigendecomposition needs a square matrix, got {m.shape}")
-    if not np.all(is_hermitian(m)):
-        dev = float(np.max(np.abs(m - _adjoint(m))))
+    # the check of is_hermitian and the part of hermitize, on one adjoint
+    adj = _adjoint(m)
+    dev = float(np.max(np.abs(m - adj)))
+    if not dev <= VALID_TOL:  # phrased so that a NaN fails it
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e} > {VALID_TOL})")
-    w, v = np.linalg.eigh(hermitize(m))
-    return w, v
+    return np.linalg.eigh((m + adj) / 2)
 
 
 def norm(m, kind: str = "frobenius"):
@@ -213,12 +214,28 @@ def norm(m, kind: str = "frobenius"):
         "frobenius" -- sqrt of the sum of squared entry moduli
         "trace"     -- sum of singular values
         "max_abs"   -- largest entry modulus
+
+    The Frobenius norm of each slice is bit-identical to ``np.linalg.norm``
+    of that slice.  That function ravels the slice in memory order
+    (``order="K"``: its two axes by decreasing stride, an axis of stride 0
+    ordering nothing, each in index order) and adds ``re.dot(re)`` and
+    ``im.dot(im)`` of the raveled entries' real and imaginary views.  Here
+    each slice is raveled in the same order, into one contiguous stack, and
+    one stacked matmul of a (1, k) row by its (k, 1) column takes those dot
+    products: numpy computes a matmul with a single output entry by the same
+    dot of the same strided views, so it sums the same terms in the same
+    order.  A contiguous copy of a real part takes another BLAS kernel, and
+    ``np.vecdot``, ``einsum`` and the ``axis=(-2, -1)`` form sum in other
+    orders; each differs in the last bit.
     """
     m = _as_matrix(m)
     if kind == "frobenius":
-        # np.linalg.norm of each slice: its axis=(-2, -1) form rounds differently
-        norms = np.array([np.linalg.norm(s) for s in _slices(m)])
-        return _per_matrix(norms.reshape(m.shape[:-2]), m)
+        if 0 < abs(m.strides[-2]) < abs(m.strides[-1]):
+            m = m.swapaxes(-1, -2)
+        x = np.ascontiguousarray(m).reshape(*m.shape[:-2], 1, m.shape[-2] * m.shape[-1])
+        re, im = x.real, x.imag
+        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+        return _per_matrix(np.sqrt(sq[..., 0, 0]), m)
     if kind == "max_abs":
         return _per_matrix(np.max(np.abs(m), axis=(-2, -1)), m)
     if kind == "trace":

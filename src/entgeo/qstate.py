@@ -147,8 +147,13 @@ def pi_map(rho: DensityMatrix) -> DensityMatrix:
 
     Idempotent; its fixed points are exactly the product states.
     """
-    a, b = marginals(rho)
-    return _derived(DensityMatrix, matcore.kron(a.mat, b.mat), rho.split)
+    return _product(*marginals(rho), rho.split)
+
+
+def _product(a: DensityMatrix, b: DensityMatrix, split: DimSplit) -> DensityMatrix:
+    """a (x) b on ``split`` for the marginals (a, b) of a state: the step of
+    ``pi_map`` after its marginals, for a caller that holds them already."""
+    return _derived(DensityMatrix, matcore.kron(a.mat, b.mat), split)
 
 
 def purity(rho: DensityMatrix):

@@ -3,8 +3,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -270,11 +272,16 @@ class TestAnalyze:
         "expr", ["bell:psi-", "werner:0.3", "random:3x3:rank=2:seed=4"]
     )
     def test_one_pi_map_and_one_ppt_spectrum_per_state(self, capsys, monkeypatch, expr):
-        pi_calls = counting(monkeypatch, qstate, "pi_map")
+        # the marginals once (one partial trace per side), pi(rho) built from
+        # them, and one eigensolve for the trace norm and the PPT spectrum
+        product_calls = counting(monkeypatch, qstate, "_product")
+        trace_calls = counting(monkeypatch, matcore, "partial_trace")
         pt_calls = counting(monkeypatch, matcore, "partial_transpose")
+        eig_calls = counting(monkeypatch, np.linalg, "eigh")
         code, _, _ = run(capsys, "--f-kind", "square", "--norm", "max_abs", "analyze", expr)
         assert code == EXIT_OK
-        assert len(pi_calls) == len(pt_calls) == 1
+        assert len(product_calls) == len(pt_calls) == len(eig_calls) == 1
+        assert len(trace_calls) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -305,6 +312,38 @@ class TestAnalyze:
         verdicts = report["verdicts"]
         assert verdicts["product"] is invsep.is_product(rho, tol)
         assert verdicts["ppt"] == invsep.ppt_verdict(rho)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim_a=st.integers(2, 3),
+        dim_b=st.integers(4, 6),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.3e-10, 0.49e-10),
+    )
+    def test_non_hermitian_delta_takes_the_trace_norm_branch(self, dim_a, dim_b, seed, c):
+        # rho = a (x) |psi><psi| + K: K is anti-Hermitian, c on each entry
+        # ((0, k), (1, k)), so rho is 2c from Hermitian.  Its A marginal
+        # gains dim_b * c off the diagonal, and with psi = (1, 1, 0, ...)/sqrt(2)
+        # the delta is dim_b * c >= 1.2e-10 from Hermitian at ((0, 0), (1, 1))
+        split = DimSplit(dim_a, dim_b)
+        psi = np.zeros(dim_b)
+        psi[:2] = 1 / np.sqrt(2)
+        mat = kron(qstate.random_mixed(DimSplit(dim_a, 1), dim_a, seed).mat, np.outer(psi, psi))
+        for k in range(dim_b):
+            mat[k, dim_b + k] += c
+            mat[dim_b + k, k] -= c
+        state = jsonio.state_to_json(qstate.DensityMatrix(mat, split))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            path.write_text(json.dumps(state))
+            code, out = run_quiet(["analyze", f"file:{path}"])
+            rho = cli.parse_state_expr(f"file:{path}")
+        assert code == EXIT_OK
+        assert not matcore.is_hermitian(invsep.pi_delta(rho))
+        report = json.loads(out)
+        trace = invsep.g_measure(rho, invsep.MeasureConfig("identity", "trace"))
+        assert report["measures"]["sm_trace"] == trace
+        assert report["ppt_min_eig"] == invsep.ppt_min_eigenvalue(rho)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -526,8 +565,8 @@ class TestSweep:
         # by one werner_state call; its deltas and PPT spectra are one call each
         assert blocks == [min(block, 7 - lo) for lo in range(0, 7, block)]
         assert len(blocks) == len(validations) == len(pi_calls) == len(pt_calls) == passes
-        # one eigh for the trace norms of the deltas, one for the PPT spectra
-        assert len(eig_calls) == passes * 2
+        # one eigh for the trace norms of the deltas and the PPT spectra together
+        assert len(eig_calls) == passes
 
 
 class TestTensor:
@@ -772,6 +811,18 @@ PARSE_ERRORS = [
     (["analyze", "random:2x2"], "bad random expression"),
     (["analyze", "random:2x2:seed"], "bad option"),
     (["analyze", "random:2x2:seed=x"], "bad integer"),
+    # an integer of an expression is ASCII decimal digits alone; int() takes
+    # each of these, and seed=\u0665 (ARABIC-INDIC FIVE) reported seed=5
+    (["analyze", "random:2x2:seed=\u0665"], "bad integer"),
+    (["analyze", "random:2x2:seed=1_0"], "bad integer"),
+    (["analyze", "random:2x2:seed=+1"], "bad integer"),
+    (["analyze", "random:2x2:seed= 5"], "bad integer"),
+    (["analyze", "random:2x2:seed=5\n"], "bad integer"),
+    (["analyze", "random:2x2:rank=+3"], "bad integer"),
+    (["analyze", "random:2 x2:seed=1"], "bad dimension spec"),
+    (["analyze", "random:2x\u0662:seed=1"], "bad dimension spec"),
+    (["tensor", "classical:+2", "gbit"], "bad integer"),
+    (["tensor", "classical:\u0662", "gbit"], "bad integer"),
     (["analyze", "random:2x2:foo=1"], "unknown options"),
     (["analyze", "random:2x2:seed=1:seed=2"], "option 'seed' given twice"),
     (["analyze", "random:2x2:rank=2:seed=1:rank=3"], "option 'rank' given twice"),
@@ -800,6 +851,18 @@ class TestParseErrors:
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("entgeo: parse error: ") and what in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="0123456789+-_ x\n\u0665\u0662\u00b2\uff15", max_size=6)
+        | st.text(max_size=6)
+    )
+    def test_integers_are_ascii_decimal_digits(self, text):
+        if re.fullmatch("[0-9]+", text):
+            assert cli._decimal(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                cli._decimal(text)
 
 
 # each command once with options, an argparse rejection, then each command

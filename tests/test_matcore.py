@@ -266,6 +266,35 @@ def split_stacks(draw):
     return split, draw(arrays(complex, shape, elements=ENTRIES))
 
 
+# the views of frobenius_cases: each ravels in memory order (np.linalg.norm's
+# order="K") differently from its index order, or is a new array
+VIEWS = {
+    "array": lambda m: m,
+    "swapaxes": lambda m: m.swapaxes(-1, -2),
+    "conj": lambda m: m.conj(),
+    "conj_swapaxes": lambda m: m.conj().swapaxes(-1, -2),
+    "reversed_rows": lambda m: m[..., ::-1, :],
+    "reversed_swapaxes": lambda m: m.swapaxes(-1, -2)[..., ::-1],
+}
+
+
+@st.composite
+def frobenius_cases(draw):
+    """A stack with 0 to 2 stack axes (of 0 to 3 slices each) of complex
+    matrices from 1x1 to 8x8, square or not, its entries of magnitudes from
+    1e-150 to 1e150 and some of its slices zero, seen through one of VIEWS."""
+    shape = (
+        *draw(st.lists(st.integers(0, 3), max_size=2)),
+        draw(st.integers(1, 8)),
+        draw(st.integers(1, 8)),
+    )
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    m = draw(arrays(complex, shape, elements=st.complex_numbers(max_magnitude=10.0))) * scale
+    if m.ndim > 2 and m.shape[0] and draw(st.booleans()):
+        m[0] = 0
+    return VIEWS[draw(st.sampled_from(sorted(VIEWS)))](m)
+
+
 class TestStacks:
     """Each op on a stack equals, slice by slice and bit for bit, the op on one matrix."""
 
@@ -315,6 +344,22 @@ class TestStacks:
         for kind in ("frobenius", "trace", "max_abs"):
             got = matcore.norm(m, kind)
             assert got.tolist() == [matcore.norm(one, kind) for one in m]
+
+    @settings(max_examples=200, deadline=None)
+    @given(frobenius_cases())
+    def test_frobenius_is_numpy_norm_of_each_slice(self, m):
+        got = matcore.norm(m, "frobenius")
+        assert np.shape(got) == m.shape[:-2]
+        want = [float(np.linalg.norm(m[i])).hex() for i in np.ndindex(m.shape[:-2])]
+        assert [float(x).hex() for x in np.ravel(got)] == want
+
+    def test_frobenius_of_64x64_slices_is_numpy_norm(self, rng):
+        m = rng.standard_normal((3, 64, 64)) + 1j * rng.standard_normal((3, 64, 64))
+        # a reversed column or row reshapes to a view with a negative stride,
+        # which numpy's dot sums in another order
+        for view in (m, m.swapaxes(-1, -2), m.conj(), m[:, ::-1], m[:, ::-1, :1], m[:, :1, ::-1]):
+            got = matcore.norm(view, "frobenius")
+            assert got.tolist() == [float(np.linalg.norm(one)) for one in view]
 
     def test_one_matrix_gives_python_scalars(self):
         m = np.diag([1.0, -2.0])
