@@ -2,13 +2,14 @@
 products, check fixed-point witnesses.
 
 Exit codes: 0 success, 2 expression/file parse error (and a ``--tol`` that
-is negative or not finite), 3 numerical validation failure, 4 size cap
-exceeded.  A command whose stdout is closed by its reader (``entgeo ... |
-head``) stops writing and exits 0, since the reader chose to stop.  Its
-output is flushed before ``main`` returns, so the closed pipe shows there
-even when stdout is block-buffered; stdout's file descriptor then points
-at ``os.devnull``, so the bytes still buffered go nowhere and the
-interpreter's last flush does not fail again.  ``analyze file:`` and
+is not a decimal literal, a negative one among them, or is not finite), 3
+numerical validation failure, 4 size cap exceeded.  A command whose
+stdout is closed by its reader (``entgeo ... | head``) stops writing and
+exits 0, since the reader chose to stop.  Its output is flushed before
+``main`` returns, so the closed pipe shows there even when stdout is
+block-buffered; stdout's file descriptor then points at ``os.devnull``,
+so the bytes still buffered go nowhere and the interpreter's last flush
+does not fail again.  ``analyze file:`` and
 ``css-check`` read JSON through one ``_read_json`` and ``jsonio``'s
 readers, so an unreadable file, invalid
 JSON or UTF-8, nesting too deep for the decoder, an integer over Python's
@@ -27,9 +28,11 @@ The size caps are checked before anything is allocated:
 - ``css-check`` with at most ``CSS_VERTEX_CAP`` vertices and dim_a * dim_b
   at most ``RANDOM_DIM_CAP``;
 - ``tensor`` with dim_a * dim_b at most ``TENSOR_DIM_CAP``, and at most
-  ``comgeo.ENUM_DIM_CAP`` when the maximal tensor product is enumerated;
-  each dimension is read off its model expression (n for classical:n, 3
-  for gbit).
+  ``comgeo.ENUM_DIM_CAP`` when the maximal tensor product is asked for,
+  whether ``comgeo.max_tensor_vertices`` settles it by theorem (a
+  classical factor, whose products need no enumeration and, for two
+  classical models, no scipy) or enumerates it; each dimension is read
+  off its model expression (n for classical:n, 3 for gbit).
 
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report is one
@@ -46,8 +49,10 @@ function for it.
 
 The integers of an expression (A, B, ``seed`` and ``rank`` of
 ``random:AxB``, n of ``classical:n``) are ASCII decimal digits alone
-(``_decimal``); a sign, a space, an underscore or a digit of another
-script, each of which ``int`` takes, is a parse error.
+(``_decimal``), and P of ``werner:P`` and the value of ``--tol`` are ASCII
+decimal literals (``_literal``: digits with at most one point, and an
+optional exponent); a sign, a space, an underscore or a digit of another
+script, each of which ``int`` or ``float`` takes, is a parse error.
 
 ``main`` parses with one parser per process, built on its first call
 (``build_parser`` is cached); argparse keeps no state between parses, so
@@ -80,12 +85,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import comgeo, invsep, jsonio, matcore, qstate
-from .matcore import CSS_TOL, DECISION_TOL, DimSplit, real_coords
+from .matcore import CSS_TOL, DECISION_TOL, LP_TOL, DimSplit, real_coords
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -131,7 +137,7 @@ def parse_state_expr(text: str):
         if len(parts) != 2:
             raise ExprError(f"bad werner expression {text!r}: expected werner:P")
         try:
-            p = float(parts[1])
+            p = _literal(parts[1])
         except ValueError:
             raise ExprError(
                 f"bad werner parameter {parts[1]!r} at position {len(head) + 1}"
@@ -234,6 +240,20 @@ def _decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
+
+
+# an ASCII decimal literal: digits with at most one point, then an optional
+# exponent of e or E, a sign and digits; repr of every finite float >= 0
+_LITERAL = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _literal(text: str) -> float:
+    """The float that text spells as an ASCII decimal literal (``_LITERAL``).
+    ValueError for every other spelling that ``float`` takes: a sign, a
+    space, an underscore, a non-ASCII digit, ``inf`` or ``nan``."""
+    if not _LITERAL.fullmatch(text):
+        raise ValueError(f"not a decimal literal: {text!r}")
+    return float(text)
 
 
 def _model_dim(text: str) -> int:
@@ -391,8 +411,7 @@ def cmd_tensor(args) -> int:
     if omin is not None:
         summary["min_vertices"] = len(omin.vertices)
     if args.which in ("max", "both"):
-        h = comgeo.max_tensor_constraints(a, b)
-        omax = comgeo.enumerate_max_vertices(h)
+        omax = comgeo.max_tensor_vertices(a, b)
         summary["max_vertices"] = len(omax.vertices)
         if omin is not None:
             inside = comgeo.hull_membership(omax.vertices, omin, args.tol)
@@ -430,12 +449,13 @@ def cmd_css_check(args) -> int:
 
 
 def _tolerance(text: str) -> float:
+    """``--tol``: an ASCII decimal literal (``_literal``) of a finite float."""
     try:
-        tol = float(text)
+        tol = _literal(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(tol) or tol < 0:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a decimal literal >= 0, got {text!r}") from None
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return tol
 
 
@@ -446,7 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="entgeo", description="geometric entanglement toolkit"
     )
     ap.add_argument(
-        "--tol", type=_tolerance, default=DECISION_TOL, help="decision tolerance (finite, >= 0)"
+        "--tol",
+        type=_tolerance,
+        default=DECISION_TOL,
+        help="decision tolerance, a finite decimal literal >= 0; a verdict an LP decides at "
+        f"a --tol below 10 * LP_TOL = {10 * LP_TOL!r} is at the solver's resolution",
     )
     ap.add_argument(
         "--f-kind",

@@ -749,9 +749,79 @@ def gpt_marginals(
 ENUM_DIM_CAP = 12
 
 
+def max_tensor_vertices(a: ComModel, b: ComModel) -> VPolytope:
+    """The vertices of the maximal tensor product of a and b, of ambient
+    dimension at most ``ENUM_DIM_CAP``.
+
+    A classical factor (``_is_classical``, a simplex) admits no
+    entanglement: the maximal product is then the minimal one (Namioka &
+    Phelps, Pacific J. Math. 31, 469 (1969); Aubrun, Lami, Palazuelos &
+    Plavala, GAFA 31, 181 (2021)).  For A classical with vertices v_i and
+    dual basis e_i, every state is sum_i v_i (x) psi_i with psi_i = (e_i (x)
+    1) phi, and every effect of A is a nonnegative combination of the e_i,
+    so max(A, B) = {sum_i v_i (x) psi_i : F_B psi_i >= 0, sum_i u_B psi_i = 1}.
+    Its vertices are the products v_i (x) w, A slowest
+    (``product_composites``), with w the vertices of B where B is classical
+    too, and otherwise those of B's own effect polytope {x : F_B x >= 0,
+    u_B x = 1}, enumerated in B's dimension (``enumerate_max_vertices``,
+    around the centroid of B's vertices).  Only B classical is the mirror
+    image, with A's effect polytope slowest.  A pair with no classical
+    factor goes to ``enumerate_max_vertices(max_tensor_constraints(a, b))``.
+    The products are checked against the constraints as the enumeration's
+    vertices are, within ``DECISION_TOL``, else RuntimeError.
+
+    Raises as ``enumerate_max_vertices`` does, the cap included, on either
+    path.
+    """
+    h = max_tensor_constraints(a, b)
+    if h.ambient_dim > ENUM_DIM_CAP:
+        raise ValueError(f"ambient dim {h.ambient_dim} exceeds enumeration cap {ENUM_DIM_CAP}")
+    classical_a, classical_b = _is_classical(a), _is_classical(b)
+    if not (classical_a or classical_b):
+        return enumerate_max_vertices(h)
+    if classical_a:
+        verts = product_composites(a.vertices, b.vertices if classical_b else _effect_vertices(b))
+    else:
+        verts = product_composites(_effect_vertices(a), b.vertices)
+    if not max_tensor_membership(verts, h, DECISION_TOL):
+        raise RuntimeError("a product vertex violates a constraint")
+    return VPolytope(verts)
+
+
+def _is_classical(m: ComModel) -> bool:
+    """Whether m is a simplex with its dual basis among its effects, by exact
+    float tests with no tolerance: ``ambient_dim`` vertices, every effect
+    >= 0 and the unit 1 on each vertex, and for each vertex an effect that
+    is 1 there and 0 on the others."""
+    n = m.ambient_dim
+    if len(m.vertices) != n:
+        return False
+    vals = m.vertices @ m.effects.T  # vals[i, j]: effect j on vertex i
+    dual = (vals.T[None] == np.eye(n)[:, None]).all(axis=2).any(axis=1)
+    return bool((vals >= 0).all() and (m.vertices @ m.unit == 1).all() and dual.all())
+
+
+def _effect_vertices(m: ComModel) -> np.ndarray:
+    """The vertices of m's effect polytope {x : F x >= 0, u x = 1}."""
+    return enumerate_max_vertices(
+        HPolytope(
+            ambient_dim=m.ambient_dim,
+            ineq_normals=m.effects,
+            ineq_offsets=np.zeros(len(m.effects)),
+            eq_normals=m.unit[None],
+            eq_values=np.array([1.0]),
+            interior=m.vertices.mean(axis=0),
+        )
+    ).vertices
+
+
 def enumerate_max_vertices(h: HPolytope) -> VPolytope:
     """All extreme points of a bounded H-polytope, of ambient dimension at
-    most ``ENUM_DIM_CAP``, from its interior point.
+    most ``ENUM_DIM_CAP``, from its interior point.  It is the general path
+    of ``max_tensor_vertices``, which settles a pair with a classical factor
+    by theorem (Namioka & Phelps 1969; Aubrun, Lami, Palazuelos & Plavala,
+    GAFA 31, 181 (2021)) and enumerates at most the other factor's own
+    effect polytope.
 
     On the equality rows' affine hull x = x0 + N y (N their null space),
     Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entgeo import cli, comgeo, invsep, jsonio, matcore, qstate
@@ -437,15 +437,32 @@ class TestAnalyze:
 
 
 class TestTolerance:
-    # "--tol=X" form: argparse would read a bare "-1e-9" as an option
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "-0.5", "abc"])
+    # "--tol=X" form: argparse would read a bare "-1e-9" as an option; from
+    # "-0" on, each is a spelling that float() takes and that was accepted
+    @pytest.mark.parametrize(
+        "tol",
+        ["nan", "inf", "-inf", "-1e-9", "-0.5", "abc", "1e999", "-0", "+0.1", "0_1",
+         "\u0660.1", " 0.1", "0.1 ", "infinity"],
+    )
     def test_rejected_at_parse_time(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:
             cli.main([f"--tol={tol}", "analyze", "werner:0"])
         assert exc.value.code == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "argument --tol" in captured.err
+        assert "argument --tol" in captured.err and repr(tol) in captured.err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0))
+    @example(1e-05)
+    @example(5e-324)
+    @example(1.0)
+    def test_every_float_repr_in_the_unit_interval_is_accepted(self, p):
+        # perfbench sends werner:{p!r}; the same text is a valid --tol
+        assert cli._literal(repr(p)) == p
+        code, out = run_quiet(["--tol", repr(p), "analyze", f"werner:{p!r}"])
+        assert code == EXIT_OK
+        assert json.loads(out)["input"] == f"werner:{p!r}"
 
     def test_zero_accepted(self, capsys):
         code, out, _ = run(capsys, "--tol", "0", "analyze", "werner:0")
@@ -658,6 +675,33 @@ class TestTensor:
         assert code == EXIT_OK
         assert len(members) == calls
 
+    @pytest.mark.parametrize(
+        "model_a, model_b",
+        [("classical:2", "classical:2"), ("classical:2", "classical:3"),
+         ("classical:3", "classical:2"), ("classical:3", "classical:3"),
+         ("classical:4", "classical:3"), ("classical:2", "classical:6")],
+    )
+    def test_classical_pair_runs_no_vertex_enumeration(self, capsys, monkeypatch, model_a, model_b):
+        # two simplices: the maximal product's vertices are the products
+        forbid(monkeypatch, comgeo, "HalfspaceIntersection")
+        code, out, _ = run(capsys, "tensor", model_a, model_b)
+        assert code == EXIT_OK
+        summary = json.loads(out)
+        assert summary["equal"] and summary["min_vertices"] == summary["max_vertices"]
+
+    @pytest.mark.parametrize("argv", [["classical:2", "gbit"], ["gbit", "classical:2"]])
+    def test_classical_factor_enumerates_the_other_effect_polytope(self, capsys, monkeypatch, argv):
+        seen = []
+        original = comgeo.enumerate_max_vertices
+
+        def recorded(h):
+            seen.append(h.ambient_dim)
+            return original(h)
+
+        monkeypatch.setattr(comgeo, "enumerate_max_vertices", recorded)
+        assert run(capsys, "tensor", *argv)[0] == EXIT_OK
+        assert seen == [3]
+
     def test_unbounded_constraints_are_numeric_error(self, capsys, monkeypatch):
         unbounded = comgeo.HPolytope(3, [[1, 0, 0]], [0], [[0, 0, 1]], [1], [1, 0, 1])
         monkeypatch.setattr(comgeo, "max_tensor_constraints", lambda a, b: unbounded)
@@ -800,6 +844,16 @@ PARSE_ERRORS = [
     (["analyze", "werner:1:2"], "bad werner expression"),
     (["analyze", "werner:x"], "bad werner parameter"),
     (["analyze", "werner:2"], "must lie in [0, 1]"),
+    # P is an ASCII decimal literal; float() takes each of these, and the
+    # first four exited 0 or (0_5) reported p = 5.0
+    (["analyze", "werner:+.5"], "bad werner parameter '+.5'"),
+    (["analyze", "werner:0_5"], "bad werner parameter '0_5'"),
+    (["analyze", "werner:\u0660.\u0665"], "bad werner parameter '\u0660.\u0665'"),
+    (["analyze", "werner: 0.5"], "bad werner parameter ' 0.5'"),
+    (["analyze", "werner:0.5\n"], "bad werner parameter '0.5\\n'"),
+    (["analyze", "werner:-0.0"], "bad werner parameter '-0.0'"),
+    (["analyze", "werner:nan"], "bad werner parameter 'nan'"),
+    (["analyze", "werner:1e"], "bad werner parameter '1e'"),
     (["analyze", "file:"], "empty path"),
     (["analyze", "file:{tmp}/junk.json"], "invalid JSON"),
     (["analyze", "file:{tmp}/missing.json"], "cannot read"),
@@ -946,8 +1000,16 @@ class TestStartUp:
         assert got["stdout"].endswith(GOLDEN.read_text())
         assert not got["scipy"]
 
+    def test_classical_tensor_imports_no_scipy(self):
+        # the maximal product of two simplices is their products, with no
+        # vertex enumeration, and every hull question a vertex match
+        argv = ["tensor", "classical:2", "classical:3"]
+        want = next(c["stdout"] for c in GOLDEN_TENSOR_PAIRS if c["argv"] == argv)
+        assert fresh_process(argv) == {"codes": [EXIT_OK], "stdout": want, "scipy": False}
+
     def test_tensor_imports_scipy_on_first_use(self):
-        # the control: vertex enumeration needs Qhull, so the probe sees scipy
+        # the control: a pair with no classical factor needs Qhull, so the
+        # probe sees scipy
         got = fresh_process(["tensor", "gbit", "gbit"])
         assert got == {"codes": [EXIT_OK], "stdout": GOLDEN_TENSOR.read_text(), "scipy": True}
 

@@ -1486,6 +1486,93 @@ class TestMaxTensor:
             enumerate_max_vertices(TRIANGLE)
 
 
+def near_classical(kind):
+    """classical:3 with one exact test of ``comgeo._is_classical`` broken,
+    still a valid model: the dual-basis effect of vertex 0 one ulp below 1
+    there, or a complement effect at -1e-12 (within ``VALID_TOL``) on it."""
+    eye, ones = np.eye(3), np.ones(3)
+    effects = np.vstack([eye, ones - eye])
+    if kind == "ulp":
+        effects[0, 0] = np.nextafter(1.0, 0.0)
+    else:
+        effects[3, 0] = -1e-12
+    return ComModel(3, eye, effects, ones)
+
+
+BUILT_IN = {
+    "classical:2": classical_model(2),
+    "classical:3": classical_model(3),
+    "classical:4": classical_model(4),
+    "gbit": gbit_model(),
+}
+
+
+@contextlib.contextmanager
+def enumerated_dims():
+    """A list that gets the ambient dimension of each H-polytope enumerated
+    through ``comgeo.enumerate_max_vertices`` while the context is open."""
+    dims = []
+    original = comgeo.enumerate_max_vertices
+
+    def recorded(h):
+        dims.append(h.ambient_dim)
+        return original(h)
+
+    with mock.patch.object(comgeo, "enumerate_max_vertices", recorded):
+        yield dims
+
+
+class TestMaxTensorVertices:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.tuples(st.sampled_from(list(BUILT_IN)), st.sampled_from(list(BUILT_IN))).filter(
+            lambda pair: BUILT_IN[pair[0]].ambient_dim * BUILT_IN[pair[1]].ambient_dim
+            <= comgeo.ENUM_DIM_CAP
+        )
+    )
+    def test_equals_the_general_enumeration(self, pair):
+        a, b = BUILT_IN[pair[0]], BUILT_IN[pair[1]]
+        got = comgeo.max_tensor_vertices(a, b).vertices
+        want = enumerate_max_vertices(max_tensor_constraints(a, b)).vertices
+        assert len(got) == len(want)
+        assert same_vertex_set(got, want, ROUND_TOL)
+
+    @pytest.mark.parametrize(
+        "a, b, dims",
+        [("classical:2", "classical:3", []), ("classical:2", "gbit", [3]),
+         ("gbit", "classical:4", [3]), ("gbit", "gbit", [9])],
+    )
+    def test_products_in_the_order_of_the_theorem(self, a, b, dims):
+        # A slowest; a non-classical factor contributes its effect polytope,
+        # and only a pair with no classical factor is enumerated whole
+        a, b = BUILT_IN[a], BUILT_IN[b]
+        with enumerated_dims() as seen:
+            got = comgeo.max_tensor_vertices(a, b).vertices
+        assert seen == dims
+        if dims != [9]:
+            assert np.array_equal(got, min_tensor(a, b).vertices)
+
+    @pytest.mark.parametrize("kind", ["ulp", "negative"])
+    def test_a_near_classical_model_takes_the_general_path(self, kind):
+        a, b = near_classical(kind), gbit_model()
+        assert not comgeo._is_classical(a)
+        for x, y in ((a, b), (b, a)):
+            with enumerated_dims() as seen:
+                got = comgeo.max_tensor_vertices(x, y).vertices
+            assert seen == [9]
+            want = enumerate_max_vertices(max_tensor_constraints(x, y)).vertices
+            assert np.array_equal(got, want)
+
+    def test_products_are_checked(self, monkeypatch):
+        monkeypatch.setattr(comgeo, "max_tensor_membership", lambda *args: False)
+        with pytest.raises(RuntimeError, match="violates a constraint"):
+            comgeo.max_tensor_vertices(classical_model(2), classical_model(3))
+
+    def test_dim_cap_on_the_theorem_path(self):
+        with pytest.raises(ValueError, match="cap"):
+            comgeo.max_tensor_vertices(classical_model(4), classical_model(4))
+
+
 class TestGptMarginals:
     def test_product_recovery(self):
         a, b = gbit_model(), gbit_model()
