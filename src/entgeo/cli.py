@@ -30,9 +30,10 @@ The size caps are checked before anything is allocated:
 - ``tensor`` with dim_a * dim_b at most ``TENSOR_DIM_CAP``, and at most
   ``comgeo.ENUM_DIM_CAP`` when the maximal tensor product is asked for,
   whether ``comgeo.max_tensor_vertices`` settles it by theorem (a
-  classical factor, whose products need no enumeration and, for two
-  classical models, no scipy) or enumerates it; each dimension is read
-  off its model expression (n for classical:n, 3 for gbit).
+  classical factor, whose products need no enumeration of the composite)
+  or enumerates it by double description in numpy; each dimension is
+  read off its model expression (n for classical:n, 3 for gbit).  A pair
+  with a classical factor imports no scipy module.
 
 All output is deterministic for a fixed invocation; floats are serialized
 with their shortest round-trip representation.  A quantum report is one
@@ -48,11 +49,13 @@ per-state computation, and each report value to ``invsep``'s public
 function for it.
 
 The integers of an expression (A, B, ``seed`` and ``rank`` of
-``random:AxB``, n of ``classical:n``) are ASCII decimal digits alone
-(``_decimal``), and P of ``werner:P`` and the value of ``--tol`` are ASCII
-decimal literals (``_literal``: digits with at most one point, and an
-optional exponent); a sign, a space, an underscore or a digit of another
-script, each of which ``int`` or ``float`` takes, is a parse error.
+``random:AxB``, n of ``classical:n``) and ``sweep --steps`` are ASCII
+decimal digits alone (``_decimal``), and P of ``werner:P``, the value of
+``--tol`` and ``sweep --start`` and ``--stop`` are ASCII decimal literals
+(``_literal``: digits with at most one point, and an optional exponent);
+a sign, a space, an underscore, ``nan`` or a digit of another script,
+each of which ``int`` or ``float`` takes, is a parse error that quotes the
+text as given.
 
 ``main`` parses with one parser per process, built on its first call
 (``build_parser`` is cached); argparse keeps no state between parses, so
@@ -448,15 +451,24 @@ def cmd_css_check(args) -> int:
 # Entry point
 
 
-def _tolerance(text: str) -> float:
-    """``--tol``: an ASCII decimal literal (``_literal``) of a finite float."""
+def _steps(text: str) -> int:
+    """``sweep --steps``: ASCII decimal digits alone (``_decimal``)."""
     try:
-        tol = _literal(text)
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected decimal digits, got {text!r}") from None
+
+
+def _finite_literal(text: str) -> float:
+    """``--tol`` and ``sweep --start`` and ``--stop``: an ASCII decimal
+    literal (``_literal``) of a finite float."""
+    try:
+        value = _literal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a decimal literal >= 0, got {text!r}") from None
-    if not math.isfinite(tol):
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return tol
+    return value
 
 
 @functools.cache
@@ -467,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--tol",
-        type=_tolerance,
+        type=_finite_literal,
         default=DECISION_TOL,
         help="decision tolerance, a finite decimal literal >= 0; a verdict an LP decides at "
         f"a --tol below 10 * LP_TOL = {10 * LP_TOL!r} is at the solver's resolution",
@@ -492,11 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="parameter sweep over a state family (CSV)")
     p.add_argument("family", help="family name (werner)")
-    p.add_argument("--start", type=float, default=0.0)
-    p.add_argument("--stop", type=float, default=1.0)
-    p.add_argument(
-        "--steps", type=int, default=101, help=f"grid points, 2..{SWEEP_STEPS_CAP}"
-    )
+    p.add_argument("--start", type=_finite_literal, default=0.0)
+    p.add_argument("--stop", type=_finite_literal, default=1.0)
+    p.add_argument("--steps", type=_steps, default=101, help=f"grid points, 2..{SWEEP_STEPS_CAP}")
     p.set_defaults(fn="cmd_sweep")
 
     p = sub.add_parser("tensor", help="compare minimal/maximal tensor products")

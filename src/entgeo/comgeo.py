@@ -16,10 +16,10 @@ primal and the dual of one problem, so every answer carries both: the
 direction of the certificate's lower bound, the proof's residual or the
 LP's dual optimum, each LP answer checked on its own before it is used.
 
-The scipy names (``null_space``, ``linprog``, ``nnls`` and
-``HalfspaceIntersection``) import their module on their first call, not
-with this module: importing scipy takes most of a process's start-up, and
-a quantum ``analyze`` or ``sweep`` never calls them.  They are module
+The scipy names (``linprog`` and ``nnls``) import their module on their
+first call, not with this module: importing scipy takes most of a
+process's start-up, and a quantum ``analyze`` or ``sweep`` never calls
+them, nor does vertex enumeration, which is numpy alone.  They are module
 attributes, looked up at call time, so a test or a tracer can replace
 ``linprog`` or ``nnls`` on the module.  They are callable objects, not
 functions, so a tracer that wraps every public function of this module
@@ -50,10 +50,8 @@ class _Lazy:
         return getattr(importlib.import_module(self.module), self.name)(*args, **kwargs)
 
 
-null_space = _Lazy("scipy.linalg", "null_space")
 linprog = _Lazy("scipy.optimize", "linprog")
 nnls = _Lazy("scipy.optimize", "nnls")
-HalfspaceIntersection = _Lazy("scipy.spatial", "HalfspaceIntersection")
 
 _LP_OPTIONS = {"primal_feasibility_tolerance": LP_TOL, "dual_feasibility_tolerance": LP_TOL}
 
@@ -86,8 +84,9 @@ class HPolytope:
     rows; the offsets and values have one entry per row, and ``interior``,
     ``ambient_dim`` entries.  ``interior`` must lie strictly inside every
     inequality row that stays live on the equality hull: vertex enumeration
-    starts from it.  A shape that disagrees, or a NaN or inf entry, raises
-    ValueError naming it."""
+    checks it, which proves the polytope full-dimensional there, and takes
+    it as the origin of its cone.  A shape that disagrees, or a NaN or inf
+    entry, raises ValueError naming it."""
 
     ambient_dim: int
     ineq_normals: np.ndarray
@@ -546,7 +545,8 @@ def _dyadic(a: np.ndarray) -> tuple[np.ndarray, int]:
     return n.astype(object) << np.where(live, exps - e, 0).astype(object), e
 
 
-# entries in one float temporary of a pairwise comparison (8 MB)
+# entries in one temporary of a pairwise comparison (8 MB of float64), of
+# rows or of the rays of ``_extreme_points``
 _DEDUP_ENTRIES = 2**20
 
 
@@ -764,9 +764,10 @@ def max_tensor_vertices(a: ComModel, b: ComModel) -> VPolytope:
     (``product_composites``), with w the vertices of B where B is classical
     too, and otherwise those of B's own effect polytope {x : F_B x >= 0,
     u_B x = 1}, enumerated in B's dimension (``enumerate_max_vertices``,
-    around the centroid of B's vertices).  Only B classical is the mirror
-    image, with A's effect polytope slowest.  A pair with no classical
-    factor goes to ``enumerate_max_vertices(max_tensor_constraints(a, b))``.
+    with the centroid of B's vertices as its interior point).  Only B
+    classical is the mirror image, with A's effect polytope slowest.  A
+    pair with no classical factor goes to
+    ``enumerate_max_vertices(max_tensor_constraints(a, b))``.
     The products are checked against the constraints as the enumeration's
     vertices are, within ``DECISION_TOL``, else RuntimeError.
 
@@ -817,28 +818,34 @@ def _effect_vertices(m: ComModel) -> np.ndarray:
 
 def enumerate_max_vertices(h: HPolytope) -> VPolytope:
     """All extreme points of a bounded H-polytope, of ambient dimension at
-    most ``ENUM_DIM_CAP``, from its interior point.  It is the general path
-    of ``max_tensor_vertices``, which settles a pair with a classical factor
+    most ``ENUM_DIM_CAP``.  It is the general path of
+    ``max_tensor_vertices``, which settles a pair with a classical factor
     by theorem (Namioka & Phelps 1969; Aubrun, Lami, Palazuelos & Plavala,
     GAFA 31, 181 (2021)) and enumerates at most the other factor's own
     effect polytope.
 
-    On the equality rows' affine hull x = x0 + N y (N their null space),
-    Qhull's halfspace intersection (Barber, Dobkin & Huhdanpaa 1996) gives
-    the extreme points around ``h.interior`` projected onto that hull
-    (``max_tensor_constraints`` sets the product of the model centroids).
-    Each point is snapped to a certified vertex: among the inequality rows
-    tight at it (within ``DECISION_TOL``), scanned in index order, keep
-    every row independent of the equality rows and of the rows kept so far.
-    That is the lexicographically first basis; full rank proves a vertex.
-    One scan of the constraint rows certifies every point at once
-    (``_first_bases``), and one stacked solve of the square systems of the
-    distinct bases yields the vertices, in order of their bases.  Qhull's
-    points are not deduplicated: a repeated point has the same first basis,
-    and the bases are deduplicated.  Basic-solution enumeration over the
-    row subsets in lexicographic order, keeping the first hit of each
-    vertex, meets that same basis first, so it yields the same values in
-    the same order.
+    On the equality rows' affine hull x = x0 + N y (N their null space,
+    ``_null_space``), the double-description method (``_extreme_points``:
+    Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, LNCS 1120,
+    1996) gives the extreme points of the inequality rows that stay live
+    there.  ``h.interior`` is checked to lie strictly inside each of those
+    rows, which proves the polytope nonempty and full-dimensional on the
+    hull, and the rows are written around it, so that the cone's rays stay
+    well scaled however far the polytope lies from the origin (a unit box
+    at 1e5 has rays at t ~ 1e-5 around the origin, and its rows' slacks
+    shrink to ~1e-10, within ``DECISION_TOL``).  Each point is snapped to a
+    certified vertex: among the inequality rows tight at it
+    (within ``DECISION_TOL``), scanned in index order, keep every row
+    independent of the equality rows and of the rows kept so far.  That is
+    the lexicographically first basis; full rank proves a vertex.  One scan
+    of the constraint rows certifies every point at once (``_first_bases``),
+    and one stacked solve of the square systems of the distinct bases
+    yields the vertices, in order of their bases, so the output depends on
+    the points only through their bases.  The points are not deduplicated:
+    a repeated point has the same first basis, and the bases are
+    deduplicated.  Basic-solution enumeration over the row subsets in
+    lexicographic order, keeping the first hit of each vertex, meets that
+    same basis first, so it yields the same values in the same order.
 
     Raises ``ValueError`` when the equality rows are dependent, when a row
     that is constant on their hull is false there (empty), when the
@@ -851,7 +858,7 @@ def enumerate_max_vertices(h: HPolytope) -> VPolytope:
         raise ValueError(f"ambient dim {d} exceeds enumeration cap {ENUM_DIM_CAP}")
     tol = DECISION_TOL
     eq, ineq, offsets = h.eq_normals, h.ineq_normals, h.ineq_offsets
-    null = null_space(eq)
+    null = _null_space(eq)
     k = null.shape[1]
     if k != d - len(eq):
         raise ValueError("equality rows are linearly dependent")
@@ -865,9 +872,11 @@ def enumerate_max_vertices(h: HPolytope) -> VPolytope:
         raise ValueError("H-polytope is empty")
     unit, unit_rhs = a[live] / norms[live, None], rhs[live] / norms[live]
     centre = null.T @ (h.interior - x0)
-    if not (unit @ centre - unit_rhs > tol).all():
+    slack = unit @ centre - unit_rhs
+    if not (slack > tol).all():
         raise ValueError("H-polytope's interior point is not strictly inside every live inequality row")
-    ys = _extreme_points(unit, unit_rhs, centre) if k else np.zeros((1, 0))
+    # around the interior point each row reads unit @ (y - centre) >= -slack
+    ys = centre + _extreme_points(unit, -slack) if k else np.zeros((1, 0))
     points = x0 + ys @ null.T
     bases = _first_bases(a, scale, np.abs(points @ ineq.T - offsets) <= tol, tol)
     # each basis's square system [eq; ineq[basis]], all in one stacked solve
@@ -880,23 +889,109 @@ def enumerate_max_vertices(h: HPolytope) -> VPolytope:
     return VPolytope(verts)
 
 
-def _extreme_points(a: np.ndarray, rhs: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Extreme points of {y : a y >= rhs} around an interior point; raises
-    ValueError if the set is unbounded."""
-    if a.shape[1] == 1:
-        up, down = a[:, 0] > 0, a[:, 0] < 0
-        if not (up.any() and down.any()):
-            raise ValueError("H-polytope is unbounded")
-        return np.array([[np.max(rhs[up] / a[up, 0])], [np.min(rhs[down] / a[down, 0])]])
-    # bounded iff the origin lies inside the hull of the dual points, which
-    # needs them to span the space affinely
-    dual = a / (rhs - a @ centre)[:, None]
-    if np.linalg.matrix_rank(np.hstack([dual, np.ones((len(a), 1))])) <= a.shape[1]:
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of the null space of the rows a, as columns, from
+    one SVD; the singular values above max(a.shape) * eps * s_max count as
+    the rank, the rule of ``scipy.linalg.null_space``."""
+    _, s, vh = np.linalg.svd(a)
+    rank = np.count_nonzero(s > max(a.shape) * np.finfo(float).eps * np.max(s, initial=0.0))
+    return vh[rank:].T
+
+
+def _extreme_points(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Extreme points of {y : a y >= rhs}, a set with a point more than
+    ``DECISION_TOL`` inside every row, by double description; ValueError if
+    the set is unbounded.  The rays are best scaled with such a point at
+    the origin (rhs < 0), where ``enumerate_max_vertices`` puts its
+    interior point.
+
+    The set is the slice t = 1 of the cone {(t, y) : a y - rhs t >= 0}, of
+    n = k + 1 dimensions, with each row [-rhs, a] scaled to unit norm; each
+    extreme ray (t, y) of the cone gives the extreme point y / t.  The first
+    n independent rows, in index order, bound a starting cone whose extreme
+    rays are the columns of their inverse.  Each other row, in index order,
+    cuts the cone: the rays on its negative side go, and each pair of a ray
+    on its positive side and one on its negative side that are adjacent
+    gives the combination of the two on the row's hyperplane (Motzkin,
+    Raiffa, Thompson & Thrall 1953; Fukuda & Prodon, "Double description
+    method revisited", LNCS 1120, 1996).  Two rays are adjacent when the
+    rows tight at both number at least n - 2 and no third ray is tight at
+    all of them.  A ray is tight at a row within ``DECISION_TOL``, rays and
+    rows being unit vectors, and a new ray at the rows tight at both of its
+    parents and at the new row.  The tight rows of the rays are the rows of
+    a 0/1 float32 matrix, so the set sizes are BLAS matmuls, exact while
+    they stay below 2**24 rows (``_adjacent``).
+
+    The set has an interior point, so it is bounded iff the cone has no line
+    (the rows have rank n) and no ray at t <= 0, which would be a direction
+    of the set; a ray at t <= ``DECISION_TOL`` counts as one.
+    """
+    tol = DECISION_TOL
+    rows = _unit_rows(np.hstack([-rhs[:, None], a]))
+    m, n = rows.shape
+    # drop the first row dependent on the rows before it until the first n
+    # left are independent: R's diagonal holds each row's distance from the
+    # span of the rows before it while those are independent
+    start = np.arange(m)
+    while True:
+        diagonal = np.abs(np.diagonal(np.linalg.qr(rows[start[:n]].T, mode="r")))
+        dependent = np.flatnonzero(diagonal <= tol)
+        if not len(dependent):
+            break
+        start = np.delete(start, dependent[0])
+    if len(start) < n:
         raise ValueError("H-polytope is unbounded")
-    hs = HalfspaceIntersection(np.hstack([-a, rhs[:, None]]), centre)
-    if (hs.dual_equations[:, -1] >= 0).any():
+    start = start[:n]
+    rays = _unit_rows(np.linalg.inv(rows[start]).T)
+    tight = np.zeros((n, m), dtype=np.float32)
+    tight[:, start] = 1 - np.eye(n, dtype=np.float32)
+    rest = np.ones(m, dtype=bool)
+    rest[start] = False
+    for i in np.flatnonzero(rest):
+        vals = rays @ rows[i]
+        tight[:, i] = np.abs(vals) <= tol
+        out = vals < -tol
+        if not out.any():
+            continue
+        p, q, sets = _adjacent(tight, np.flatnonzero(vals > tol), np.flatnonzero(out), n)
+        sets[:, i] = 1
+        new = _unit_rows(vals[p, None] * rays[q] - vals[q, None] * rays[p])
+        rays = np.concatenate([rays[~out], new])
+        tight = np.concatenate([tight[~out], sets])
+    if not (rays[:, 0] > tol).all():
         raise ValueError("H-polytope is unbounded")
-    return hs.intersections
+    return rays[:, 1:] / rays[:, :1]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, each scaled to unit Euclidean norm."""
+    return rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+
+
+def _adjacent(tight: np.ndarray, pos: np.ndarray, neg: np.ndarray, n: int) -> tuple:
+    """The adjacent pairs (p, q), p in pos and q in neg, of the rays whose
+    tight rows are the rows of the 0/1 matrix ``tight``, in a cone of n
+    dimensions, with the 0/1 rows of the rows tight at both.
+
+    A pair needs at least n - 2 common tight rows (one matmul of tight rows
+    for each block of pos), and then no third ray tight at all of them: the
+    rays whose tight rows hold the common set are those that meet it in its
+    size, the pair itself among them.  Each temporary holds at most
+    ``_DEDUP_ENTRIES`` entries, bar one row of a block."""
+    none = np.zeros(0, dtype=int)
+    found = [(none, none, np.zeros((0, tight.shape[1]), np.float32))]
+    block = max(1, _DEDUP_ENTRIES // len(neg))
+    chunk = max(1, _DEDUP_ENTRIES // max(tight.shape))
+    for lo in range(0, len(pos), block):
+        part = pos[lo:lo + block]
+        p, q = np.nonzero(tight[part] @ tight[neg].T >= n - 2)
+        p, q = part[p], neg[q]
+        for j in range(0, len(p), chunk):
+            pj, qj = p[j:j + chunk], q[j:j + chunk]
+            common = tight[pj] * tight[qj]
+            holders = np.count_nonzero(common @ tight.T == common.sum(axis=1)[:, None], axis=1)
+            found.append((pj[holders == 2], qj[holders == 2], common[holders == 2]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _first_bases(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float) -> np.ndarray:
@@ -927,5 +1022,5 @@ def _first_bases(a: np.ndarray, scale: np.ndarray, tight: np.ndarray, tol: float
         basis[new, slot] = i
         size[new] = slot + 1
     if size.min() < k:
-        raise RuntimeError("a halfspace intersection point is not a vertex")
+        raise RuntimeError("an enumerated point is not a vertex")
     return np.array(sorted(set(map(tuple, basis.tolist()))), dtype=int)

@@ -552,6 +552,22 @@ class TestSweep:
         assert [repr(float(np.linalg.norm(d))) for d in deltas] == golden
         assert [repr(x) for x in matcore.norm(deltas, "frobenius").tolist()] == golden
 
+    # "--opt=X" form, as in TestTolerance: int() or float() takes each of
+    # these, and each swept a grid (--stop=0_5 as stop=5.0)
+    @pytest.mark.parametrize(
+        "option, text",
+        [("--steps", "+3"), ("--steps", "\u0663"), ("--steps", " 3"), ("--steps", "1_0"),
+         ("--stop", " 0.5"), ("--stop", "0_5"), ("--stop", "+.5"), ("--stop", "\u0660.\u0665"),
+         ("--start", "nan"), ("--start", "-0.0")],
+    )
+    def test_grid_options_are_decimal_literals(self, capsys, option, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "werner", f"{option}={text}"])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}" in captured.err and repr(text) in captured.err
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "werner", "--start", "0.9", "--stop", "0.1")
         assert code == EXIT_PARSE
@@ -683,7 +699,7 @@ class TestTensor:
     )
     def test_classical_pair_runs_no_vertex_enumeration(self, capsys, monkeypatch, model_a, model_b):
         # two simplices: the maximal product's vertices are the products
-        forbid(monkeypatch, comgeo, "HalfspaceIntersection")
+        forbid(monkeypatch, comgeo, "_extreme_points")
         code, out, _ = run(capsys, "tensor", model_a, model_b)
         assert code == EXIT_OK
         summary = json.loads(out)
@@ -1002,14 +1018,18 @@ class TestStartUp:
 
     def test_classical_tensor_imports_no_scipy(self):
         # the maximal product of two simplices is their products, with no
-        # vertex enumeration, and every hull question a vertex match
-        argv = ["tensor", "classical:2", "classical:3"]
-        want = next(c["stdout"] for c in GOLDEN_TENSOR_PAIRS if c["argv"] == argv)
-        assert fresh_process(argv) == {"codes": [EXIT_OK], "stdout": want, "scipy": False}
+        # vertex enumeration; with a gbit, the gbit's effect polytope is
+        # enumerated in numpy alone; and every hull question is a vertex
+        # match.  Each pair runs in its own process
+        for pair in (["classical:2", "classical:3"], ["classical:2", "gbit"], ["gbit", "classical:4"]):
+            argv = ["tensor", *pair]
+            want = next(c["stdout"] for c in GOLDEN_TENSOR_PAIRS if c["argv"] == argv)
+            assert fresh_process(argv) == {"codes": [EXIT_OK], "stdout": want, "scipy": False}
 
     def test_tensor_imports_scipy_on_first_use(self):
-        # the control: a pair with no classical factor needs Qhull, so the
-        # probe sees scipy
+        # the control: a pair with no classical factor is enumerated in numpy,
+        # but the PR boxes among its vertices lie outside the products, and
+        # their distances take NNLS projections, so the probe sees scipy
         got = fresh_process(["tensor", "gbit", "gbit"])
         assert got == {"codes": [EXIT_OK], "stdout": GOLDEN_TENSOR.read_text(), "scipy": True}
 

@@ -206,7 +206,7 @@ def first_basis(a, scale, tight, tol):
             basis.append(int(i))
             q = np.vstack([q, r / nr])
     if len(basis) < a.shape[1]:
-        raise RuntimeError("a halfspace intersection point is not a vertex")
+        raise RuntimeError("an enumerated point is not a vertex")
     return tuple(basis)
 
 
@@ -1194,7 +1194,7 @@ class TestMinTensor:
 
 def doubled(extreme_points):
     """``extreme_points`` with every point given twice."""
-    return lambda a, rhs, centre: np.repeat(extreme_points(a, rhs, centre), 2, axis=0)
+    return lambda a, rhs: np.repeat(extreme_points(a, rhs), 2, axis=0)
 
 
 class TestModelsReducedOnce:
@@ -1208,8 +1208,8 @@ class TestModelsReducedOnce:
         monkeypatch.setattr(comgeo, "dedup_rows", deduped)
         assert len(min_tensor(gb, gb).vertices) == 16
         assert reduced.call_count == 0
-        # a Qhull point given twice has the same first basis, so its vertex
-        # still comes out once
+        # an extreme point given twice has the same first basis, so its
+        # vertex still comes out once
         monkeypatch.setattr(comgeo, "_extreme_points", doubled(comgeo._extreme_points))
         assert enumerate_max_vertices(h).vertices.tobytes() == want.tobytes()
         assert deduped.call_count == 0
@@ -1277,8 +1277,8 @@ TRIANGLE = HPolytope(
 
 def with_centroid(extreme_points):
     """``extreme_points`` with one more point, the centroid of its points."""
-    def more(a, rhs, centre):
-        ys = extreme_points(a, rhs, centre)
+    def more(a, rhs):
+        ys = extreme_points(a, rhs)
         return np.vstack([ys, ys.mean(axis=0)])
 
     return more
@@ -1361,12 +1361,15 @@ class TestMaxTensor:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=SEEDS,
-        k=st.integers(1, 3),
+        k=st.integers(1, 4),
         cross=st.booleans(),
         extra=st.integers(0, 3),
         dups=st.integers(0, 2),
         flat_rows=st.integers(0, 2),
     )
+    # each vertex of the 4-cross-polytope is on 8 of its 16 facets, so its
+    # rays have common tight sets far above n - 2 = 3 rows
+    @example(seed=0, k=4, cross=True, extra=0, dups=2, flat_rows=2)
     def test_random_polytopes_match_oracle(self, seed, k, cross, extra, dups, flat_rows):
         h = random_hpolytope(np.random.default_rng(seed), k, cross, extra, dups, flat_rows)
         got = enumerate_max_vertices(h).vertices
@@ -1428,6 +1431,28 @@ class TestMaxTensor:
         assert len(verts) == 135
         assert max_tensor_membership(verts, h, 1e-9)
 
+    @pytest.mark.parametrize("offset", [1e5, 1e8])
+    def test_a_box_far_from_the_origin(self, offset):
+        # x_1, x_2 in [offset, offset + 1]: around the origin its rows' slacks
+        # at a vertex shrink to ~1 / offset^2 of the unit rays, so the cone is
+        # written around the interior point
+        c = offset + 0.5
+        h = HPolytope(
+            2, [[1, 0], [-1, 0], [0, 1], [0, -1]], [offset, -offset - 1, offset, -offset - 1],
+            np.empty((0, 2)), [], [c, c],
+        )
+        got = enumerate_max_vertices(h).vertices
+        want = [[offset, offset], [offset, offset + 1], [offset + 1, offset], [offset + 1, offset + 1]]
+        assert sorted(got.tolist()) == want
+
+    def test_hexagon_pair(self):
+        # 36 rows in 8 dimensions, and 552 vertices
+        p = polygon_model(6)
+        h = max_tensor_constraints(p, p)
+        verts = enumerate_max_vertices(h).vertices
+        assert len(verts) == 552
+        assert max_tensor_membership(verts, h, 1e-9)
+
     @pytest.mark.parametrize(
         "a, b",
         [(classical_model(2), classical_model(2)), (classical_model(2), gbit_model()),
@@ -1456,8 +1481,9 @@ class TestMaxTensor:
             (HPolytope(2, [[1, 0], [-1, 0]], [1, 0], [[0, 1]], [1], [0.5, 1]), "interior"),
             # x_1 >= 0 alone on the line x_2 = 1, a ray
             (HPolytope(2, [[1, 0]], [0], [[0, 1]], [1], [1, 1]), "unbounded"),
-            # x_1, x_2 >= 0 and x_1 + x_2 >= 1 on the plane x_3 = 1: the dual
-            # points span the plane, but Qhull finds the origin outside them
+            # x_1, x_2 >= 0 and x_1 + x_2 >= 1 on the plane x_3 = 1: the rows
+            # have full rank, but the cone keeps rays at t = 0, the directions
+            # (1, 0) and (0, 1)
             (
                 HPolytope(3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1], [[0, 0, 1]], [1], [1, 1, 1]),
                 "unbounded",
